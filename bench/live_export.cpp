@@ -1,8 +1,8 @@
 // Live observability end-to-end driver and self-check: runs PageRank on
 // the parallel transport, STLlint sessions, rewrite sessions, and a
-// thread-pool fan-out under sustained load while the background sampler
-// streams time-series snapshots of the telemetry registry; plants a
-// thread-pool stall (a task that goes silent while busy) and requires the
+// work-stealing pool fan-out under sustained load while the background
+// sampler streams time-series snapshots of the telemetry registry; plants
+// a pool-worker stall (a task that goes silent while busy) and requires the
 // watchdog to catch it within 3 sample periods; then exports and
 // re-validates all three artifacts — Prometheus text exposition, the
 // cgp.live.v1 series document (written to live.json; argv[1] or --out
@@ -29,7 +29,7 @@
 
 #include "distributed/inproc_transport.hpp"
 #include "distributed/parallel_transport.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "perf/env_info.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/parser.hpp"
@@ -82,7 +82,7 @@ class pagerank_process : public distributed::process {
   bool done_ = false;
 };
 
-void drive_one_load_iteration(parallel::thread_pool& pool,
+void drive_one_load_iteration(parallel::work_stealing_pool& pool,
                               rewrite::simplifier& simp) {
   // One run per Transport backend, so the sampler streams a
   // `distributed.network.runs.<backend>` lane for each of the three.
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   sampler.start();
 
   // Sustained load across >= 3 subsystems while the sampler streams.
-  parallel::thread_pool pool(3);
+  parallel::work_stealing_pool pool(3);
   rewrite::simplifier simp;
   simp.add_default_concept_rules();
   simp.enable_constant_folding();
@@ -232,12 +232,12 @@ int main(int argc, char** argv) {
 
   // --- artifact 1: Prometheus exposition -----------------------------------
   const std::string prom = sampler.export_prometheus();
-  if (prom.find("# TYPE cgp_parallel_thread_pool_tasks_completed counter") ==
+  if (prom.find("# TYPE cgp_parallel_work_stealing_tasks_completed counter") ==
           std::string::npos ||
-      prom.find("# TYPE cgp_parallel_thread_pool_queue_depth gauge") ==
+      prom.find("# TYPE cgp_parallel_work_stealing_queue_depth gauge") ==
           std::string::npos) {
     std::cerr << "live_export: Prometheus exposition is missing expected "
-                 "thread-pool metrics:\n"
+                 "work-stealing pool metrics:\n"
               << prom.substr(0, 400) << "\n";
     return 6;
   }

@@ -33,9 +33,9 @@
 // Exit codes: 0 ok; 1 regression vs baseline; 2 a fitted-vs-declared
 // complexity verdict came back violated (or inconclusive, which for these
 // curated sweeps means the harness itself broke); 3 usage/IO error; 4 an
-// overhead gate (live sampler or profiler probes) exceeded its budget on
-// the thread pool, or the work-stealing scaling gate lost to the legacy
-// pool on the nested fork-join sweep; 5 a profile self-check failed (capture not
+// overhead gate (live sampler or profiler probes on the work-stealing
+// pool, or the health observatory on the sim transport) exceeded its
+// budget; 5 a profile self-check failed (capture not
 // byte-deterministic, structural validation, or --self-check-diff failed
 // to localize the planted regression).
 #include <cstring>
@@ -54,7 +54,6 @@
 #include "distributed/parallel_transport.hpp"
 #include "graph/instrumented.hpp"
 #include "parallel/task_group.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing_pool.hpp"
 #include "perf/benchmark.hpp"
 #include "perf/env_info.hpp"
@@ -84,13 +83,13 @@ std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
 // for (same tree as bench/sec4_dataparallel.cpp).  Each of n roots forks
 // a skewed batch of leaf tasks through a nested task_group, so the total
 // task count is a deterministic, linear function of n and the scaling
-// pair below can fit (and baseline-gate) ops on the pools' task counters.
-template <class Pool>
-void nested_irregular(Pool& pool, std::size_t roots) {
-  parallel::task_group<Pool> group(pool);
+// sweep below can fit (and baseline-gate) ops on the pool's task counters.
+void nested_irregular(parallel::work_stealing_pool& pool, std::size_t roots) {
+  using group_t = parallel::task_group<parallel::work_stealing_pool>;
+  group_t group(pool);
   for (std::size_t r = 0; r < roots; ++r)
     group.run([&pool, r] {
-      parallel::task_group<Pool> inner(pool);
+      group_t inner(pool);
       const std::size_t kids = 2 + r % 6;  // skewed fan-out
       for (std::size_t k = 0; k < kids; ++k)
         inner.run([r, k] {
@@ -202,15 +201,15 @@ perf::bench_registry build_registry(bool quick) {
              return [source] { (void)stllint::lint_source(*source); };
            }});
 
-  // Thread pool fan-out: n chunks cost n submitted + n completed tasks.
+  // Pool fan-out: n chunks cost n submitted + n completed tasks.
   // The pool itself is constructed in setup, outside the timed region.
-  reg.add({.name = "parallel.thread_pool",
+  reg.add({.name = "parallel.work_stealing",
            .subsystem = "parallel",
            .declared = core::big_o::n(),
            .sizes = {8, 16, 32, 64, 128},
-           .counter_prefix = "parallel.thread_pool.tasks",
+           .counter_prefix = "parallel.work_stealing.tasks",
            .setup = [](std::size_t n) -> std::function<void()> {
-             auto pool = std::make_shared<parallel::thread_pool>(2);
+             auto pool = std::make_shared<parallel::work_stealing_pool>(2);
              return [pool, n] {
                pool->run_chunks(n, [](std::size_t c) {
                  volatile std::size_t sink = 0;
@@ -224,13 +223,13 @@ perf::bench_registry build_registry(bool quick) {
   // concurrent path.  Same declared bound, same deterministic task
   // counters; the sampler_overhead gate below compares the two sweeps'
   // wall times and trips when sampling costs more than its budget.
-  reg.add({.name = "parallel.thread_pool.sampled",
+  reg.add({.name = "parallel.work_stealing.sampled",
            .subsystem = "parallel",
            .declared = core::big_o::n(),
            .sizes = {8, 16, 32, 64, 128},
-           .counter_prefix = "parallel.thread_pool.tasks",
+           .counter_prefix = "parallel.work_stealing.tasks",
            .setup = [](std::size_t n) -> std::function<void()> {
-             auto pool = std::make_shared<parallel::thread_pool>(2);
+             auto pool = std::make_shared<parallel::work_stealing_pool>(2);
              auto sampler = std::make_shared<telemetry::live::sampler>(
                  telemetry::live::sample_options{.period_ms = 25,
                                                  .capacity = 256,
@@ -249,13 +248,13 @@ perf::bench_registry build_registry(bool quick) {
   // task runs the submit wrapper (path capture + adopt + probe).  The
   // probe_overhead gate below compares this sweep against the bare pool
   // and trips when attribution costs more than its budget.
-  reg.add({.name = "parallel.thread_pool.profiled",
+  reg.add({.name = "parallel.work_stealing.profiled",
            .subsystem = "parallel",
            .declared = core::big_o::n(),
            .sizes = {8, 16, 32, 64, 128},
-           .counter_prefix = "parallel.thread_pool.tasks",
+           .counter_prefix = "parallel.work_stealing.tasks",
            .setup = [](std::size_t n) -> std::function<void()> {
-             auto pool = std::make_shared<parallel::thread_pool>(2);
+             auto pool = std::make_shared<parallel::work_stealing_pool>(2);
              // RAII profiling session: enable on entry unless an outer
              // capture (--profile) already owns the profiler, in which
              // case both ends are no-ops and the outer clock mode wins.
@@ -282,26 +281,10 @@ perf::bench_registry build_registry(bool quick) {
              };
            }});
 
-  // Threads-sweep scaling pair (DESIGN.md §12): the SAME nested irregular
-  // fork-join runs on both Executor models at the same width.  The task
-  // counters are deterministic (n roots plus a skewed, arithmetic number
-  // of kids), so the baseline counter gate pins the amount of scheduled
-  // work on both sides; the scaling gate in main() then compares the two
-  // sweeps' wall times and trips when the stealing pool's bootstrap CI
-  // separates ABOVE the shared-queue pool's past its budget — i.e. the
-  // redesign must never lose throughput on the workload it exists for.
-  reg.add({.name = "parallel.scaling.thread_pool",
-           .subsystem = "parallel",
-           .declared = core::big_o::n(),
-           .sizes = {8, 16, 32, 64},
-           .counter_prefix = "parallel.thread_pool.tasks",
-           .deterministic_profile = false,
-           .setup = [](std::size_t n) -> std::function<void()> {
-             auto pool = std::make_shared<parallel::thread_pool>(
-                 parallel::pool_options{.workers = 4});
-             return [pool, n] { nested_irregular(*pool, n); };
-           }});
-
+  // Threads-sweep scaling (DESIGN.md §12): nested irregular fork-join at
+  // width 4.  The task counters are deterministic (n roots plus a skewed,
+  // arithmetic number of kids), so the baseline counter gate pins the
+  // amount of scheduled work while the time gate watches the schedule.
   reg.add({.name = "parallel.scaling.work_stealing",
            .subsystem = "parallel",
            .declared = core::big_o::n(),
@@ -366,7 +349,7 @@ perf::bench_registry build_registry(bool quick) {
              };
            }});
 
-  // The same wave on a complete topology via the thread-pool backend:
+  // The same wave on a complete topology via the parallel backend:
   // message count is edge count, i.e. quadratic in nodes.
   reg.add({.name = "distributed.parallel_transport",
            .subsystem = "distributed",
@@ -495,19 +478,13 @@ bool parse_args(int argc, char** argv, options& o) {
 
 // --- overhead gates ---------------------------------------------------------
 
-// Continuous observation must stay within a 10% tax on the thread pool:
-// the live sampler (PR 6) and the profiler's probes alike.
+// Continuous observation must stay within a 10% tax on the work-stealing
+// pool: the live sampler and the profiler's probes alike.
 constexpr double kSamplerOverheadBudget = 1.10;
 constexpr double kProbeOverheadBudget = 1.10;
 // The health observatory's per-message atomics and per-round shard folds
 // must fit in the same 10% tax on the distributed engine.
 constexpr double kHealthOverheadBudget = 1.10;
-// The work-stealing pool must not lose throughput to the legacy
-// shared-queue pool on the nested irregular fork-join sweep.  The budget
-// is generous (and the CI separation asymmetric, see gate_overhead_pair)
-// because a saturated single-core runner serializes both schedules —
-// only a genuine scheduling pathology separates the intervals.
-constexpr double kScalingBudget = 1.25;
 
 struct overhead_verdict {
   bool present = false;  ///< both sweeps found
@@ -515,7 +492,7 @@ struct overhead_verdict {
   telemetry::json_value block;  ///< the report object for this gate
 };
 
-// Compares an instrumented thread-pool sweep against the bare one, point
+// Compares an instrumented sweep against the bare one, point
 // by point.  Wall time is noisy ON BOTH SIDES, so a point counts as over
 // budget only when the two bootstrap CIs separate past the budget — the
 // instrumented run's CI.lo clears budget * the bare run's CI.hi (a slow
@@ -524,8 +501,8 @@ struct overhead_verdict {
 // at least half the sweep points are over.  A genuine blowup (the planted
 // 6x twin) separates the intervals at every point; jitter does not.
 // `a_key`/`b_key` label the two sides in the emitted JSON block
-// ("unsampled"/"sampled" for the observation-tax gates, pool names for
-// the scaling gate); the verdict logic is identical either way.
+// ("unsampled"/"sampled" for the pool gates, "unobserved"/"observed" for
+// the health gate); the verdict logic is identical either way.
 overhead_verdict gate_overhead_pair(
     const std::vector<perf::benchmark_result>& results,
     const std::string& bare_name, const std::string& instrumented_name,
@@ -761,23 +738,20 @@ int main(int argc, char** argv) {
   const auto env = perf::env_info(perf::utc_timestamp());
   auto doc = perf::report_json(results, env);
   const auto overhead =
-      gate_overhead_pair(results, "parallel.thread_pool",
-                         "parallel.thread_pool.sampled", kSamplerOverheadBudget);
+      gate_overhead_pair(results, "parallel.work_stealing",
+                         "parallel.work_stealing.sampled",
+                         kSamplerOverheadBudget);
   if (overhead.present) doc.obj["sampler_overhead"] = overhead.block;
   const auto probe_overhead =
-      gate_overhead_pair(results, "parallel.thread_pool",
-                         "parallel.thread_pool.profiled", kProbeOverheadBudget);
+      gate_overhead_pair(results, "parallel.work_stealing",
+                         "parallel.work_stealing.profiled",
+                         kProbeOverheadBudget);
   if (probe_overhead.present) doc.obj["probe_overhead"] = probe_overhead.block;
   const auto health_overhead = gate_overhead_pair(
       results, "distributed.sim_transport", "distributed.sim_transport.health",
       kHealthOverheadBudget, "unobserved", "observed");
   if (health_overhead.present)
     doc.obj["health_overhead"] = health_overhead.block;
-  const auto scaling =
-      gate_overhead_pair(results, "parallel.scaling.thread_pool",
-                         "parallel.scaling.work_stealing", kScalingBudget,
-                         "thread_pool", "work_stealing");
-  if (scaling.present) doc.obj["scaling_gate"] = scaling.block;
   const std::string rendered = telemetry::dump_json(doc);
 
   for (const std::string& path : {opt.out, opt.write_baseline}) {
@@ -878,8 +852,8 @@ int main(int argc, char** argv) {
       std::cerr << "sampler overhead gate: background sampling costs more "
                    "than "
                 << kSamplerOverheadBudget
-                << "x the unsampled thread pool at half or more sweep "
-                   "points\n";
+                << "x the unsampled work-stealing pool at half or more "
+                   "sweep points\n";
       rc = rc == 0 ? 4 : rc;
     }
   }
@@ -890,7 +864,8 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "probe overhead gate: profiler probes cost more than "
                 << kProbeOverheadBudget
-                << "x the bare thread pool at half or more sweep points\n";
+                << "x the bare work-stealing pool at half or more sweep "
+                   "points\n";
       rc = rc == 0 ? 4 : rc;
     }
   }
@@ -903,20 +878,6 @@ int main(int argc, char** argv) {
                 << kHealthOverheadBudget
                 << "x the unobserved sim transport at half or more sweep "
                    "points\n";
-      rc = rc == 0 ? 4 : rc;
-    }
-  }
-  if (scaling.present) {
-    if (scaling.ok) {
-      std::cout << "scaling gate: ok — work_stealing_pool holds throughput "
-                   "against thread_pool on the nested fork-join sweep "
-                   "(budget "
-                << kScalingBudget << "x)\n";
-    } else {
-      std::cerr << "scaling gate: work_stealing_pool is more than "
-                << kScalingBudget
-                << "x slower than thread_pool on the nested fork-join sweep "
-                   "at half or more points\n";
       rc = rc == 0 ? 4 : rc;
     }
   }

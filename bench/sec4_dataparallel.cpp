@@ -38,7 +38,7 @@ BENCHMARK(bm_serial_reduce)->Arg(1 << 22);
 
 void bm_parallel_reduce_threads(benchmark::State& state) {
   const auto v = workload(1 << 22);
-  thread_pool pool(static_cast<unsigned>(state.range(0)));
+  work_stealing_pool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
         parallel_reduce<std::plus<>>(v.begin(), v.end(), {}, pool));
@@ -46,29 +46,14 @@ void bm_parallel_reduce_threads(benchmark::State& state) {
 }
 BENCHMARK(bm_parallel_reduce_threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Same algorithm, other Executor model: the concept-bounded reduce runs
-// unchanged over the work-stealing scheduler.
-void bm_stealing_reduce_threads(benchmark::State& state) {
-  const auto v = workload(1 << 22);
-  work_stealing_pool pool(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        parallel_reduce<std::plus<>>(v.begin(), v.end(), {}, pool));
-  state.SetItemsProcessed(state.iterations() * (1 << 22));
-}
-BENCHMARK(bm_stealing_reduce_threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // Nested, irregular fork-join — the workload shape stealing exists for.
 // Each root task forks a geometric tree of subtasks with skewed leaf
-// costs; on the shared-queue pool every fork funnels through one mutex
-// and waiters can only help FIFO, while stealing keeps forks worker-local
-// and rebalances the skew.
-template <class Pool>
-void nested_irregular(Pool& pool, std::size_t roots) {
-  task_group<Pool> group(pool);
+// costs; stealing keeps forks worker-local and rebalances the skew.
+void nested_irregular(work_stealing_pool& pool, std::size_t roots) {
+  task_group<work_stealing_pool> group(pool);
   for (std::size_t r = 0; r < roots; ++r)
     group.run([&pool, r] {
-      task_group<Pool> inner(pool);
+      task_group<work_stealing_pool> inner(pool);
       const std::size_t kids = 2 + r % 6;  // skewed fan-out
       for (std::size_t k = 0; k < kids; ++k)
         inner.run([r, k] {
@@ -81,12 +66,6 @@ void nested_irregular(Pool& pool, std::size_t roots) {
   group.wait();
 }
 
-void bm_nested_thread_pool(benchmark::State& state) {
-  thread_pool pool(4);
-  for (auto _ : state) nested_irregular(pool, 64);
-}
-BENCHMARK(bm_nested_thread_pool);
-
 void bm_nested_work_stealing(benchmark::State& state) {
   work_stealing_pool pool(4);
   for (auto _ : state) nested_irregular(pool, 64);
@@ -96,7 +75,7 @@ BENCHMARK(bm_nested_work_stealing);
 void bm_parallel_scan_threads(benchmark::State& state) {
   const auto v = workload(1 << 22);
   std::vector<double> out(v.size());
-  thread_pool pool(static_cast<unsigned>(state.range(0)));
+  work_stealing_pool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     parallel_inclusive_scan<std::plus<>>(v.begin(), v.end(), out.begin(), {},
                                          pool);
@@ -118,7 +97,7 @@ BENCHMARK(bm_serial_sort);
 
 void bm_parallel_sort_threads(benchmark::State& state) {
   const auto base = workload(1 << 21);
-  thread_pool pool(static_cast<unsigned>(state.range(0)));
+  work_stealing_pool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     auto v = base;
     parallel_sort(v.begin(), v.end(), std::less<>{}, pool);
@@ -150,7 +129,7 @@ void report() {
               t_serial, serial);
   std::printf("%-10s %-10s %-8s\n", "threads", "time", "speedup");
   for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    thread_pool pool(t);
+    work_stealing_pool pool(t);
     double r = 0.0;
     const double tt = time_of([&] {
       r = parallel_reduce<std::plus<>>(v.begin(), v.end(), {}, pool);

@@ -17,7 +17,7 @@
 #include "distributed/algorithms.hpp"
 #include "distributed/network.hpp"
 #include "graph/instrumented.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "perf/env_info.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/parser.hpp"
@@ -38,7 +38,7 @@ std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
 }
 
 void drive_parallel() {
-  parallel::thread_pool pool(4);
+  parallel::work_stealing_pool pool(4);
   std::atomic<long> sum{0};
   for (int round = 0; round < 8; ++round)
     pool.run_chunks(32, [&sum](std::size_t c) {

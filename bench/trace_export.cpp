@@ -23,7 +23,7 @@
 
 #include "distributed/inproc_transport.hpp"
 #include "distributed/parallel_transport.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "perf/env_info.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/parser.hpp"
@@ -104,9 +104,9 @@ void drive_distributed() {
   }
 }
 
-void drive_thread_pool() {
+void drive_pool() {
   telemetry::trace::child_span span("bench.pool_fanout", "bench");
-  parallel::thread_pool pool(4);
+  parallel::work_stealing_pool pool(4);
   constexpr std::ptrdiff_t kTasks = 4;
   // All tasks rendezvous at the latch, forcing them onto distinct workers:
   // the exported trace must show task spans on at least two tids.
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
     telemetry::trace::trace_span root("bench.trace_export", "bench");
     drive_distributed();
     telemetry::trace::sample_registry_counters("distributed.network.");
-    drive_thread_pool();
-    telemetry::trace::sample_registry_counters("parallel.thread_pool.tasks");
+    drive_pool();
+    telemetry::trace::sample_registry_counters("parallel.work_stealing.tasks");
     drive_stllint();
     telemetry::trace::sample_registry_counters("stllint.analyzer.");
     drive_rewrite();
@@ -236,11 +236,11 @@ int main(int argc, char** argv) {
     return 9;
   }
   // Worker coverage: the pool task spans specifically must land on at
-  // least two distinct tids (the latch in drive_thread_pool forces this).
+  // least two distinct tids (the latch in drive_pool forces this).
   std::set<double> task_tids;
   for (const auto& ev : doc.at("traceEvents").arr)
     if (ev.at("ph").str == "B" &&
-        ev.at("name").str == "parallel.thread_pool.task")
+        ev.at("name").str == "parallel.work_stealing.task")
       task_tids.insert(ev.at("tid").num);
   if (task_tids.size() < 2) {
     std::cerr << "trace_export: pool task spans on " << task_tids.size()

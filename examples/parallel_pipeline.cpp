@@ -2,9 +2,9 @@
 // synthetic measurement stream using the Monoid-constrained data-parallel
 // primitives.  Both concept layers earn their keep: a non-associative
 // operation will not compile into parallel_reduce (semantic concept), and
-// the same algorithms run unchanged over the legacy thread_pool or the
-// work-stealing executor (Executor concept) — the final stage swaps
-// schedulers without touching the pipeline.
+// the same algorithms run unchanged over the work-stealing pool or the
+// inline executor archetype (Executor concept) — the final stage swaps
+// executors without touching the pipeline.
 //
 // Build: cmake --build build && ./build/examples/parallel_pipeline
 #include <chrono>
@@ -25,8 +25,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main() {
   using namespace cgp::parallel;
-  thread_pool pool;
-  std::printf("thread pool: %u workers\n\n", pool.worker_count());
+  work_stealing_pool pool;
+  std::printf("work-stealing pool: %u workers\n\n", pool.worker_count());
 
   // Synthetic sensor readings.
   const std::size_t n = 8'000'000;
@@ -64,26 +64,33 @@ int main() {
               "coldest=%.2f\n",
               seconds_since(t0), celsius.front(), celsius.back());
 
-  // Stage 5: the Executor concept at work — the SAME algorithm call on a
-  // different scheduler.  Per-band work here is irregular (band size varies
-  // wildly after the sort), which is the work-stealing pool's home turf:
-  // a worker that drew a thin band steals bands from loaded peers.
-  work_stealing_pool stealer({.workers = 4, .steal_attempts = 2});
-  std::vector<double> band_mean(64);
+  // Stage 5: the Executor concept at work — the SAME parallel_for on two
+  // executors.  Per-band work is irregular (band size varies wildly after
+  // the sort), the work-stealing pool's home turf: a worker that drew a
+  // thin band steals bands from loaded peers.  The inline archetype runs
+  // the identical call serially as the reference.
+  const auto band_means = [&](auto& exec) {
+    std::vector<double> band_mean(64);
+    parallel_for(
+        band_mean.size(),
+        [&](std::size_t b) {
+          // Irregular share: band b covers an n/2^(b%8)-ish slice.
+          const std::size_t lo = b * (n / band_mean.size());
+          const std::size_t hi = lo + (n / band_mean.size()) / (1 + b % 8);
+          double acc = 0.0;
+          for (std::size_t i = lo; i < hi; ++i) acc += celsius[i];
+          band_mean[b] = hi > lo ? acc / static_cast<double>(hi - lo) : 0.0;
+        },
+        exec, /*grain=*/1);
+    return band_mean;
+  };
   t0 = std::chrono::steady_clock::now();
-  parallel_for(
-      band_mean.size(),
-      [&](std::size_t b) {
-        // Irregular share: band b covers an n/2^(b%8)-ish slice.
-        const std::size_t lo = b * (n / band_mean.size());
-        const std::size_t hi = lo + (n / band_mean.size()) / (1 + b % 8);
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) acc += celsius[i];
-        band_mean[b] = hi > lo ? acc / static_cast<double>(hi - lo) : 0.0;
-      },
-      stealer, /*grain=*/1);
+  const std::vector<double> stolen = band_means(pool);
   std::printf("bands     (work_stealing_pool): %.3fs  band0=%.2f\n",
-              seconds_since(t0), band_mean[0]);
+              seconds_since(t0), stolen[0]);
+  executor_archetype serial;
+  std::printf("bands     (executor_archetype): %s\n",
+              stolen == band_means(serial) ? "identical" : "MISMATCH");
 
   // The semantic guardrail, in comments because it must NOT compile:
   //   parallel_reduce<std::minus<>>(celsius.begin(), celsius.end());

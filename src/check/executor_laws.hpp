@@ -13,9 +13,10 @@
 //     submitted before destruction began.
 //
 // The bundle is generic over a factory returning any Executor model, so
-// the conformance suite runs the SAME properties against thread_pool,
-// work_stealing_pool, and the inline archetype — one contract, three
-// models, exactly how the transport parity suite treats its backends.
+// the conformance suite runs the SAME properties against the
+// work_stealing_pool (unbounded, bounded, single-worker) and the inline
+// archetype — one contract, every model, exactly how the transport
+// parity suite treats its backends.
 // Failures reproduce via the standard CGP_CHECK_SEED line.
 #pragma once
 

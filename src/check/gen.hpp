@@ -19,20 +19,20 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/mix64.hpp"
+
 namespace cgp::check {
 
-/// Deterministic 64-bit stream (splitmix64).  Unlike <random> engines +
-/// distributions, every draw is fully specified by this header, so a seed
-/// reproduces the same values on every platform and standard library.
+/// Deterministic 64-bit stream (core::splitmix64_next).  Unlike <random>
+/// engines + distributions, every draw is fully specified by core/mix64.hpp
+/// and this header, so a seed reproduces the same values on every platform
+/// and standard library.
 class random_source {
  public:
   explicit random_source(std::uint64_t seed) noexcept : state_(seed) {}
 
   [[nodiscard]] std::uint64_t bits() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return core::splitmix64_next(state_);
   }
 
   /// Uniform in [0, n); n == 0 yields 0.

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,23 @@
 #include "distributed/topology.hpp"
 
 namespace cgp::check {
+
+/// Edge list -> legacy per-node vectors (push both directions, sort each
+/// row, dedupe): the oracle the fuzzer diffs `csr_topology` against.
+[[nodiscard]] inline std::vector<std::vector<int>> build_adjacency_reference(
+    std::size_t nodes, std::span<const std::pair<int, int>> edge_list) {
+  std::vector<std::vector<int>> adjacency(nodes);
+  for (const auto& [a, b] : edge_list) {
+    if (a == b) continue;
+    adjacency[static_cast<std::size_t>(a)].push_back(b);
+    adjacency[static_cast<std::size_t>(b)].push_back(a);
+  }
+  for (auto& adj : adjacency) {
+    std::sort(adj.begin(), adj.end());
+    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+  }
+  return adjacency;
+}
 
 // ---------------------------------------------------------------------------
 // Raw edge lists

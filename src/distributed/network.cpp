@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/mix64.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/telemetry.hpp"
@@ -35,17 +36,12 @@ telemetry::counter& live_faults_counter() {
   return c;
 }
 
-/// splitmix64 finalizer — the per-message / per-(node, round) fault hash.
-/// Stateless, so a fault decision does not depend on the order draws
-/// happen in: the property that lets inproc_transport decide faults at
-/// lock-free cross-thread send sites and still match the single-threaded
-/// routing barrier bit for bit.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// core::mix64 is the per-message / per-(node, round) fault hash.
+// Stateless, so a fault decision does not depend on the order draws
+// happen in: the property that lets inproc_transport decide faults at
+// lock-free cross-thread send sites and still match the single-threaded
+// routing barrier bit for bit.
+using core::mix64;
 
 /// Uniform in [0, 1) from the hash's top 53 bits.
 [[nodiscard]] constexpr double unit_interval(std::uint64_t h) noexcept {

@@ -1,16 +1,41 @@
 #include "distributed/parallel_transport.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <thread>
+
 #include "distributed/transport.hpp"
+#include "parallel/task_group.hpp"
 
 namespace cgp::distributed {
 
-// Proof obligations: the executor-templated backend is a Transport for
-// both shipped Executor models — the two concept boundaries compose.
-static_assert(Transport<parallel_transport>);
-static_assert(Transport<stealing_transport>);
+namespace {
 
-// Anchor the common instantiations in one translation unit.
-template class basic_parallel_transport<parallel::thread_pool>;
-template class basic_parallel_transport<parallel::work_stealing_pool>;
+unsigned superstep_workers(const net_options& opts) {
+  return opts.workers != 0
+             ? opts.workers
+             : std::max(2u, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+static_assert(Transport<parallel_transport>);
+
+parallel_transport::parallel_transport(const net_options& opts)
+    : net_base(opts, superstep_workers(opts)),
+      pool_(parallel::pool_options{.workers = superstep_workers(opts)}) {
+  if (opts.mode == timing::asynchronous)
+    throw std::invalid_argument(
+        "parallel_transport implements only timing::synchronous "
+        "supersteps; use sim_transport for timing::asynchronous runs");
+}
+
+void parallel_transport::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  parallel::task_group<parallel::work_stealing_pool> group(pool_);
+  for (std::size_t s = 0; s < shard_count(); ++s)
+    group.run([&fn, s] { fn(s); });
+  group.wait();
+}
 
 }  // namespace cgp::distributed

@@ -1,25 +1,17 @@
 // The parallel backend of the Transport concept: each synchronous
 // superstep fans the per-SHARD slices (mailbox bucketing + deliveries +
-// on_round for the shard's contiguous node range) out across a parallel
-// Executor and joins them at the round barrier.  One shard per worker:
-// a million-node superstep is `workers` tasks over recycled arenas, not
-// a million task submissions.
-//
-// The executor is a template parameter bounded by the Executor concept —
-// the two concept-bounded module boundaries of this library compose:
-// `basic_parallel_transport<E>` is a Transport for EVERY Executor E, so
-// superstep fan-out runs over the legacy shared-queue pool, the
-// work-stealing pool, or any future scheduler without touching the
-// distributed layer.  `parallel_transport` (legacy pool) and
-// `stealing_transport` (work-stealing) are the named instantiations.
+// on_round for the shard's contiguous node range) out across the
+// work-stealing pool and joins them at the round barrier.  One shard per
+// worker: a million-node superstep is `workers` tasks over recycled
+// arenas, not a million task submissions.
 //
 // Determinism: identical to sim_transport by construction.  Shard tasks
 // touch only shard-local state (the shard's arena slice and its nodes'
 // rngs, stats slots and decision maps); message routing, statistics, and
 // the hash fault plan run single-threaded at the barrier in canonical
 // sender order (see network.hpp).  For a fixed seed, decisions and
-// run_stats match the sequential simulator bit for bit — on either
-// executor, at any shard count.
+// run_stats match the sequential simulator bit for bit, at any shard
+// count.
 //
 // Timing: implements `timing::synchronous` only — asynchronous event
 // interleaving is the deterministic simulator's job (see the backend
@@ -27,73 +19,32 @@
 // timing::asynchronous throws.
 #pragma once
 
-#include <algorithm>
-#include <stdexcept>
-#include <thread>
+#include <functional>
 
 #include "distributed/network.hpp"
-#include "parallel/executor.hpp"
-#include "parallel/options.hpp"
-#include "parallel/task_group.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing_pool.hpp"
 
 namespace cgp::distributed {
 
-namespace detail {
-
-/// net_options::workers -> pool_options: 0 = auto resolves to at least 2
-/// so concurrency is always exercised even on one-core machines.
-inline parallel::pool_options superstep_pool_options(const net_options& opts) {
-  const unsigned workers =
-      opts.workers != 0 ? opts.workers
-                        : std::max(2u, std::thread::hardware_concurrency());
-  return parallel::pool_options{.workers = workers};
-}
-
-}  // namespace detail
-
-template <parallel::Executor E>
-class basic_parallel_transport final : public net_base {
+class parallel_transport final : public net_base {
  public:
   /// Workers: net_options::workers threads (0 = auto: hardware
   /// concurrency, at least 2 so concurrency is always exercised).
-  explicit basic_parallel_transport(const net_options& opts)
-      : net_base(opts, detail::superstep_pool_options(opts).workers),
-        pool_(detail::superstep_pool_options(opts)) {
-    if (opts.mode == timing::asynchronous)
-      throw std::invalid_argument(
-          "parallel_transport implements only timing::synchronous "
-          "supersteps; use sim_transport for timing::asynchronous runs");
-  }
+  explicit parallel_transport(const net_options& opts);
 
   /// Worker threads executing supersteps.
   [[nodiscard]] unsigned workers() const noexcept {
     return pool_.worker_count();
   }
 
-  /// The underlying executor (e.g. to share it with algorithm calls).
-  [[nodiscard]] E& executor() noexcept { return pool_; }
-
  protected:
-  void for_each_shard(const std::function<void(std::size_t)>& fn) override {
-    parallel::task_group<E> group(pool_);
-    for (std::size_t s = 0; s < shard_count(); ++s)
-      group.run([&fn, s] { fn(s); });
-    group.wait();
-  }
+  void for_each_shard(const std::function<void(std::size_t)>& fn) override;
   [[nodiscard]] const char* backend_name() const noexcept override {
     return "parallel";
   }
 
  private:
-  E pool_;
+  parallel::work_stealing_pool pool_;
 };
-
-/// Legacy-pool instantiation: the name every existing call site uses.
-using parallel_transport = basic_parallel_transport<parallel::thread_pool>;
-/// Work-stealing instantiation for irregular per-node workloads.
-using stealing_transport =
-    basic_parallel_transport<parallel::work_stealing_pool>;
 
 }  // namespace cgp::distributed

@@ -226,19 +226,4 @@ csr_topology build_topology(topology topo, std::size_t n, std::mt19937& rng) {
   return csr_topology::from_edges(n, build_edge_list(topo, n, rng));
 }
 
-std::vector<std::vector<int>> build_adjacency_reference(
-    std::size_t nodes, std::span<const std::pair<int, int>> edge_list) {
-  std::vector<std::vector<int>> adjacency(nodes);
-  for (const auto& [a, b] : edge_list) {
-    if (a == b) continue;
-    adjacency[static_cast<std::size_t>(a)].push_back(b);
-    adjacency[static_cast<std::size_t>(b)].push_back(a);
-  }
-  for (auto& adj : adjacency) {
-    std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-  }
-  return adjacency;
-}
-
 }  // namespace cgp::distributed

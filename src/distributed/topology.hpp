@@ -17,11 +17,10 @@
 //     rng consumption, same final graph), plus the scale-era additions
 //     torus / random_regular / power_law;
 //   * `csr_topology::from_edges` — CSR-ification of any edge list
-//     (counting sort, row sort, dedupe, self-loop removal);
-//   * `build_adjacency_reference` — the straightforward per-node-vector
-//     construction from the same edge list.  The conformance fuzzer
-//     asserts CSR rows are permutation-equal to this reference on every
-//     seed (see tests/conformance_topology_test.cpp).
+//     (counting sort, row sort, dedupe, self-loop removal).
+// The conformance fuzzer asserts CSR rows are permutation-equal to a
+// straightforward per-node-vector construction from the same edge list
+// (the test-only oracle in check/topology_gen.hpp) on every seed.
 #pragma once
 
 #include <cstddef>
@@ -109,10 +108,5 @@ class csr_topology {
 /// Edge list -> CSR, the production path.
 [[nodiscard]] csr_topology build_topology(topology topo, std::size_t n,
                                           std::mt19937& rng);
-
-/// Edge list -> legacy per-node vectors (push both directions, sort each
-/// row, dedupe) — the reference the fuzzer diffs CSR against.
-[[nodiscard]] std::vector<std::vector<int>> build_adjacency_reference(
-    std::size_t nodes, std::span<const std::pair<int, int>> edge_list);
 
 }  // namespace cgp::distributed

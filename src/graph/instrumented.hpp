@@ -164,19 +164,19 @@ std::pair<std::vector<double>, std::uint64_t> pagerank(
 // ---------------------------------------------------------------------------
 //
 // Both take ANY Executor (concept-bounded, like the Section 4 algorithms):
-// the same call runs over the legacy thread_pool, the work_stealing_pool —
-// where the irregular per-vertex degree distribution is exactly what
-// stealing rebalances — or the inline archetype (serial proof build).
+// the same call runs over the work_stealing_pool — where the irregular
+// per-vertex degree distribution is exactly what stealing rebalances — or
+// the inline archetype (serial proof build).
 
 /// Level-synchronous parallel BFS.  Each level's frontier is expanded in
 /// parallel; discovery claims a vertex with a compare-exchange on its
 /// distance slot, so every vertex is discovered exactly once.  Distances
 /// match the sequential `bfs_distances` exactly (BFS depth is
 /// order-independent).  Returns (distances, operation count).
-template <class P, parallel::Executor E = parallel::thread_pool>
+template <class P, parallel::Executor E = parallel::work_stealing_pool>
 std::pair<std::vector<long>, std::uint64_t> bfs_distances_parallel(
     const adjacency_list<P>& g, std::size_t start,
-    E& exec = parallel::thread_pool::default_pool(),
+    E& exec = parallel::work_stealing_pool::default_pool(),
     std::size_t grain = 128) {
   static const auto kFrame = telemetry::profile::intern("graph.bfs_parallel");
   telemetry::profile::probe bfs_probe(kFrame);
@@ -242,9 +242,9 @@ std::pair<std::vector<long>, std::uint64_t> bfs_distances_parallel(
 /// a second parallel pass merges them per-vertex in chunk-index order —
 /// the addition order is fixed, so results are deterministic for a given
 /// executor width.  Returns (ranks, operation count).
-template <class P, parallel::Executor E = parallel::thread_pool>
+template <class P, parallel::Executor E = parallel::work_stealing_pool>
 std::pair<std::vector<double>, std::uint64_t> pagerank_parallel(
-    const adjacency_list<P>& g, E& exec = parallel::thread_pool::default_pool(),
+    const adjacency_list<P>& g, E& exec = parallel::work_stealing_pool::default_pool(),
     std::size_t iterations = 20, double damping = 0.85,
     std::size_t grain = 64) {
   static const auto kFrame =

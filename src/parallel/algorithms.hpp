@@ -8,8 +8,8 @@
 // associative operations, so both are constrained by the Monoid concept —
 // a non-associative operation is a compile-time error, not a silent wrong
 // answer.  The *executor* concept of this layer: every algorithm is
-// templated on any `Executor`, so the same code runs over the legacy
-// `thread_pool`, the `work_stealing_pool`, or the inline archetype — the
+// templated on any `Executor`, so the same code runs over the
+// `work_stealing_pool` (the default) or the inline archetype — the
 // executor is a plugged-in module boundary, exactly like the element type.
 //
 // Grain control: every algorithm takes a `grain` — the minimum number of
@@ -24,7 +24,7 @@
 #include "core/algebraic.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/task_group.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "sequences/sort.hpp"
 
 namespace cgp::parallel {
@@ -70,10 +70,10 @@ void run_chunks_on(E& exec, std::size_t chunks,
 }  // namespace detail
 
 /// parallel_for: applies fn(i) for i in [0, n) across any Executor.
-template <class Fn, Executor E = thread_pool>
+template <class Fn, Executor E = work_stealing_pool>
   requires std::invocable<Fn&, std::size_t>
 void parallel_for(std::size_t n, Fn fn,
-                  E& exec = thread_pool::default_pool(),
+                  E& exec = work_stealing_pool::default_pool(),
                   std::size_t grain = 1024) {
   const auto [chunks, size] = detail::chunks_for(n, exec, grain);
   if (chunks <= 1) {
@@ -89,9 +89,9 @@ void parallel_for(std::size_t n, Fn fn,
 
 /// parallel_transform: out[i] = fn(in[i]).
 template <std::random_access_iterator I, std::random_access_iterator O,
-          class Fn, Executor E = thread_pool>
+          class Fn, Executor E = work_stealing_pool>
 void parallel_transform(I first, I last, O out, Fn fn,
-                        E& exec = thread_pool::default_pool(),
+                        E& exec = work_stealing_pool::default_pool(),
                         std::size_t grain = 1024) {
   const std::size_t n = static_cast<std::size_t>(last - first);
   parallel_for(
@@ -101,10 +101,10 @@ void parallel_transform(I first, I last, O out, Fn fn,
 /// Monoid-constrained parallel reduction.  Deterministic: chunk results are
 /// combined in index order, so only associativity (not commutativity) is
 /// required — exactly the Monoid contract.
-template <class Op, std::random_access_iterator I, Executor E = thread_pool>
+template <class Op, std::random_access_iterator I, Executor E = work_stealing_pool>
   requires core::Monoid<std::iter_value_t<I>, Op>
 [[nodiscard]] std::iter_value_t<I> parallel_reduce(
-    I first, I last, Op op = {}, E& exec = thread_pool::default_pool(),
+    I first, I last, Op op = {}, E& exec = work_stealing_pool::default_pool(),
     std::size_t grain = 1024) {
   using T = std::iter_value_t<I>;
   const std::size_t n = static_cast<std::size_t>(last - first);
@@ -133,10 +133,10 @@ template <class Op, std::random_access_iterator I, Executor E = thread_pool>
 ///   serial   — exclusive scan over the (few) block sums;
 ///   phase 2 — each chunk rescans with its offset in parallel.
 template <class Op, std::random_access_iterator I,
-          std::random_access_iterator O, Executor E = thread_pool>
+          std::random_access_iterator O, Executor E = work_stealing_pool>
   requires core::Monoid<std::iter_value_t<I>, Op>
 void parallel_inclusive_scan(I first, I last, O out, Op op = {},
-                             E& exec = thread_pool::default_pool(),
+                             E& exec = work_stealing_pool::default_pool(),
                              std::size_t grain = 1024) {
   using T = std::iter_value_t<I>;
   const std::size_t n = static_cast<std::size_t>(last - first);
@@ -175,10 +175,10 @@ void parallel_inclusive_scan(I first, I last, O out, Op op = {},
 /// Canonical short name for the inclusive scan (the four data-parallel
 /// algorithms are for/reduce/scan/sort).
 template <class Op, std::random_access_iterator I,
-          std::random_access_iterator O, Executor E = thread_pool>
+          std::random_access_iterator O, Executor E = work_stealing_pool>
   requires core::Monoid<std::iter_value_t<I>, Op>
 void parallel_scan(I first, I last, O out, Op op = {},
-                   E& exec = thread_pool::default_pool(),
+                   E& exec = work_stealing_pool::default_pool(),
                    std::size_t grain = 1024) {
   parallel_inclusive_scan(first, last, out, op, exec, grain);
 }
@@ -187,9 +187,9 @@ void parallel_scan(I first, I last, O out, Op op = {},
 /// sequential sort, then pairwise parallel merge rounds.
 template <std::random_access_iterator I,
           std::indirect_strict_weak_order<I> Cmp = std::less<>,
-          Executor E = thread_pool>
+          Executor E = work_stealing_pool>
 void parallel_sort(I first, I last, Cmp cmp = {},
-                   E& exec = thread_pool::default_pool(),
+                   E& exec = work_stealing_pool::default_pool(),
                    std::size_t grain = 4096) {
   using T = std::iter_value_t<I>;
   const std::size_t n = static_cast<std::size_t>(last - first);

@@ -9,8 +9,8 @@
 // — no double type-erasure through std::function), and report its
 // `worker_count`.  The fork-join layer (`task_group`, `run_chunks`, the
 // four parallel algorithms) is built on top of exactly this surface, so
-// `parallel_for` over the legacy `thread_pool`, the `work_stealing_pool`,
-// or the inline archetype below is the same code.
+// `parallel_for` over the `work_stealing_pool` or the inline archetype
+// below is the same code.
 //
 // `executor_archetype` is the syntactic archetype (core/archetypes.hpp
 // style): the MINIMAL model of the concept, with run-inline semantics.
@@ -109,7 +109,7 @@ namespace detail {
 /// context and shadow-stack path are plain data (no allocation), so
 /// traced/profiled submits cost a memcpy, not a heap round trip — the
 /// difference that keeps attribution inside the probe-overhead budget
-/// perf_report gates on.  Both Executor models queue exactly this.
+/// perf_report gates on.  The work-stealing pool queues exactly this.
 struct task_item {
   task_fn fn;
   telemetry::trace::span_context ctx{};  ///< submitter's trace context
@@ -119,7 +119,7 @@ struct task_item {
 
 /// Captures the submitting thread's trace context + shadow-stack path into
 /// `item` and opens the flow arrow.  `flow_name` is the span both ends of
-/// the arrow carry (e.g. "parallel.thread_pool.task").
+/// the arrow carry (e.g. "parallel.work_stealing.task").
 inline void capture_task_meta(task_item& item, const char* flow_name) {
   if constexpr (telemetry::kEnabled) {
     item.ctx = telemetry::trace::current_context();
@@ -177,9 +177,9 @@ class executor_archetype {
   [[nodiscard]] unsigned worker_count() const noexcept { return 1; }
 };
 
-// Proof obligation: the archetype models the concept.  The real pools
-// assert their own conformance next to their definitions (thread_pool.hpp,
-// work_stealing_pool.hpp) to keep this header dependency-light.
+// Proof obligation: the archetype models the concept.  The real pool
+// asserts its own conformance next to its definition
+// (work_stealing_pool.hpp) to keep this header dependency-light.
 static_assert(Executor<executor_archetype>);
 
 }  // namespace cgp::parallel

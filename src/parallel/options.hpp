@@ -5,7 +5,7 @@
 // of a misconfigured pool that misbehaves an hour later.
 //
 //   work_stealing_pool pool({.workers = 8, .steal_attempts = 2});
-//   thread_pool legacy({.workers = 4, .queue_capacity = 4096});
+//   work_stealing_pool bounded({.workers = 4, .queue_capacity = 4096});
 #pragma once
 
 #include <algorithm>
@@ -17,21 +17,23 @@
 
 namespace cgp::parallel {
 
-/// Aggregate of every orthogonal executor construction dimension.  Both
-/// `Executor` models (thread_pool, work_stealing_pool) construct from it;
-/// knobs a model does not need (steal_attempts on the legacy pool) are
-/// validated but otherwise ignored, so options objects are portable
-/// across models — the point of constructing through the concept.
+/// Aggregate of every orthogonal executor construction dimension.  Every
+/// `Executor` model (work_stealing_pool, executor_archetype) constructs
+/// from it; knobs a model does not need (all of them, for the inline
+/// archetype) are validated but otherwise ignored, so options objects are
+/// portable across models — the point of constructing through the
+/// concept.
 struct pool_options {
   /// Worker thread count; 0 = auto (hardware concurrency, at least 1).
   unsigned workers = 0;
-  /// Soft bound on queued-but-unclaimed tasks; 0 = unbounded.  When the
-  /// bound is hit, `submit` blocks the producer until a consumer drains
+  /// Soft bound on externally submitted, unclaimed tasks (the inject
+  /// queue); 0 = unbounded.  When the bound is hit, an external `submit`
+  /// blocks the producer until a consumer drains
   /// (backpressure, not rejection — fork-join callers would deadlock on
   /// rejection).
   std::size_t queue_capacity = 0;
-  /// Work-stealing only: victims probed per failed local pop before the
-  /// worker considers parking.  Every probe round still scans all peers
+  /// Victims probed per failed local pop before the worker considers
+  /// parking.  Every probe round still scans all peers
   /// once; this knob caps the *random* probes that precede the scan.
   unsigned steal_attempts = 4;
   /// Idle workers park on a condition variable for at most this long

@@ -27,8 +27,8 @@ unsigned next_pool_id() {
 
 // Which stealing pool (if any) the current thread works for, and its
 // worker index there: submit routes through this to reach the caller's
-// own deque, and try_help refuses foreign threads (external waiters keep
-// the wait-only contract, same as thread_pool).
+// own deque, and try_help refuses foreign threads (external callers of
+// run_chunks only wait, never execute).
 thread_local const work_stealing_pool* tls_ws_pool = nullptr;
 thread_local unsigned tls_ws_index = 0;
 
@@ -271,6 +271,11 @@ void work_stealing_pool::run_chunks(
   for (std::size_t c = 0; c < chunks; ++c)
     group.run([&chunk_fn, c] { chunk_fn(c); });
   group.wait();
+}
+
+work_stealing_pool& work_stealing_pool::default_pool() {
+  static work_stealing_pool pool;
+  return pool;
 }
 
 }  // namespace cgp::parallel

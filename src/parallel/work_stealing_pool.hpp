@@ -1,7 +1,8 @@
-// Work-stealing scheduler: the second model of the Executor concept, built
-// for fine-grained, irregular, and NESTED parallelism (mold-style: one
-// deque per worker, owner pops LIFO for locality, thieves steal FIFO for
-// breadth — the oldest task is the one most likely to fan out further).
+// Work-stealing scheduler: the library's one thread-pool model of the
+// Executor concept, built for fine-grained, irregular, and NESTED
+// parallelism (mold-style: one deque per worker, owner pops LIFO for
+// locality, thieves steal FIFO for breadth — the oldest task is the one
+// most likely to fan out further).
 //
 // Structure:
 //   - each worker owns a lock-guarded deque; a task submitted FROM a
@@ -21,10 +22,10 @@
 //     a group runs its own (LIFO) splits via try_help instead of
 //     blocking, so recursive parallel_for cannot deadlock the scheduler.
 //
-// Telemetry mirrors the legacy pool (`parallel.work_stealing.*`): queued
-// tasks carry {fn, span ctx, flow, call path} inline exactly like
-// thread_pool's, each worker has a stall-watchdog heartbeat, and the new
-// steal/park/execute counters feed the threads-sweep benchmarks.
+// Telemetry lives under `parallel.work_stealing.*`: queued tasks carry
+// {fn, span ctx, flow, call path} inline (detail::task_item), each worker
+// has a stall-watchdog heartbeat, and the steal/park/execute counters
+// feed the threads-sweep benchmarks.
 #pragma once
 
 #include <condition_variable>
@@ -50,7 +51,7 @@ namespace cgp::parallel {
 class work_stealing_pool {
  public:
   explicit work_stealing_pool(const pool_options& opts = {});
-  /// Convenience twin of thread_pool(unsigned).
+  /// Spawns `n` workers (0 = hardware concurrency, at least 1).
   explicit work_stealing_pool(unsigned n)
       : work_stealing_pool(pool_options{.workers = n}) {}
 
@@ -63,7 +64,8 @@ class work_stealing_pool {
 
   [[nodiscard]] unsigned worker_count() const noexcept { return workers_; }
 
-  /// Concept-bounded single-erasure submission (see thread_pool::submit).
+  /// Enqueues any invocable.  Concept-bounded and single-erasure: the
+  /// callable is erased once into task_fn, so move-only callables work.
   /// Worker-thread submits go to the caller's own deque; external submits
   /// to the inject queue (with capacity backpressure when configured).
   template <std::invocable F>
@@ -74,8 +76,11 @@ class work_stealing_pool {
     enqueue(std::move(item));
   }
 
-  /// Fork-join convenience mirroring thread_pool::run_chunks; chunks run
-  /// through a task_group so nested calls stay on the stealing path.
+  /// Runs `chunk_fn(0..chunks-1)` across the pool and BLOCKS until all
+  /// chunks finish; exceptions from chunks are rethrown (first one wins).
+  /// Chunks run through a task_group, so a call from inside a pool task
+  /// helps instead of deadlocking and nested calls stay on the stealing
+  /// path.
   void run_chunks(std::size_t chunks,
                   const std::function<void(std::size_t)>& chunk_fn);
 
@@ -88,6 +93,10 @@ class work_stealing_pool {
   /// try_help could ever succeed from here.  task_group::wait uses this
   /// to park external waiters untimed instead of poll-rescanning.
   [[nodiscard]] bool can_help() const noexcept;
+
+  /// Process-wide default pool: the executor the concept-bounded
+  /// algorithms and call sites use when the caller passes none.
+  [[nodiscard]] static work_stealing_pool& default_pool();
 
  private:
   struct worker_slot {

@@ -4,21 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/mix64.hpp"
+
 namespace cgp::perf {
-
-namespace {
-
-/// splitmix64 (Vigna): the same stream the check subsystem's generators
-/// use, re-stated here so cgp_perf stays independent of cgp_check.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -64,7 +52,7 @@ confidence_interval bootstrap_median_ci(const std::vector<double>& v,
   std::vector<double> resample(v.size());
   for (std::size_t r = 0; r < resamples; ++r) {
     for (double& slot : resample)
-      slot = v[static_cast<std::size_t>(splitmix64(state) % v.size())];
+      slot = v[static_cast<std::size_t>(core::splitmix64_next(state) % v.size())];
     medians.push_back(median(resample));
   }
   const double tail = (1.0 - confidence) / 2.0 * 100.0;

@@ -17,7 +17,7 @@
 
 #include "parallel/algorithms.hpp"
 #include "parallel/executor.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "rewrite/engine.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -27,10 +27,10 @@ namespace cgp::rewrite {
 /// Executor), returning results in input order.  All workers share the
 /// simplifier's instantiation memo.  Traces are not collected — batch
 /// callers that want per-expression traces should call simplify directly.
-template <parallel::Executor E = parallel::thread_pool>
+template <parallel::Executor E = parallel::work_stealing_pool>
 [[nodiscard]] std::vector<expr> simplify_batch(
     const simplifier& s, const std::vector<expr>& batch,
-    E& exec = parallel::thread_pool::default_pool(), std::size_t grain = 8) {
+    E& exec = parallel::work_stealing_pool::default_pool(), std::size_t grain = 8) {
   telemetry::span span("rewrite.simplify_batch");
   span.charge(batch.size());
   // expr has no default constructor (factory-only); seed the output with

@@ -1,6 +1,7 @@
 #include "rewrite/eval.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 namespace cgp::rewrite {
 namespace {
@@ -66,9 +67,16 @@ value matinv(const value& a) {
 
 template <class T>
 value arith_binary(const std::string& op, T a, T b) {
-  if (op == "+") return static_cast<T>(a + b);
-  if (op == "-") return static_cast<T>(a - b);
-  if (op == "*") return static_cast<T>(a * b);
+  // Integer +, -, * wrap modulo 2^64: signed overflow is undefined, so
+  // integers compute in the unsigned type (whose overflow is defined) and
+  // convert back (defined, two's complement, since C++20).
+  using W = typename std::conditional_t<std::is_integral_v<T>,
+                                        std::make_unsigned<T>,
+                                        std::type_identity<T>>::type;
+  const W wa = static_cast<W>(a), wb = static_cast<W>(b);
+  if (op == "+") return static_cast<T>(wa + wb);
+  if (op == "-") return static_cast<T>(wa - wb);
+  if (op == "*") return static_cast<T>(wa * wb);
   if (op == "/") {
     if constexpr (std::is_integral_v<T>) {
       if (b == T{0}) throw eval_error("integer division by zero");

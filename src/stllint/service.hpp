@@ -19,7 +19,7 @@
 #include "parallel/algorithms.hpp"
 #include "parallel/concurrent_map.hpp"
 #include "parallel/executor.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "stllint/stllint.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -49,10 +49,10 @@ class lint_service {
 
   /// Lints a batch over any Executor, sharing this service's cache.
   /// Returns pointers into the cache, in input order (stable forever).
-  template <parallel::Executor E = parallel::thread_pool>
+  template <parallel::Executor E = parallel::work_stealing_pool>
   std::vector<const lint_result*> lint_batch(
       const std::vector<std::string>& sources,
-      E& exec = parallel::thread_pool::default_pool(),
+      E& exec = parallel::work_stealing_pool::default_pool(),
       std::size_t grain = 4) {
     std::vector<const lint_result*> out(sources.size(), nullptr);
     parallel::parallel_for(

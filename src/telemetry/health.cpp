@@ -4,21 +4,17 @@
 #include <chrono>
 #include <set>
 
+#include "core/mix64.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace cgp::telemetry::health {
 namespace {
 
-// splitmix64 — the same hash family the runtime's fault plan uses, so
+// core::mix64 — the same hash the runtime's fault plan uses, so
 // reservoir admission is a pure function of (seed, shard, stream index)
 // and identical on every backend and every run.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+using core::mix64;
 
 [[nodiscard]] json_value jnum(double v) {
   json_value j;
@@ -116,8 +112,8 @@ void emit_verdict(const slo_verdict& v) {
 /// Exemplar instants join the run's causal tree: use the barrier thread's
 /// own context when it has one (the sim coordinator runs inside the round
 /// span), else adopt the engine's captured phase context (the inproc
-/// completion step fires on a bare worker thread).  Untraced runs stay
-/// silent.
+/// completion step fires on a bare worker thread).  Only called for
+/// traced runs (see end_round).
 void record_exemplar_instant(const std::string& backend, const exemplar& ex,
                              std::uint64_t trace_id,
                              std::uint64_t parent_span) {
@@ -129,7 +125,7 @@ void record_exemplar_instant(const std::string& backend, const exemplar& ex,
   args.emplace_back("latency", std::to_string(ex.latency));
   if (trace::current_context().active()) {
     trace::instant("health.exemplar", "telemetry.health", std::move(args));
-  } else if (trace_id != 0) {
+  } else {
     const trace::context_scope adopt({trace_id, parent_span});
     trace::instant("health.exemplar", "telemetry.health", std::move(args));
   }
@@ -230,6 +226,9 @@ void backend_track::begin_run(std::size_t nodes) {
 void backend_track::end_round(std::size_t round, std::uint64_t trace_id,
                               std::uint64_t parent_span) {
   if constexpr (!kEnabled) return;
+  // Admissions become trace instants, so only a traced run collects them:
+  // an untraced barrier neither grows `admitted` nor builds instant args.
+  const bool traced = trace_id != 0 || trace::current_context().active();
   std::vector<exemplar> admitted;
   {
     const std::lock_guard lock(mu_);
@@ -286,7 +285,7 @@ void backend_track::end_round(std::size_t round, std::uint64_t trace_id,
       if (opts_.reservoir_k == 0) continue;
       if (row.reservoir.size() < opts_.reservoir_k) {
         row.reservoir.push_back(ex);
-        admitted.push_back(ex);
+        if (traced) admitted.push_back(ex);
       } else {
         const std::uint64_t draw =
             mix64(opts_.seed ^ mix64(static_cast<std::uint64_t>(s) + 1) ^
@@ -294,7 +293,7 @@ void backend_track::end_round(std::size_t round, std::uint64_t trace_id,
         const std::uint64_t j = draw % seen;
         if (j < opts_.reservoir_k) {
           row.reservoir[static_cast<std::size_t>(j)] = ex;
-          admitted.push_back(ex);
+          if (traced) admitted.push_back(ex);
         }
       }
     }

@@ -34,8 +34,8 @@
 //
 // Cross-thread attribution: `current_path()` captures the submitting
 // thread's stack as interned frame ids and `adopt_scope` re-roots a
-// worker's probes under that path (thread_pool::submit does this the
-// same way it propagates trace contexts), so a flamegraph shows pool
+// worker's probes under that path (work_stealing_pool::submit does this
+// the same way it propagates trace contexts), so a flamegraph shows pool
 // tasks under the benchmark that submitted them.  Adopted waypoint
 // frames have no timed invocations of their own; export reconstitutes
 // their inclusive time bottom-up (excl + Σ children incl), which is the

@@ -238,7 +238,7 @@ struct check_report {
 // ---------------------------------------------------------------------------
 
 /// Metric names follow the `subsystem.object.event` convention documented
-/// in README.md (e.g. "parallel.thread_pool.tasks_completed").  Lookup
+/// in README.md (e.g. "parallel.work_stealing.tasks_completed").  Lookup
 /// takes a mutex; the returned reference is stable for the registry's
 /// lifetime, so hot paths resolve each name once and increment lock-free.
 class registry {

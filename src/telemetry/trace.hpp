@@ -5,10 +5,10 @@
 // symbolic-execution path produced a number or a diagnostic.  Every traced
 // operation is a span with a 64-bit (trace_id, span_id) identity; spans
 // nest through a thread-local context stack, and the context is captured
-// and restored across asynchrony boundaries (thread_pool::submit wraps the
-// task, distributed::network carries the context in the message envelope),
-// so one driver-level root span grows into a single causally-linked tree
-// spanning worker threads and simulated ranks.
+// and restored across asynchrony boundaries (work_stealing_pool::submit
+// queues it beside the task, distributed::network carries it in the
+// message envelope), so one driver-level root span grows into a single
+// causally-linked tree spanning worker threads and simulated ranks.
 //
 // Recording goes to a lock-sharded, bounded ring-buffer sink: one mutex
 // and one fixed-capacity buffer per shard (threads hash to shards, so

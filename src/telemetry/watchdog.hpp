@@ -113,7 +113,7 @@ class watchdog {
   /// Eagerly drops expired registrations, returning how many were
   /// removed.  check() prunes lazily on its next tick, but a long-lived
   /// sampler can go a whole period holding dangling weak_ptr slots from a
-  /// torn-down pool — owners that deregister in bulk (thread_pool's
+  /// torn-down pool — owners that deregister in bulk (the pool's
   /// destructor) call this so a stopped pool leaves nothing behind.
   std::size_t prune_expired();
 

@@ -24,6 +24,19 @@ TEST(RandomSource, SameSeedSameStream) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.bits(), b.bits());
 }
 
+// Golden values: the stream every seeded generator (and the end-to-end
+// benchmark's lint corpus) draws from must never drift.  A change here
+// silently changes every CGP_CHECK_SEED replay and every generated input.
+TEST(RandomSource, StreamIsPinnedForAFixedSeed) {
+  check::random_source rs(42);
+  EXPECT_EQ(rs.bits(), 0xbdd732262feb6e95ull);
+  EXPECT_EQ(rs.bits(), 0x28efe333b266f103ull);
+  EXPECT_EQ(rs.bits(), 0x47526757130f9f52ull);
+  EXPECT_EQ(rs.bits(), 0x581ce1ff0e4ae394ull);
+  EXPECT_EQ(rs.bits(), 0x09bc585a244823f2ull);
+  EXPECT_EQ(check::case_seed(42, 7), 0xaa3b469b8177f717ull);
+}
+
 TEST(RandomSource, DifferentSeedsDiverge) {
   check::random_source a(1), b(2);
   int differing = 0;

@@ -1,8 +1,8 @@
 // Conformance suite for the Executor concept: the SAME semantic property
 // bundle (check/executor_laws.hpp — exactly-once under concurrent writers,
 // nested fork-join termination, destruction drains) runs against every
-// shipped model: the legacy shared-queue thread_pool, the
-// work_stealing_pool, and the run-inline archetype.  This is the
+// shipped model: the work_stealing_pool (unbounded, with a bounded inject
+// queue, and at width 1) and the run-inline archetype.  This is the
 // transport-parity pattern applied to schedulers: one contract, N models,
 // randomized configurations, CGP_CHECK_SEED reproduction on failure.
 //
@@ -18,7 +18,6 @@
 #include "check/property.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/options.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing_pool.hpp"
 
 namespace check = cgp::check;
@@ -45,22 +44,14 @@ check::config quick_config() {
   return cfg;
 }
 
-TEST(ExecutorConformance, ThreadPoolSatisfiesExecutorLaws) {
-  expect_all_ok(check::executor_properties(
-      "thread_pool",
-      [] {
-        return std::make_unique<par::thread_pool>(
-            par::pool_options{.workers = 3});
-      },
-      quick_config()));
-}
-
 TEST(ExecutorConformance, BoundedThreadPoolSatisfiesExecutorLaws) {
-  // Capacity backpressure must not change the semantics, only the pacing.
+  // Inject-queue backpressure must not change the semantics, only the
+  // pacing: external producers block at capacity, worker self-submits
+  // (nested fork-join) bypass the bound.
   expect_all_ok(check::executor_properties(
-      "thread_pool[bounded]",
+      "work_stealing_pool[bounded]",
       [] {
-        return std::make_unique<par::thread_pool>(
+        return std::make_unique<par::work_stealing_pool>(
             par::pool_options{.workers = 2, .queue_capacity = 8});
       },
       quick_config()));

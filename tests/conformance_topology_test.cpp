@@ -117,7 +117,7 @@ TEST(TopologyFuzz, FromEdgesInvariantsAndReferenceParity) {
         const auto t = dist::csr_topology::from_edges(c.nodes, c.edges);
         if (!csr_well_formed(t, c.nodes)) return false;
         return matches_reference(
-            t, dist::build_adjacency_reference(c.nodes, c.edges));
+            t, check::build_adjacency_reference(c.nodes, c.edges));
       });
   EXPECT_TRUE(res.ok) << res.message;
 }
@@ -134,7 +134,7 @@ TEST(TopologyFuzz, BuildersMatchLegacyConstructionOnSameSeed) {
         if (rng_list != rng_csr) return false;  // divergent rng consumption
         if (!csr_well_formed(t, c.nodes)) return false;
         return matches_reference(
-            t, dist::build_adjacency_reference(c.nodes, edge_list));
+            t, check::build_adjacency_reference(c.nodes, edge_list));
       });
   EXPECT_TRUE(res.ok) << res.message;
 }

@@ -1,5 +1,5 @@
 // The Executor-concept redesign, end to end: pool_options validation, the
-// two pool models (move-only submit, nested fork-join, starvation
+// work-stealing pool (move-only submit, nested fork-join, starvation
 // rebalancing, destruction drains), the concurrent_map under an insert
 // storm, the concept-bounded algorithms over the archetype, and the
 // migrated call sites (batch rewriting, the lint service cache, parallel
@@ -25,7 +25,6 @@
 #include "parallel/executor.hpp"
 #include "parallel/options.hpp"
 #include "parallel/task_group.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing_pool.hpp"
 #include "rewrite/batch.hpp"
 #include "rewrite/engine.hpp"
@@ -37,10 +36,9 @@ namespace tel = cgp::telemetry;
 
 namespace {
 
-// Both pools and the archetype model the concept (proof obligations also
+// The pool and the archetype model the concept (proof obligations also
 // asserted next to each definition; repeated here so the test suite fails
 // loudly if someone weakens a model).
-static_assert(par::Executor<par::thread_pool>);
 static_assert(par::Executor<par::work_stealing_pool>);
 static_assert(par::Executor<par::executor_archetype>);
 
@@ -93,27 +91,15 @@ TEST(PoolOptions, InvalidKnobsThrowNamingTheKnob) {
 }
 
 TEST(PoolOptions, BothPoolsRejectInvalidOptionsAtConstruction) {
-  EXPECT_THROW(par::thread_pool({.steal_attempts = 0}), std::invalid_argument);
   EXPECT_THROW(par::work_stealing_pool({.park_timeout_us = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(par::executor_archetype({.workers = 5000}),
                std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // Submission surface
 // ---------------------------------------------------------------------------
-
-TEST(ExecutorSubmit, ThreadPoolAcceptsMoveOnlyCallables) {
-  par::thread_pool pool(2);
-  auto payload = std::make_unique<int>(41);
-  std::atomic<std::size_t> done{0};
-  std::atomic<int> seen{0};
-  pool.submit([p = std::move(payload), &done, &seen] {
-    seen.store(*p + 1, std::memory_order_release);
-    done.fetch_add(1, std::memory_order_acq_rel);
-  });
-  ASSERT_TRUE(await_count(done, 1));
-  EXPECT_EQ(seen.load(std::memory_order_acquire), 42);
-}
 
 TEST(ExecutorSubmit, WorkStealingPoolAcceptsMoveOnlyCallables) {
   par::work_stealing_pool pool(2);
@@ -126,19 +112,6 @@ TEST(ExecutorSubmit, WorkStealingPoolAcceptsMoveOnlyCallables) {
   });
   ASSERT_TRUE(await_count(done, 1));
   EXPECT_EQ(seen.load(std::memory_order_acquire), 42);
-}
-
-TEST(ExecutorSubmit, DeprecatedStdFunctionOverloadStillRuns) {
-  par::thread_pool pool(1);
-  std::atomic<std::size_t> done{0};
-  std::function<void()> fn = [&done] {
-    done.fetch_add(1, std::memory_order_acq_rel);
-  };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  pool.submit(fn);
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(await_count(done, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -266,18 +239,16 @@ TEST(ExecutorAlgorithms, ArchetypeRunsAllFourAlgorithms) {
 }
 
 TEST(ExecutorAlgorithms, SameCallRunsOnBothPools) {
+  // An explicit pool and the process-wide default pool.
   std::vector<std::int64_t> v(50'000);
   std::iota(v.begin(), v.end(), 0);
   const std::int64_t expected = 50'000LL * 49'999LL / 2LL;
 
-  par::thread_pool legacy(3);
   par::work_stealing_pool stealing(3);
-  EXPECT_EQ(par::parallel_reduce<std::plus<>>(v.begin(), v.end(), {}, legacy,
-                                              /*grain=*/1024),
-            expected);
   EXPECT_EQ(par::parallel_reduce<std::plus<>>(v.begin(), v.end(), {},
                                               stealing, /*grain=*/1024),
             expected);
+  EXPECT_EQ(par::parallel_reduce<std::plus<>>(v.begin(), v.end()), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +420,7 @@ TEST(CallSites, ParallelPagerankMatchesSerialClosely) {
     for (std::size_t k = 1; k <= 1 + v % 3; ++k) g.add_edge(v, (v * 5 + k) % 48);
   const auto [serial, serial_ops] =
       cgp::graph::instrumented::pagerank(g, 20, 0.85);
-  par::thread_pool pool(3);
+  par::work_stealing_pool pool(3);
   const auto [parallel, par_ops] = cgp::graph::instrumented::pagerank_parallel(
       g, pool, 20, 0.85, /*grain=*/4);
   ASSERT_EQ(parallel.size(), serial.size());

@@ -17,7 +17,7 @@
 
 #include "distributed/inproc_transport.hpp"
 #include "distributed/network.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "perf/env_info.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/live.hpp"
@@ -535,7 +535,7 @@ TEST(WatchdogTest, PoolDestructionPrunesHeartbeatsWhileSamplerRuns) {
   s.start();
   for (int round = 0; round < 8; ++round) {
     {
-      parallel::thread_pool pool(2);
+      parallel::work_stealing_pool pool(2);
       EXPECT_EQ(wd.heartbeat_count(), baseline + 2);
       pool.run_chunks(4, [](std::size_t) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));

@@ -1,5 +1,5 @@
-// Tests for the data-parallel library: thread pool, Monoid-constrained
-// reduce/scan, and parallel sort.
+// Tests for the data-parallel library: the work-stealing pool's submit and
+// run_chunks surface, Monoid-constrained reduce/scan, and parallel sort.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,7 @@ namespace cgp::parallel {
 namespace {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::atomic<int> counter{0};
   std::atomic<int> done{0};
   for (int i = 0; i < 100; ++i)
@@ -25,14 +25,14 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 }
 
 TEST(ThreadPool, RunChunksBlocksUntilComplete) {
-  thread_pool pool(3);
+  work_stealing_pool pool(3);
   std::vector<int> hits(17, 0);
   pool.run_chunks(17, [&](std::size_t c) { hits[c] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 17);
 }
 
 TEST(ThreadPool, RunChunksPropagatesExceptions) {
-  thread_pool pool(2);
+  work_stealing_pool pool(2);
   EXPECT_THROW(pool.run_chunks(8,
                                [&](std::size_t c) {
                                  if (c == 5)
@@ -42,7 +42,7 @@ TEST(ThreadPool, RunChunksPropagatesExceptions) {
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::vector<std::atomic<int>> hits(50000);
   parallel_for(
       hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, pool);
@@ -50,7 +50,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelTransform, MatchesSerial) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::vector<int> in(30000);
   std::iota(in.begin(), in.end(), 0);
   std::vector<long> out(in.size());
@@ -61,7 +61,7 @@ TEST(ParallelTransform, MatchesSerial) {
 }
 
 TEST(ParallelReduce, MatchesSerialSum) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::vector<int> v(100001);
   std::iota(v.begin(), v.end(), -50000);
   const int expected = std::accumulate(v.begin(), v.end(), 0);
@@ -72,7 +72,7 @@ TEST(ParallelReduce, MatchesSerialSum) {
 TEST(ParallelReduce, NonCommutativeMonoidIsDeterministic) {
   // String concatenation is associative but NOT commutative: chunk results
   // combined in index order must reproduce the serial concatenation.
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::vector<std::string> v;
   for (int i = 0; i < 5000; ++i) v.push_back(std::to_string(i % 10));
   std::string expected;
@@ -82,7 +82,7 @@ TEST(ParallelReduce, NonCommutativeMonoidIsDeterministic) {
 }
 
 TEST(ParallelReduce, BitwiseMonoids) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::vector<unsigned> v(40000, 0xFFFFFFFFu);
   v[12345] = 0x0000FF00u;
   EXPECT_EQ((parallel_reduce<std::bit_and<>>(v.begin(), v.end(), {}, pool)),
@@ -101,7 +101,7 @@ static_assert(
 class ScanProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ScanProperty, InclusiveScanMatchesSerialPrefixSums) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::mt19937 rng(99);
   std::uniform_int_distribution<int> d(-9, 9);
   std::vector<int> v(GetParam());
@@ -119,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ScanProperty,
                                            20000u, 100001u));
 
 TEST(ParallelSort, MatchesSerialSort) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   std::mt19937 rng(123);
   std::uniform_int_distribution<int> d(-100000, 100000);
   std::vector<int> v(200000);
@@ -131,7 +131,7 @@ TEST(ParallelSort, MatchesSerialSort) {
 }
 
 TEST(ParallelSort, SmallAndEdgeSizes) {
-  thread_pool pool(4);
+  work_stealing_pool pool(4);
   for (std::size_t n : {0u, 1u, 2u, 3u, 4095u, 4096u, 4097u, 10000u}) {
     std::mt19937 rng(n);
     std::uniform_int_distribution<int> d(0, 50);
@@ -145,7 +145,7 @@ TEST(ParallelSort, SmallAndEdgeSizes) {
 }
 
 TEST(ParallelSort, CustomComparator) {
-  thread_pool pool(2);
+  work_stealing_pool pool(2);
   std::vector<int> v(50000);
   std::iota(v.begin(), v.end(), 0);
   parallel_sort(v.begin(), v.end(), std::greater<>{}, pool);
@@ -159,38 +159,27 @@ TEST(ParallelSort, CustomComparator) {
 TEST(PoolTelemetry, SubmittedEqualsCompletedAndQueueDrains) {
   auto& reg = cgp::telemetry::registry::global();
   const auto submitted_before =
-      reg.get_counter("parallel.thread_pool.tasks_submitted").value();
+      reg.get_counter("parallel.work_stealing.tasks_submitted").value();
   const auto completed_before =
-      reg.get_counter("parallel.thread_pool.tasks_completed").value();
+      reg.get_counter("parallel.work_stealing.tasks_completed").value();
   {
-    thread_pool pool(3);
+    work_stealing_pool pool(3);
     std::atomic<int> hits{0};
     pool.run_chunks(24, [&hits](std::size_t) { ++hits; });
     EXPECT_EQ(hits.load(), 24);
   }  // pool destruction joins workers: every submitted task has completed
   const auto submitted =
-      reg.get_counter("parallel.thread_pool.tasks_submitted").value() -
+      reg.get_counter("parallel.work_stealing.tasks_submitted").value() -
       submitted_before;
   const auto completed =
-      reg.get_counter("parallel.thread_pool.tasks_completed").value() -
+      reg.get_counter("parallel.work_stealing.tasks_completed").value() -
       completed_before;
   EXPECT_EQ(submitted, 24u);
   EXPECT_EQ(completed, submitted);
-  EXPECT_EQ(reg.get_gauge("parallel.thread_pool.queue_depth").value(), 0);
+  EXPECT_EQ(reg.get_gauge("parallel.work_stealing.queue_depth").value(), 0);
   // Per-task latency histogram saw every task of this (and any earlier) run.
-  EXPECT_GE(reg.get_histogram("parallel.thread_pool.task_us").count(),
+  EXPECT_GE(reg.get_histogram("parallel.work_stealing.task_us").count(),
             completed);
-}
-
-TEST(PoolTelemetry, UtilizationIsAFraction) {
-  thread_pool pool(2);
-  pool.run_chunks(8, [](std::size_t) {
-    volatile long x = 0;
-    for (int i = 0; i < 100000; ++i) x = x + i;
-  });
-  const double u = pool.utilization();
-  EXPECT_GE(u, 0.0);
-  EXPECT_LE(u, 1.0);
 }
 
 }  // namespace

@@ -232,14 +232,9 @@ TEST(PerfFit, SeededNoiseNearBoundaryIsStable) {
   // Multiplicative noise around a clean n^1.2 series vs an O(n) bound with
   // tolerance 0.5: the underlying excess 0.2 must stay consistent for any
   // bounded noise realization; use the session seed to draw it.
-  std::uint64_t state = check::default_seed();
-  auto next_noise = [&state]() {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return 0.9 + 0.2 * (static_cast<double>(z % 1000) / 1000.0);
+  check::random_source rs(check::default_seed());
+  auto next_noise = [&rs]() {
+    return 0.9 + 0.2 * (static_cast<double>(rs.bits() % 1000) / 1000.0);
   };
   std::vector<std::pair<double, double>> pts;
   for (const double n : {64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0})

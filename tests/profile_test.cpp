@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "perf/profdiff.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/profile.hpp"
@@ -196,7 +196,7 @@ TEST_F(ProfileTest, ThreadPoolTasksNestUnderSubmittingFrame) {
   p.enable();
   {
     profile::probe bench(std::string_view("profile_test.pool.parent"));
-    parallel::thread_pool pool(2);
+    parallel::work_stealing_pool pool(2);
     pool.run_chunks(4, [](std::size_t) {
       profile::probe work(std::string_view("profile_test.pool.work"));
     });
@@ -206,9 +206,9 @@ TEST_F(ProfileTest, ThreadPoolTasksNestUnderSubmittingFrame) {
   const auto* parent = find_child(snap.roots, "profile_test.pool.parent");
   ASSERT_NE(parent, nullptr);
   const auto* chunks =
-      find_child(parent->children, "parallel.thread_pool.run_chunks");
+      find_child(parent->children, "parallel.work_stealing.run_chunks");
   ASSERT_NE(chunks, nullptr);
-  const auto* task = find_child(chunks->children, "parallel.thread_pool.task");
+  const auto* task = find_child(chunks->children, "parallel.work_stealing.task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->count, 4u);
   const auto* work = find_child(task->children, "profile_test.pool.work");

@@ -1,6 +1,9 @@
 // Tests for the Simplicissimus-style concept-based rewrite engine (Fig. 5).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <ostream>
 #include <random>
 
 #include "rewrite/engine.hpp"
@@ -74,6 +77,11 @@ struct fig5_case {
   expr input;
   expr expected;
 };
+
+// gtest names each instance's `GetParam() = ...` from this printer; its
+// default byte dump would print the struct's pointers and padding, which
+// differ between runs and rename the discovered tests.
+void PrintTo(const fig5_case& c, std::ostream* os) { *os << c.name; }
 
 class Fig5Row1 : public ::testing::TestWithParam<fig5_case> {};
 
@@ -294,6 +302,22 @@ TEST(Eval, IntAndBoolAndString) {
                            "string"),
                 env)),
             "abc");
+}
+
+TEST(Eval, IntegerOverflowWrapsModulo2To64) {
+  // Signed overflow is undefined behaviour in C++; the evaluator defines
+  // +, -, * on int as two's-complement wraparound instead.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const auto eval_int = [](const char* op, std::int64_t a, std::int64_t b) {
+    return std::get<std::int64_t>(
+        evaluate(E::binary_op(op, E::int_lit(a), E::int_lit(b)), {}));
+  };
+  EXPECT_EQ(eval_int("+", kMax, 1), kMin);
+  EXPECT_EQ(eval_int("-", kMin, 1), kMax);
+  EXPECT_EQ(eval_int("*", kMax, 2), -2);
+  EXPECT_EQ(eval_int("*", kMin, -1), kMin);
+  EXPECT_EQ(eval_int("+", -5, 3), -2);  // in-range results are unchanged
 }
 
 TEST(Eval, ErrorsOnUnboundAndIllTyped) {

@@ -4,6 +4,7 @@
 // why Fig. 4's bug needs at least two abstract iterations.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "stllint/stllint.hpp"
@@ -17,6 +18,11 @@ struct invalidation_case {
   const char* mutation;   ///< statement performed while an iterator is live
   bool expect_invalidated;
 };
+
+// gtest names each instance's `GetParam() = ...` from this printer; its
+// default byte dump would print the struct's pointers and padding, which
+// differ between runs and rename the discovered tests.
+void PrintTo(const invalidation_case& c, std::ostream* os) { *os << c.name; }
 
 class InvalidationMatrix : public ::testing::TestWithParam<invalidation_case> {
 };

@@ -13,7 +13,7 @@
 #include "distributed/algorithms.hpp"
 #include "distributed/network.hpp"
 #include "graph/instrumented.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/parser.hpp"
 #include "sequences/instrumented.hpp"
@@ -484,14 +484,9 @@ TEST(ComplexityCheck, NoisyLinearSeriesNearBoundaryIsDeterministic) {
   // Multiplicative noise on a linear series, drawn from the session seed:
   // bounded ±10% noise cannot push the excess past the 0.35 tolerance, so
   // the verdict must be ok for every seed — and identical on replay.
-  std::uint64_t state = cgp::check::default_seed();
-  auto noise = [&state] {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return 0.9 + 0.2 * (static_cast<double>(z % 1000) / 1000.0);
+  cgp::check::random_source rs(cgp::check::default_seed());
+  auto noise = [&rs] {
+    return 0.9 + 0.2 * (static_cast<double>(rs.bits() % 1000) / 1000.0);
   };
   std::vector<telemetry::sample> noisy;
   for (double n = 64; n <= 8192; n *= 2) noisy.push_back({n, 3.0 * n * noise()});
@@ -600,7 +595,7 @@ TEST(TelemetryIntegration, AllFiveSubsystemsExportNonZeroMetrics) {
 
   // (1) parallel: run work through a fresh pool.
   {
-    parallel::thread_pool pool(4);
+    parallel::work_stealing_pool pool(4);
     std::atomic<int> hits{0};
     pool.run_chunks(16, [&hits](std::size_t) { ++hits; });
     ASSERT_EQ(hits.load(), 16);
@@ -659,7 +654,7 @@ void f() {
   }
   const auto doc = telemetry::parse_json(reg.export_json());
   EXPECT_GT(doc.at("counters")
-                .at("parallel.thread_pool.tasks_completed")
+                .at("parallel.work_stealing.tasks_completed")
                 .num,
             0.0);
   EXPECT_GT(doc.at("counters").at("distributed.network.messages.uid").num,
@@ -669,9 +664,9 @@ void f() {
   EXPECT_GT(doc.at("counters").at("sequences.sort.comparisons").num, 0.0);
   EXPECT_GT(doc.at("counters").at("graph.bfs.operations").num, 0.0);
   // Queue depth returned to zero once the pool drained.
-  EXPECT_EQ(doc.at("gauges").at("parallel.thread_pool.queue_depth").num, 0.0);
+  EXPECT_EQ(doc.at("gauges").at("parallel.work_stealing.queue_depth").num, 0.0);
   // Per-task latency histogram saw every chunk.
-  EXPECT_GE(doc.at("histograms").at("parallel.thread_pool.task_us").at("count").num,
+  EXPECT_GE(doc.at("histograms").at("parallel.work_stealing.task_us").at("count").num,
             16.0);
 }
 

@@ -1,9 +1,9 @@
 // Tests for the causal tracing layer: span identity and nesting, the
 // bounded lock-sharded sink, Chrome trace-event export round-tripped
 // through the bundled JSON parser, context propagation across
-// thread_pool::submit and across distributed::network ranks, provenance
-// instants from the rewriter and STLlint, and the trace validator's
-// negative cases.
+// work_stealing_pool::submit and across distributed::network ranks,
+// provenance instants from the rewriter and STLlint, and the trace
+// validator's negative cases.
 #include <gtest/gtest.h>
 
 #include <latch>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "distributed/network.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing_pool.hpp"
 #include "rewrite/engine.hpp"
 #include "rewrite/parser.hpp"
 #include "stllint/stllint.hpp"
@@ -192,7 +192,7 @@ TEST_F(TraceTest, SubmitPropagatesContextToWorkers) {
   {
     trace::trace_span root("root", "test");
     root_ctx = root.context();
-    parallel::thread_pool pool(2);
+    parallel::work_stealing_pool pool(2);
     // The latch forces the two tasks onto two distinct workers.
     std::latch rendezvous(2);
     std::latch finished(2);
@@ -204,7 +204,7 @@ TEST_F(TraceTest, SubmitPropagatesContextToWorkers) {
       });
     finished.wait();
   }
-  const auto tasks = events_named("parallel.thread_pool.task");
+  const auto tasks = events_named("parallel.work_stealing.task");
   std::set<std::uint32_t> tids;
   for (const trace::event& e : tasks)
     if (e.ph == trace::event::phase::begin) {
@@ -222,7 +222,7 @@ TEST_F(TraceTest, SubmitPropagatesContextToWorkers) {
 }
 
 TEST_F(TraceTest, UntracedSubmitRecordsNothing) {
-  parallel::thread_pool pool(2);
+  parallel::work_stealing_pool pool(2);
   std::latch finished(4);
   for (int i = 0; i < 4; ++i) pool.submit([&] { finished.count_down(); });
   finished.wait();
