@@ -1,5 +1,5 @@
 // The shared environment block every report binary stamps its output
-// with (bench/perf_report, bench/telemetry_export, bench/trace_export).
+// with (bench/perf_report and every `bench/obs_export` subcommand).
 //
 // A measured number is only comparable to another measured number when
 // both carry the conditions they were measured under, so the observatory

@@ -95,8 +95,16 @@ class parser {
   json_value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth)
+        throw json_error("nesting deeper than " +
+                         std::to_string(kMaxJsonDepth) + " levels at offset " +
+                         std::to_string(pos_));
+      ++depth_;
+      json_value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       json_value v;
       v.k = json_value::kind::string;
@@ -241,6 +249,7 @@ class parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace
@@ -305,6 +314,72 @@ std::string dump_json(const json_value& v) {
   std::string out;
   dump_to(v, &out);
   return out;
+}
+
+void validation::fail(std::string msg) {
+  ok = false;
+  if (errors.size() < kMaxErrors) errors.push_back(std::move(msg));
+}
+
+std::string validation::error_text() const {
+  std::string out;
+  for (const std::string& e : errors) {
+    out += e;
+    out += '\n';
+  }
+  return out;
+}
+
+bool validation::num_field(const json_value& v, const std::string& key,
+                           const std::string& where, double& dst) {
+  if (!v.has(key) || !v.at(key).is(json_value::kind::number)) {
+    fail(where + ": missing numeric '" + key + "'");
+    return false;
+  }
+  dst = v.at(key).num;
+  return true;
+}
+
+bool validation::u64_field(const json_value& v, const std::string& key,
+                           const std::string& where, std::uint64_t& dst) {
+  double d = 0.0;
+  if (!num_field(v, key, where, d)) return false;
+  if (d < 0.0) {
+    fail(where + ": negative '" + key + "'");
+    return false;
+  }
+  if (d >= 0x1p64) {  // the cast below would be undefined
+    fail(where + ": '" + key + "' exceeds 2^64");
+    return false;
+  }
+  dst = static_cast<std::uint64_t>(d);
+  return true;
+}
+
+bool validation::str_field(const json_value& v, const std::string& key,
+                           const std::string& where, std::string& dst) {
+  if (!v.has(key) || !v.at(key).is(json_value::kind::string)) {
+    fail(where + ": missing string '" + key + "'");
+    return false;
+  }
+  dst = v.at(key).str;
+  return true;
+}
+
+const json_value* validation::arr_field(const json_value& v,
+                                        const std::string& key,
+                                        const std::string& where) {
+  if (v.has(key) && v.at(key).is(json_value::kind::array)) return &v.at(key);
+  fail(where + ": missing array '" + key + "'");
+  return nullptr;
+}
+
+const json_value* validation::obj_field(const json_value& v,
+                                        const std::string& key,
+                                        const std::string& where) {
+  if (v.has(key) && v.at(key).is(json_value::kind::object)) return &v.at(key);
+  fail(where + ": missing object '" + key + "'");
+  return nullptr;
 }
 
 }  // namespace cgp::telemetry

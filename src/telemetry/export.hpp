@@ -1,9 +1,12 @@
 // JSON helpers for the telemetry exporters: string escaping on the way
-// out and a minimal recursive-descent parser on the way in, so tests can
+// out, a minimal recursive-descent parser on the way in (so tests can
 // round-trip registry::export_json() and bench/ tools can consume it
-// without an external dependency.
+// without an external dependency), and the result skeleton every
+// document validator shares.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -42,8 +45,14 @@ struct json_value {
   [[nodiscard]] bool has(const std::string& key) const noexcept;
 };
 
+/// Deepest array/object nesting parse_json accepts.  Far above any
+/// exported document (a cgp.prof.v1 frame costs two levels), far below
+/// what the recursive parser's stack can take.
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
+/// garbage is an error).  Nesting deeper than kMaxJsonDepth throws
+/// json_error instead of exhausting the stack.
 [[nodiscard]] json_value parse_json(std::string_view text);
 
 /// Serializes a parsed value back to a compact JSON document.  Numbers use
@@ -52,5 +61,37 @@ struct json_value {
 /// `dump_json(parse_json(dump_json(v))) == dump_json(v)` for any `v`
 /// (non-finite numbers, which valid JSON cannot carry, serialize as null).
 [[nodiscard]] std::string dump_json(const json_value& v);
+
+/// Result skeleton shared by the document validators (trace, live,
+/// flight, health, profile): each result type extends it with its own
+/// counters.  The typed readers record a failure naming `where` and `key`
+/// when the member is absent or of the wrong kind, so a tampered
+/// `"t_ms":"soon"` is rejected rather than read as 0.
+struct validation {
+  static constexpr std::size_t kMaxErrors = 32;  ///< messages kept
+
+  bool ok = true;
+  std::vector<std::string> errors;
+
+  /// Marks the document invalid and keeps `msg` (up to kMaxErrors).
+  void fail(std::string msg);
+  /// The kept messages, one per line.
+  [[nodiscard]] std::string error_text() const;
+
+  [[nodiscard]] bool num_field(const json_value& v, const std::string& key,
+                               const std::string& where, double& dst);
+  /// A number in [0, 2^64).
+  [[nodiscard]] bool u64_field(const json_value& v, const std::string& key,
+                               const std::string& where, std::uint64_t& dst);
+  [[nodiscard]] bool str_field(const json_value& v, const std::string& key,
+                               const std::string& where, std::string& dst);
+  /// The member when it is an array (object), else nullptr after fail().
+  [[nodiscard]] const json_value* arr_field(const json_value& v,
+                                            const std::string& key,
+                                            const std::string& where);
+  [[nodiscard]] const json_value* obj_field(const json_value& v,
+                                            const std::string& key,
+                                            const std::string& where);
+};
 
 }  // namespace cgp::telemetry

@@ -79,26 +79,6 @@ using core::mix64;
   return out;
 }
 
-/// A verdict must land in the trace even when the evaluating thread (the
-/// sampler, or a post-run driver) has no active context: build a root
-/// instant by hand, exactly like the watchdog does for stalls.
-void record_verdict_instant(const slo_verdict& v) {
-  trace::sink& s = trace::sink::global();
-  trace::event e;
-  e.ph = trace::event::phase::instant;
-  e.link = trace::event::link_kind::root;
-  e.ts_ns = s.now_ns();
-  e.trace_id = trace::next_id();
-  e.span_id = trace::next_id();
-  e.name = "health." + v.rule + ": " + v.target;
-  e.cat = "telemetry.health";
-  e.args.emplace_back("kind", to_string(v.kind));
-  e.args.emplace_back("value", std::to_string(v.value));
-  e.args.emplace_back("threshold", std::to_string(v.threshold));
-  e.args.emplace_back("tick", std::to_string(v.tick));
-  s.record(std::move(e));
-}
-
 void emit_verdict(const slo_verdict& v) {
   registry::global().get_counter("telemetry.health.verdicts").add(1);
   registry::global().get_counter("telemetry.health.verdicts." + v.rule).add(1);
@@ -106,7 +86,13 @@ void emit_verdict(const slo_verdict& v) {
       live::flight_entry::kind::marker, "health." + v.rule, v.value,
       v.target + ": " + to_string(v.kind) + " " + std::to_string(v.value) +
           " over " + std::to_string(v.threshold));
-  record_verdict_instant(v);
+  // A root instant: the evaluating thread (the sampler, or a post-run
+  // caller) may have no trace context, and the verdict must land anyway.
+  trace::root_instant("health." + v.rule + ": " + v.target, "telemetry.health",
+                      {{"kind", to_string(v.kind)},
+                       {"value", std::to_string(v.value)},
+                       {"threshold", std::to_string(v.threshold)},
+                       {"tick", std::to_string(v.tick)}});
 }
 
 /// Exemplar instants join the run's causal tree: use the barrier thread's
@@ -646,281 +632,217 @@ std::string observatory::export_json() const {
 
 namespace {
 
-struct checker {
-  health_validation* out;
-
-  void fail(std::string msg) {
-    out->ok = false;
-    out->errors.push_back(std::move(msg));
-  }
-  [[nodiscard]] bool num_field(const json_value& v, const std::string& key,
-                               const std::string& where, double& dst) {
-    if (!v.has(key) || !v.at(key).is(json_value::kind::number)) {
-      fail(where + ": missing numeric '" + key + "'");
+/// Reads one histogram object; returns false (with errors) when malformed
+/// or when the bucket counts do not sum to `count`.
+bool read_hist(validation& c, const json_value& v, const std::string& key,
+               const std::string& where, shard_rollup& r, bool latency) {
+  const json_value* h = c.obj_field(v, key, where);
+  if (h == nullptr) return false;
+  const std::string at = where + "." + key;
+  std::uint64_t count = 0, sum = 0;
+  if (!c.u64_field(*h, "count", at, count) || !c.u64_field(*h, "sum", at, sum))
+    return false;
+  std::array<std::uint64_t, histogram::kBuckets> buckets{};
+  std::uint64_t bucket_total = 0;
+  const json_value* pairs = c.arr_field(*h, "buckets", at);
+  if (pairs == nullptr) return false;
+  for (const json_value& pair : pairs->arr) {
+    if (!pair.is(json_value::kind::array) || pair.arr.size() != 2 ||
+        !pair.arr[0].is(json_value::kind::number) ||
+        !pair.arr[1].is(json_value::kind::number) || pair.arr[1].num < 0.0 ||
+        pair.arr[1].num >= 0x1p64) {
+      c.fail(at + ": malformed bucket pair");
       return false;
     }
-    dst = v.at(key).num;
-    return true;
-  }
-  [[nodiscard]] bool u64_field(const json_value& v, const std::string& key,
-                               const std::string& where, std::uint64_t& dst) {
-    double d = 0.0;
-    if (!num_field(v, key, where, d)) return false;
-    if (d < 0.0) {
-      fail(where + ": negative '" + key + "'");
-      return false;
-    }
-    dst = static_cast<std::uint64_t>(d);
-    return true;
-  }
-  [[nodiscard]] bool str_field(const json_value& v, const std::string& key,
-                               const std::string& where, std::string& dst) {
-    if (!v.has(key) || !v.at(key).is(json_value::kind::string)) {
-      fail(where + ": missing string '" + key + "'");
-      return false;
-    }
-    dst = v.at(key).str;
-    return true;
-  }
-
-  /// Reads one histogram object; returns false (with errors) when
-  /// malformed or when the bucket counts do not sum to `count`.
-  bool read_hist(const json_value& v, const std::string& key,
-                 const std::string& where, shard_rollup& r, bool latency) {
-    if (!v.has(key) || !v.at(key).is(json_value::kind::object)) {
-      fail(where + ": missing histogram '" + key + "'");
-      return false;
-    }
-    const json_value& h = v.at(key);
-    std::uint64_t count = 0, sum = 0;
-    if (!u64_field(h, "count", where + "." + key, count) ||
-        !u64_field(h, "sum", where + "." + key, sum))
-      return false;
-    std::array<std::uint64_t, histogram::kBuckets> buckets{};
-    std::uint64_t bucket_total = 0;
-    if (!h.has("buckets") || !h.at("buckets").is(json_value::kind::array)) {
-      fail(where + "." + key + ": missing 'buckets'");
-      return false;
-    }
-    for (const json_value& pair : h.at("buckets").arr) {
-      if (!pair.is(json_value::kind::array) || pair.arr.size() != 2 ||
-          !pair.arr[0].is(json_value::kind::number) ||
-          !pair.arr[1].is(json_value::kind::number)) {
-        fail(where + "." + key + ": malformed bucket pair");
-        return false;
-      }
-      const auto idx = static_cast<std::size_t>(pair.arr[0].num);
-      if (idx >= histogram::kBuckets) {
-        fail(where + "." + key + ": bucket index " + std::to_string(idx) +
+    const double idx = pair.arr[0].num;
+    if (!(idx >= 0.0 && idx < static_cast<double>(histogram::kBuckets))) {
+      c.fail(at + ": bucket index " + dump_json(pair.arr[0]) +
              " out of range");
-        return false;
-      }
-      buckets[idx] += static_cast<std::uint64_t>(pair.arr[1].num);
-      bucket_total += static_cast<std::uint64_t>(pair.arr[1].num);
-    }
-    if (bucket_total != count) {
-      fail(where + "." + key + ": buckets sum to " +
-           std::to_string(bucket_total) + ", count says " +
-           std::to_string(count));
       return false;
     }
-    if (latency) {
-      r.latency_count = count;
-      r.latency_sum = sum;
-      r.latency_buckets = buckets;
-    } else {
-      r.depth_count = count;
-      r.depth_sum = sum;
-      r.depth_buckets = buckets;
-    }
-    return true;
+    const auto n = static_cast<std::uint64_t>(pair.arr[1].num);
+    buckets[static_cast<std::size_t>(idx)] += n;
+    bucket_total += n;
   }
-
-  bool read_rollup(const json_value& v, const std::string& where,
-                   shard_rollup& r) {
-    bool ok = u64_field(v, "routed", where, r.routed);
-    ok = u64_field(v, "delivered", where, r.delivered) && ok;
-    ok = u64_field(v, "dropped", where, r.dropped) && ok;
-    ok = u64_field(v, "duplicated", where, r.duplicated) && ok;
-    ok = u64_field(v, "last_active_round", where, r.last_active_round) && ok;
-    ok = u64_field(v, "rounds_active", where, r.rounds_active) && ok;
-    ok = read_hist(v, "latency", where, r, true) && ok;
-    ok = read_hist(v, "depth", where, r, false) && ok;
-    return ok;
+  if (bucket_total != count) {
+    c.fail(at + ": buckets sum to " + std::to_string(bucket_total) +
+           ", count says " + std::to_string(count));
+    return false;
   }
+  if (latency) {
+    r.latency_count = count;
+    r.latency_sum = sum;
+    r.latency_buckets = buckets;
+  } else {
+    r.depth_count = count;
+    r.depth_sum = sum;
+    r.depth_buckets = buckets;
+  }
+  return true;
+}
 
-  void check_fold(const shard_rollup& rollup, const shard_rollup& folded,
-                  const std::string& where) {
-    const auto miscount = [&](const char* what, std::uint64_t got,
-                              std::uint64_t want) {
-      if (got != want)
-        fail(where + ": rollup." + what + " is " + std::to_string(got) +
+bool read_rollup(validation& c, const json_value& v, const std::string& where,
+                 shard_rollup& r) {
+  bool ok = c.u64_field(v, "routed", where, r.routed);
+  ok = c.u64_field(v, "delivered", where, r.delivered) && ok;
+  ok = c.u64_field(v, "dropped", where, r.dropped) && ok;
+  ok = c.u64_field(v, "duplicated", where, r.duplicated) && ok;
+  ok = c.u64_field(v, "last_active_round", where, r.last_active_round) && ok;
+  ok = c.u64_field(v, "rounds_active", where, r.rounds_active) && ok;
+  ok = read_hist(c, v, "latency", where, r, true) && ok;
+  ok = read_hist(c, v, "depth", where, r, false) && ok;
+  return ok;
+}
+
+void check_fold(validation& c, const shard_rollup& rollup,
+                const shard_rollup& folded, const std::string& where) {
+  const auto miscount = [&](const char* what, std::uint64_t got,
+                            std::uint64_t want) {
+    if (got != want)
+      c.fail(where + ": rollup." + what + " is " + std::to_string(got) +
              ", rows fold to " + std::to_string(want));
-    };
-    miscount("routed", rollup.routed, folded.routed);
-    miscount("delivered", rollup.delivered, folded.delivered);
-    miscount("dropped", rollup.dropped, folded.dropped);
-    miscount("duplicated", rollup.duplicated, folded.duplicated);
-    miscount("last_active_round", rollup.last_active_round,
-             folded.last_active_round);
-    miscount("rounds_active", rollup.rounds_active, folded.rounds_active);
-    miscount("latency.count", rollup.latency_count, folded.latency_count);
-    miscount("latency.sum", rollup.latency_sum, folded.latency_sum);
-    miscount("depth.count", rollup.depth_count, folded.depth_count);
-    miscount("depth.sum", rollup.depth_sum, folded.depth_sum);
-  }
-};
+  };
+  miscount("routed", rollup.routed, folded.routed);
+  miscount("delivered", rollup.delivered, folded.delivered);
+  miscount("dropped", rollup.dropped, folded.dropped);
+  miscount("duplicated", rollup.duplicated, folded.duplicated);
+  miscount("last_active_round", rollup.last_active_round,
+           folded.last_active_round);
+  miscount("rounds_active", rollup.rounds_active, folded.rounds_active);
+  miscount("latency.count", rollup.latency_count, folded.latency_count);
+  miscount("latency.sum", rollup.latency_sum, folded.latency_sum);
+  miscount("depth.count", rollup.depth_count, folded.depth_count);
+  miscount("depth.sum", rollup.depth_sum, folded.depth_sum);
+}
 
 }  // namespace
 
-std::string health_validation::error_text() const {
-  std::string out;
-  for (const std::string& e : errors) {
-    out += e;
-    out += '\n';
-  }
-  return out;
-}
-
 health_validation validate_health_export(const json_value& doc) {
   health_validation v;
-  checker c{&v};
   if (!doc.is(json_value::kind::object)) {
-    c.fail("document is not an object");
+    v.fail("document is not an object");
     return v;
   }
   std::string schema;
-  if (c.str_field(doc, "schema", "document", schema) &&
+  if (v.str_field(doc, "schema", "document", schema) &&
       schema != "cgp.health.v1")
-    c.fail("schema is '" + schema + "', expected 'cgp.health.v1'");
+    v.fail("schema is '" + schema + "', expected 'cgp.health.v1'");
   std::string clock;
-  if (c.str_field(doc, "clock", "document", clock) && clock != "manual" &&
+  if (v.str_field(doc, "clock", "document", clock) && clock != "manual" &&
       clock != "steady")
-    c.fail("clock is '" + clock + "', expected 'manual' or 'steady'");
+    v.fail("clock is '" + clock + "', expected 'manual' or 'steady'");
   std::uint64_t ticks = 0, reservoir_k = 0, shards_cfg = 0, seed = 0;
-  (void)c.u64_field(doc, "ticks", "document", ticks);
-  (void)c.u64_field(doc, "reservoir_k", "document", reservoir_k);
-  (void)c.u64_field(doc, "shards", "document", shards_cfg);
-  (void)c.u64_field(doc, "seed", "document", seed);
+  (void)v.u64_field(doc, "ticks", "document", ticks);
+  (void)v.u64_field(doc, "reservoir_k", "document", reservoir_k);
+  (void)v.u64_field(doc, "shards", "document", shards_cfg);
+  (void)v.u64_field(doc, "seed", "document", seed);
 
   // Rules: unique names, known kinds; verdicts reference them.
   std::map<std::string, rule_kind> rules;
-  if (doc.has("rules") && doc.at("rules").is(json_value::kind::array)) {
-    for (const json_value& jr : doc.at("rules").arr) {
+  if (const json_value* jrules = v.arr_field(doc, "rules", "document")) {
+    for (const json_value& jr : jrules->arr) {
       std::string name, kind_s;
-      if (!c.str_field(jr, "name", "rule", name) ||
-          !c.str_field(jr, "kind", "rule", kind_s))
+      if (!v.str_field(jr, "name", "rule", name) ||
+          !v.str_field(jr, "kind", "rule", kind_s))
         continue;
       rule_kind kind;
       if (!parse_rule_kind(kind_s, kind)) {
-        c.fail("rule '" + name + "': unknown kind '" + kind_s + "'");
+        v.fail("rule '" + name + "': unknown kind '" + kind_s + "'");
         continue;
       }
       if (!rules.emplace(name, kind).second)
-        c.fail("rule '" + name + "': duplicate name");
+        v.fail("rule '" + name + "': duplicate name");
     }
-  } else {
-    c.fail("document: missing 'rules' array");
   }
 
   shard_rollup run_fold;
-  if (doc.has("backends") && doc.at("backends").is(json_value::kind::array)) {
-    for (const json_value& jb : doc.at("backends").arr) {
+  if (const json_value* backends = v.arr_field(doc, "backends", "document")) {
+    for (const json_value& jb : backends->arr) {
       ++v.backends;
       std::string name;
-      if (!c.str_field(jb, "name", "backend", name)) continue;
+      if (!v.str_field(jb, "name", "backend", name)) continue;
       const std::string where = "backend '" + name + "'";
       std::uint64_t shards_used = 0, seen = 0;
-      (void)c.u64_field(jb, "shards_used", where, shards_used);
-      (void)c.u64_field(jb, "reservoir_seen", where, seen);
+      (void)v.u64_field(jb, "shards_used", where, shards_used);
+      (void)v.u64_field(jb, "reservoir_seen", where, seen);
       if (shards_used > shards_cfg)
-        c.fail(where + ": shards_used " + std::to_string(shards_used) +
+        v.fail(where + ": shards_used " + std::to_string(shards_used) +
                " exceeds configured " + std::to_string(shards_cfg));
       shard_rollup folded;
-      if (jb.has("shards") && jb.at("shards").is(json_value::kind::array)) {
-        const auto& rows = jb.at("shards").arr;
-        if (rows.size() != shards_used)
-          c.fail(where + ": " + std::to_string(rows.size()) +
+      if (const json_value* rows = v.arr_field(jb, "shards", where)) {
+        if (rows->arr.size() != shards_used)
+          v.fail(where + ": " + std::to_string(rows->arr.size()) +
                  " shard rows, shards_used says " +
                  std::to_string(shards_used));
-        for (const json_value& row : rows) {
+        for (const json_value& row : rows->arr) {
           ++v.shards;
           shard_rollup r;
-          if (c.read_rollup(row, where + " shard row", r)) folded.fold(r);
+          if (read_rollup(v, row, where + " shard row", r)) folded.fold(r);
         }
-      } else {
-        c.fail(where + ": missing 'shards' array");
       }
       shard_rollup rollup;
       if (jb.has("rollup") &&
-          c.read_rollup(jb.at("rollup"), where + " rollup", rollup)) {
-        c.check_fold(rollup, folded, where);
+          read_rollup(v, jb.at("rollup"), where + " rollup", rollup)) {
+        check_fold(v, rollup, folded, where);
         run_fold.fold(rollup);
       }
       // Reservoir: per-shard retention within k, plausible admissions.
       std::map<std::uint32_t, std::uint64_t> kept;
       std::uint64_t max_seen = 0;
-      if (jb.has("reservoir") &&
-          jb.at("reservoir").is(json_value::kind::array)) {
-        for (const json_value& je : jb.at("reservoir").arr) {
+      if (const json_value* reservoir = v.arr_field(jb, "reservoir", where)) {
+        for (const json_value& je : reservoir->arr) {
           ++v.exemplars;
           std::uint64_t shard = 0, ex_seen = 0;
-          if (!c.u64_field(je, "shard", where + " exemplar", shard) ||
-              !c.u64_field(je, "seen", where + " exemplar", ex_seen))
+          if (!v.u64_field(je, "shard", where + " exemplar", shard) ||
+              !v.u64_field(je, "seen", where + " exemplar", ex_seen))
             continue;
           if (shard >= shards_used)
-            c.fail(where + ": exemplar shard " + std::to_string(shard) +
+            v.fail(where + ": exemplar shard " + std::to_string(shard) +
                    " out of range");
           if (ex_seen == 0)
-            c.fail(where + ": exemplar admission index 0 (must be 1-based)");
+            v.fail(where + ": exemplar admission index 0 (must be 1-based)");
           max_seen = std::max(max_seen, ex_seen);
           ++kept[static_cast<std::uint32_t>(shard)];
         }
-      } else {
-        c.fail(where + ": missing 'reservoir' array");
       }
       for (const auto& [shard, count] : kept)
         if (count > reservoir_k)
-          c.fail(where + ": shard " + std::to_string(shard) + " kept " +
+          v.fail(where + ": shard " + std::to_string(shard) + " kept " +
                  std::to_string(count) + " exemplars, k is " +
                  std::to_string(reservoir_k));
       if (max_seen > seen)
-        c.fail(where + ": exemplar admission index " +
+        v.fail(where + ": exemplar admission index " +
                std::to_string(max_seen) + " exceeds reservoir_seen " +
                std::to_string(seen));
     }
-  } else {
-    c.fail("document: missing 'backends' array");
   }
   shard_rollup top;
-  if (doc.has("rollup") && c.read_rollup(doc.at("rollup"), "run rollup", top))
-    c.check_fold(top, run_fold, "run");
+  if (doc.has("rollup") && read_rollup(v, doc.at("rollup"), "run rollup", top))
+    check_fold(v, top, run_fold, "run");
 
-  if (doc.has("verdicts") && doc.at("verdicts").is(json_value::kind::array)) {
-    for (const json_value& jv : doc.at("verdicts").arr) {
+  if (const json_value* verdicts = v.arr_field(doc, "verdicts", "document")) {
+    for (const json_value& jv : verdicts->arr) {
       ++v.verdicts;
       std::string rule, kind_s, target;
       std::uint64_t tick = 0;
-      if (!c.str_field(jv, "rule", "verdict", rule) ||
-          !c.str_field(jv, "kind", "verdict", kind_s) ||
-          !c.str_field(jv, "target", "verdict", target) ||
-          !c.u64_field(jv, "tick", "verdict", tick))
+      if (!v.str_field(jv, "rule", "verdict", rule) ||
+          !v.str_field(jv, "kind", "verdict", kind_s) ||
+          !v.str_field(jv, "target", "verdict", target) ||
+          !v.u64_field(jv, "tick", "verdict", tick))
         continue;
       const auto it = rules.find(rule);
       if (it == rules.end()) {
-        c.fail("verdict references unknown rule '" + rule + "'");
+        v.fail("verdict references unknown rule '" + rule + "'");
         continue;
       }
       rule_kind kind;
       if (!parse_rule_kind(kind_s, kind) || kind != it->second)
-        c.fail("verdict '" + rule + "': kind '" + kind_s +
+        v.fail("verdict '" + rule + "': kind '" + kind_s +
                "' does not match the rule");
       if (tick == 0 || tick > ticks)
-        c.fail("verdict '" + rule + "': tick " + std::to_string(tick) +
+        v.fail("verdict '" + rule + "': tick " + std::to_string(tick) +
                " outside [1, " + std::to_string(ticks) + "]");
     }
-  } else {
-    c.fail("document: missing 'verdicts' array");
   }
   return v;
 }

@@ -30,7 +30,7 @@
 //     dump_json (sorted keys, shortest number round-trip), so under
 //     health_options::manual_clock two identical runs export
 //     byte-identical documents; `validate_health_export` is the
-//     structural gate bench/health_export runs against it.
+//     structural gate `obs_export health` runs against it.
 //
 // Cost discipline: a disabled observatory costs one pointer test per hook
 // (net_base::run() gets a nullptr track); an enabled one costs a few
@@ -329,15 +329,11 @@ class observatory {
 /// run-wide), histograms whose buckets sum to their counts, reservoirs
 /// within capacity with plausible admission indices, and verdicts that
 /// reference declared rules with known kinds and in-range ticks.
-struct health_validation {
-  bool ok = true;
-  std::vector<std::string> errors;
+struct health_validation : validation {
   std::size_t backends = 0;
   std::size_t shards = 0;
   std::size_t exemplars = 0;
   std::size_t verdicts = 0;
-
-  [[nodiscard]] std::string error_text() const;
 };
 
 [[nodiscard]] health_validation validate_health_export(const json_value& doc);

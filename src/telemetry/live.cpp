@@ -389,42 +389,28 @@ void sampler::clear() {
   samples_.store(0, std::memory_order_relaxed);
 }
 
-std::string live_validation::error_text() const {
-  std::string out;
-  for (const std::string& e : errors) out += e + "\n";
-  return out;
-}
-
 live_validation validate_live_export(const json_value& doc) {
   live_validation r;
-  const auto fail = [&r](std::string msg) {
-    r.ok = false;
-    r.errors.push_back(std::move(msg));
-  };
-  if (!doc.has("schema") || doc.at("schema").str != "cgp.live.v1") {
-    fail("document is not a cgp.live.v1 export");
+  std::string schema;
+  if (!r.str_field(doc, "schema", "document", schema) ||
+      schema != "cgp.live.v1") {
+    r.fail("document is not a cgp.live.v1 export");
     return r;
   }
-  for (const char* key : {"period_ms", "capacity", "samples"})
-    if (!doc.has(key) || !doc.at(key).is(json_value::kind::number))
-      fail(std::string("missing numeric '") + key + "'");
-  if (!doc.has("series") || !doc.at("series").is(json_value::kind::array)) {
-    fail("missing series array");
-    return r;
-  }
-  const double cap =
-      doc.has("capacity") && doc.at("capacity").is(json_value::kind::number)
-          ? doc.at("capacity").num
-          : 0.0;
-  for (const json_value& s : doc.at("series").arr) {
-    ++r.series;
-    if (!s.has("name") || !s.has("kind") || !s.has("points") ||
-        !s.at("points").is(json_value::kind::array)) {
-      fail("series " + std::to_string(r.series - 1) +
-           " is missing name/kind/points");
+  double period = 0.0, cap = 0.0, samples = 0.0;
+  (void)r.num_field(doc, "period_ms", "document", period);
+  (void)r.num_field(doc, "capacity", "document", cap);
+  (void)r.num_field(doc, "samples", "document", samples);
+  const json_value* series = r.arr_field(doc, "series", "document");
+  if (series == nullptr) return r;
+  for (const json_value& s : series->arr) {
+    const std::string where = "series " + std::to_string(r.series++);
+    std::string name, kind;
+    const json_value* pts = nullptr;
+    if (!r.str_field(s, "name", where, name) ||
+        !r.str_field(s, "kind", where, kind) ||
+        (pts = r.arr_field(s, "points", where)) == nullptr)
       continue;
-    }
-    const std::string& kind = s.at("kind").str;
     if (kind == "counter_delta")
       ++r.counters;
     else if (kind == "gauge")
@@ -432,39 +418,34 @@ live_validation validate_live_export(const json_value& doc) {
     else if (kind == "hist_count_delta" || kind == "hist_sum_delta")
       ++r.histograms;
     else
-      fail("series '" + s.at("name").str + "' has unknown kind '" + kind +
-           "'");
-    const auto& pts = s.at("points").arr;
-    if (cap > 0.0 && static_cast<double>(pts.size()) > cap)
-      fail("series '" + s.at("name").str + "' retains more points than " +
-           "capacity");
+      r.fail("series '" + name + "' has unknown kind '" + kind + "'");
+    if (cap > 0.0 && static_cast<double>(pts->arr.size()) > cap)
+      r.fail("series '" + name + "' retains more points than capacity");
     double prev_t = -1.0;
-    for (const json_value& p : pts) {
+    for (const json_value& p : pts->arr) {
       ++r.points;
-      if (!p.has("t_ms") || !p.has("v")) {
-        fail("series '" + s.at("name").str + "' has a malformed point");
+      double t = 0.0, v = 0.0;
+      if (!r.num_field(p, "t_ms", "series '" + name + "' point", t) ||
+          !r.num_field(p, "v", "series '" + name + "' point", v))
         break;
-      }
-      const double t = p.at("t_ms").num;
       if (t < prev_t) {
-        fail("series '" + s.at("name").str + "' goes backwards in time");
+        r.fail("series '" + name + "' goes backwards in time");
         break;
       }
       prev_t = t;
     }
   }
-  if (doc.has("watchdog")) {
-    const json_value& wd = doc.at("watchdog");
-    if (!wd.has("stalls") || !wd.at("stalls").is(json_value::kind::array)) {
-      fail("watchdog block has no stalls array");
-    } else {
-      for (const json_value& s : wd.at("stalls").arr) {
-        ++r.stalls;
-        for (const char* key :
-             {"participant", "last_beat_ms", "detected_at_ms", "silent_ms"})
-          if (!s.has(key)) fail(std::string("stall missing '") + key + "'");
-      }
-    }
+  if (!doc.has("watchdog")) return r;
+  const json_value* stalls =
+      r.arr_field(doc.at("watchdog"), "stalls", "watchdog");
+  if (stalls == nullptr) return r;
+  for (const json_value& s : stalls->arr) {
+    const std::string where = "stall " + std::to_string(r.stalls++);
+    std::string participant;
+    double ms = 0.0;
+    (void)r.str_field(s, "participant", where, participant);
+    for (const char* key : {"last_beat_ms", "detected_at_ms", "silent_ms"})
+      (void)r.num_field(s, key, where, ms);
   }
   return r;
 }

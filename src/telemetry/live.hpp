@@ -149,17 +149,13 @@ class sampler {
 /// Structural check of a dumped (re-parsed) cgp.live.v1 document: schema
 /// tag, numeric period/samples, well-formed series with known kinds and
 /// non-decreasing point times, per-series point count within capacity.
-struct live_validation {
-  bool ok = true;
-  std::vector<std::string> errors;
+struct live_validation : validation {
   std::size_t series = 0;
   std::size_t points = 0;
   std::size_t counters = 0;    ///< counter_delta series
   std::size_t gauges = 0;      ///< gauge series
   std::size_t histograms = 0;  ///< hist_count_delta + hist_sum_delta series
   std::size_t stalls = 0;      ///< watchdog verdicts carried in the doc
-
-  [[nodiscard]] std::string error_text() const;
 };
 
 [[nodiscard]] live_validation validate_live_export(const json_value& doc);

@@ -494,64 +494,49 @@ std::string render_hot_table(const profile_snapshot& s, std::size_t n) {
 
 namespace {
 
-bool is_count(const json_value& v) {
-  return v.is(json_value::kind::number) && v.num >= 0.0;
-}
-
 void validate_node(const json_value& n, const std::string& where,
                    std::size_t depth, profile_validation& out) {
   out.nodes += 1;
   out.max_depth = std::max(out.max_depth, depth);
-  auto fail = [&](const std::string& msg) {
-    out.ok = false;
-    if (out.errors.size() < 32) out.errors.push_back(where + ": " + msg);
-  };
   if (!n.is(json_value::kind::object)) {
-    fail("node is not an object");
+    out.fail(where + ": node is not an object");
     return;
   }
-  for (const char* key : {"name", "count", "incl", "excl", "traced", "children"})
-    if (!n.has(key)) {
-      fail(std::string("missing field '") + key + "'");
-      return;
-    }
-  if (!n.at("name").is(json_value::kind::string) || n.at("name").str.empty())
-    fail("name must be a non-empty string");
-  for (const char* key : {"count", "incl", "excl", "traced"})
-    if (!is_count(n.at(key))) fail(std::string(key) + " must be a number >= 0");
-  if (is_count(n.at("count")) && is_count(n.at("traced")) &&
-      n.at("traced").num > n.at("count").num)
-    fail("traced exceeds count");
-  if (is_count(n.at("incl")) && is_count(n.at("excl")) &&
-      n.at("excl").num > n.at("incl").num + 0.5)
-    fail("excl exceeds incl");
-  const json_value& kids = n.at("children");
-  if (!kids.is(json_value::kind::array)) {
-    fail("children must be an array");
-    return;
-  }
+  std::string name;
+  std::uint64_t count = 0, incl = 0, excl = 0, traced = 0;
+  if (out.str_field(n, "name", where, name) && name.empty())
+    out.fail(where + ": name must be a non-empty string");
+  const bool has_count = out.u64_field(n, "count", where, count);
+  const bool has_incl = out.u64_field(n, "incl", where, incl);
+  const bool has_excl = out.u64_field(n, "excl", where, excl);
+  const bool has_traced = out.u64_field(n, "traced", where, traced);
+  if (has_count && has_traced && traced > count)
+    out.fail(where + ": traced exceeds count");
+  if (has_incl && has_excl && excl > incl)
+    out.fail(where + ": excl exceeds incl");
+  const json_value* kids = out.arr_field(n, "children", where);
+  if (kids == nullptr) return;
   double child_sum = 0.0;
   std::string prev_name;
   bool first = true;
-  for (std::size_t i = 0; i < kids.arr.size(); ++i) {
-    const json_value& c = kids.arr[i];
+  for (const json_value& c : kids->arr) {
     std::string cname = "?";
-    if (c.is(json_value::kind::object) && c.has("name") &&
-        c.at("name").is(json_value::kind::string))
+    if (c.has("name") && c.at("name").is(json_value::kind::string))
       cname = c.at("name").str;
     if (!first && cname <= prev_name)
-      fail("children not strictly sorted by name at '" + cname + "'");
+      out.fail(where + ": children not strictly sorted by name at '" + cname +
+               "'");
     first = false;
     prev_name = cname;
-    if (c.is(json_value::kind::object) && c.has("incl") &&
-        c.at("incl").is(json_value::kind::number))
+    if (c.has("incl") && c.at("incl").is(json_value::kind::number))
       child_sum += c.at("incl").num;
     validate_node(c, where + "/" + cname, depth + 1, out);
   }
-  if (is_count(n.at("incl")) && is_count(n.at("excl"))) {
-    const double want = n.at("excl").num + child_sum;
-    if (n.at("incl").num < want - 0.5 || n.at("incl").num > want + 0.5)
-      fail("incl != excl + sum(children incl)");
+  if (has_incl && has_excl) {
+    const double want = static_cast<double>(excl) + child_sum;
+    const auto got = static_cast<double>(incl);
+    if (got < want - 0.5 || got > want + 0.5)
+      out.fail(where + ": incl != excl + sum(children incl)");
   }
 }
 
@@ -559,42 +544,36 @@ void validate_node(const json_value& n, const std::string& where,
 
 profile_validation validate_profile(const json_value& doc) {
   profile_validation out;
-  auto fail = [&](const std::string& msg) {
-    out.ok = false;
-    if (out.errors.size() < 32) out.errors.push_back(msg);
-  };
   if (!doc.is(json_value::kind::object)) {
-    fail("document is not an object");
+    out.fail("document is not an object");
     return out;
   }
-  if (!doc.has("schema") || !doc.at("schema").is(json_value::kind::string) ||
-      doc.at("schema").str != "cgp.prof.v1")
-    fail("schema tag is not cgp.prof.v1");
-  if (!doc.has("unit") || !doc.at("unit").is(json_value::kind::string) ||
-      (doc.at("unit").str != "ns" && doc.at("unit").str != "ticks"))
-    fail("unit must be \"ns\" or \"ticks\"");
-  if (!doc.has("roots") || !doc.at("roots").is(json_value::kind::array)) {
-    fail("roots must be an array");
-    return out;
-  }
-  const json_value& roots = doc.at("roots");
-  out.roots = roots.arr.size();
+  std::string schema, unit;
+  if (out.str_field(doc, "schema", "document", schema) &&
+      schema != "cgp.prof.v1")
+    out.fail("schema tag is not cgp.prof.v1");
+  if (out.str_field(doc, "unit", "document", unit) && unit != "ns" &&
+      unit != "ticks")
+    out.fail("unit must be \"ns\" or \"ticks\"");
+  const json_value* roots = out.arr_field(doc, "roots", "document");
+  if (roots == nullptr) return out;
+  out.roots = roots->arr.size();
   std::string prev_name;
   bool first = true;
-  for (const json_value& r : roots.arr) {
+  for (const json_value& r : roots->arr) {
     std::string rname = "?";
-    if (r.is(json_value::kind::object) && r.has("name") &&
-        r.at("name").is(json_value::kind::string))
+    if (r.has("name") && r.at("name").is(json_value::kind::string))
       rname = r.at("name").str;
     if (!first && rname <= prev_name)
-      fail("roots not strictly sorted by name at '" + rname + "'");
+      out.fail("roots not strictly sorted by name at '" + rname + "'");
     first = false;
     prev_name = rname;
     validate_node(r, rname, 1, out);
   }
-  if (!doc.has("frames") || !doc.at("frames").is(json_value::kind::number) ||
-      doc.at("frames").num != static_cast<double>(out.nodes))
-    fail("frames does not equal the recursive node count");
+  double frames = 0.0;
+  if (out.num_field(doc, "frames", "document", frames) &&
+      frames != static_cast<double>(out.nodes))
+    out.fail("frames does not equal the recursive node count");
   return out;
 }
 

@@ -299,9 +299,7 @@ struct hot_frame {
 ///   - every node: non-empty name, numeric count/incl/excl/traced,
 ///     traced <= count, excl <= incl, incl == excl + Σ children incl;
 ///   - sibling lists sorted by name with no duplicates.
-struct profile_validation {
-  bool ok = true;
-  std::vector<std::string> errors;
+struct profile_validation : validation {
   std::size_t nodes = 0;
   std::size_t roots = 0;
   std::size_t max_depth = 0;

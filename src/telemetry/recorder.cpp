@@ -130,62 +130,45 @@ void flight_recorder::clear() {
   overwritten_ = 0;
 }
 
-std::string flight_validation::error_text() const {
-  std::string out;
-  for (const std::string& e : errors) out += e + "\n";
-  return out;
-}
-
 flight_validation validate_flight_dump(const json_value& doc) {
   flight_validation r;
-  const auto fail = [&r](std::string msg) {
-    r.ok = false;
-    r.errors.push_back(std::move(msg));
-  };
-  if (!doc.has("schema") || doc.at("schema").str != "cgp.flight.v1") {
-    fail("document is not a cgp.flight.v1 dump");
+  std::string schema;
+  if (!r.str_field(doc, "schema", "document", schema) ||
+      schema != "cgp.flight.v1") {
+    r.fail("document is not a cgp.flight.v1 dump");
     return r;
   }
-  for (const char* key : {"capacity", "recorded", "overwritten"})
-    if (!doc.has(key) || !doc.at(key).is(json_value::kind::number))
-      fail(std::string("missing numeric '") + key + "'");
-  if (!doc.has("entries") || !doc.at("entries").is(json_value::kind::array)) {
-    fail("missing entries array");
-    return r;
-  }
-  const auto& entries = doc.at("entries").arr;
-  if (r.ok) {
-    const double cap = doc.at("capacity").num;
-    const double rec = doc.at("recorded").num;
-    const double over = doc.at("overwritten").num;
-    if (static_cast<double>(entries.size()) > cap)
-      fail("more entries than capacity");
-    if (over > rec) fail("overwrote more entries than were ever recorded");
-    if (rec - over != static_cast<double>(entries.size()))
-      fail("recorded - overwritten does not match the entry count");
+  double cap = 0.0, rec = 0.0, over = 0.0;
+  bool totals = r.num_field(doc, "capacity", "document", cap);
+  totals = r.num_field(doc, "recorded", "document", rec) && totals;
+  totals = r.num_field(doc, "overwritten", "document", over) && totals;
+  const json_value* entries = r.arr_field(doc, "entries", "document");
+  if (entries == nullptr) return r;
+  if (totals) {
+    const auto n = static_cast<double>(entries->arr.size());
+    if (n > cap) r.fail("more entries than capacity");
+    if (over > rec) r.fail("overwrote more entries than were ever recorded");
+    if (rec - over != n)
+      r.fail("recorded - overwritten does not match the entry count");
   }
   double prev_t = -1.0;
   double prev_seq = 0.0;
-  for (const json_value& e : entries) {
-    ++r.entries;
-    if (!e.has("t_ms") || !e.has("seq") || !e.has("kind") || !e.has("name") ||
-        !e.has("value") || !e.has("detail")) {
-      fail("entry " + std::to_string(r.entries - 1) + " is missing a field");
+  for (const json_value& e : entries->arr) {
+    const std::string where = "entry " + std::to_string(r.entries++);
+    double t = 0.0, sq = 0.0, value = 0.0;
+    std::string k, name, detail;
+    if (!r.num_field(e, "t_ms", where, t) || !r.num_field(e, "seq", where, sq) ||
+        !r.str_field(e, "kind", where, k) ||
+        !r.str_field(e, "name", where, name) ||
+        !r.num_field(e, "value", where, value) ||
+        !r.str_field(e, "detail", where, detail))
       continue;
-    }
-    const double t = e.at("t_ms").num;
-    if (t < prev_t)
-      fail("entry " + std::to_string(r.entries - 1) +
-           " goes backwards in time");
+    if (t < prev_t) r.fail(where + " goes backwards in time");
     prev_t = t;
     // seq must be STRICTLY increasing: equal or reordered stamps mean two
     // writers tore the ring.
-    const double sq = e.at("seq").num;
-    if (sq <= prev_seq)
-      fail("entry " + std::to_string(r.entries - 1) +
-           " has a non-increasing seq");
+    if (sq <= prev_seq) r.fail(where + " has a non-increasing seq");
     prev_seq = sq;
-    const std::string& k = e.at("kind").str;
     if (k == "span")
       ++r.spans;
     else if (k == "counter")
@@ -195,8 +178,7 @@ flight_validation validate_flight_dump(const json_value& doc) {
     else if (k == "marker")
       ++r.markers;
     else
-      fail("entry " + std::to_string(r.entries - 1) + " has unknown kind '" +
-           k + "'");
+      r.fail(where + " has unknown kind '" + k + "'");
   }
   return r;
 }

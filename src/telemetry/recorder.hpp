@@ -99,16 +99,12 @@ class flight_recorder {
 
 /// Structural check of a dumped (and re-parsed) flight document: schema
 /// tag, coherent totals, well-formed entries in non-decreasing time order.
-struct flight_validation {
-  bool ok = true;
-  std::vector<std::string> errors;
+struct flight_validation : validation {
   std::size_t entries = 0;
   std::size_t spans = 0;
   std::size_t counters = 0;
   std::size_t watchdog_verdicts = 0;
   std::size_t markers = 0;
-
-  [[nodiscard]] std::string error_text() const;
 };
 
 [[nodiscard]] flight_validation validate_flight_dump(const json_value& doc);

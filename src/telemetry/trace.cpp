@@ -306,6 +306,22 @@ void instant(std::string name, std::string cat,
   s.record(std::move(e));
 }
 
+void root_instant(std::string name, std::string cat,
+                  std::vector<std::pair<std::string, std::string>> args) {
+  if constexpr (!kEnabled) return;
+  sink& s = sink::global();
+  event e;
+  e.ph = event::phase::instant;
+  e.link = event::link_kind::root;
+  e.ts_ns = s.now_ns();
+  e.trace_id = next_id();
+  e.span_id = next_id();
+  e.name = std::move(name);
+  e.cat = std::move(cat);
+  e.args = std::move(args);
+  s.record(std::move(e));
+}
+
 void counter_sample(const std::string& name, double value,
                     const std::string& cat) {
   if constexpr (!kEnabled) return;
@@ -377,12 +393,6 @@ void flow_end(std::uint64_t flow_id, const std::string& name,
 
 // --- validation -------------------------------------------------------------
 
-std::string validation_result::error_text() const {
-  std::string out;
-  for (const std::string& e : errors) out += e + "\n";
-  return out;
-}
-
 namespace {
 
 struct parsed_event {
@@ -411,53 +421,48 @@ struct parsed_span {
   long tid = 0;
 };
 
-std::uint64_t u64_of(const json_value& v) {
-  return static_cast<std::uint64_t>(v.num);
-}
-
 }  // namespace
 
 validation_result validate_chrome_trace(const json_value& doc) {
   validation_result r;
-  const auto fail = [&r](std::string msg) {
-    r.ok = false;
-    r.errors.push_back(std::move(msg));
-  };
-
-  if (!doc.has("traceEvents") ||
-      !doc.at("traceEvents").is(json_value::kind::array)) {
-    fail("document has no traceEvents array");
-    return r;
-  }
+  const json_value* trace_events = r.arr_field(doc, "traceEvents", "document");
+  if (trace_events == nullptr) return r;
 
   std::vector<parsed_event> events;
-  for (const json_value& jv : doc.at("traceEvents").arr) {
+  std::size_t index = 0;
+  for (const json_value& jv : trace_events->arr) {
+    const std::string where = "event " + std::to_string(index++);
     parsed_event e;
-    e.ph = jv.at("ph").str.empty() ? '?' : jv.at("ph").str[0];
+    std::string ph;
+    const json_value* args = nullptr;
+    if (!r.str_field(jv, "ph", where, ph) ||
+        !r.str_field(jv, "name", where, e.name) ||
+        (args = r.obj_field(jv, "args", where)) == nullptr)
+      continue;
+    e.ph = ph.empty() ? '?' : ph[0];
     if (e.ph == 'C') {
       // Counter-track samples stand outside the span structure; validate
       // their own contract (a named series with a numeric value) here.
       ++r.counters;
-      if (jv.at("name").str.empty())
-        fail("counter event with an empty series name");
-      const json_value& args = jv.at("args");
-      if (!args.has("value") ||
-          !args.at("value").is(json_value::kind::number))
-        fail("counter '" + jv.at("name").str +
-             "' has no numeric args.value to plot");
+      if (e.name.empty()) r.fail("counter event with an empty series name");
+      if (!args->has("value") ||
+          !args->at("value").is(json_value::kind::number))
+        r.fail("counter '" + e.name + "' has no numeric args.value to plot");
       continue;
     }
-    e.ts = jv.at("ts").num;
-    e.pid = static_cast<long>(jv.at("pid").num);
-    e.tid = static_cast<long>(jv.at("tid").num);
-    e.name = jv.at("name").str;
-    if (jv.has("id")) e.flow_id = u64_of(jv.at("id"));
-    const json_value& args = jv.at("args");
-    e.seq = u64_of(args.at("seq"));
-    e.trace_id = u64_of(args.at("trace_id"));
-    e.span_id = u64_of(args.at("span_id"));
-    e.parent_span = u64_of(args.at("parent_span"));
-    e.link = args.at("link").str;
+    std::uint64_t pid = 0, tid = 0;
+    if (!r.num_field(jv, "ts", where, e.ts) ||
+        !r.u64_field(jv, "pid", where, pid) ||
+        !r.u64_field(jv, "tid", where, tid) ||
+        (jv.has("id") && !r.u64_field(jv, "id", where, e.flow_id)) ||
+        !r.u64_field(*args, "seq", where, e.seq) ||
+        !r.u64_field(*args, "trace_id", where, e.trace_id) ||
+        !r.u64_field(*args, "span_id", where, e.span_id) ||
+        !r.u64_field(*args, "parent_span", where, e.parent_span) ||
+        !r.str_field(*args, "link", where, e.link))
+      continue;
+    e.pid = static_cast<long>(pid);
+    e.tid = static_cast<long>(tid);
     events.push_back(std::move(e));
   }
 
@@ -476,7 +481,7 @@ validation_result validate_chrome_trace(const json_value& doc) {
     for (const parsed_event* e : evs) {
       if (e->ph == 'B') {
         if (spans.contains(e->span_id)) {
-          fail("duplicate span id " + std::to_string(e->span_id));
+          r.fail("duplicate span id " + std::to_string(e->span_id));
           continue;
         }
         parsed_span s;
@@ -491,7 +496,7 @@ validation_result validate_chrome_trace(const json_value& doc) {
         stack.push_back(e);
       } else {
         if (stack.empty()) {
-          fail("unbalanced: end event '" + e->name + "' on lane (pid=" +
+          r.fail("unbalanced: end event '" + e->name + "' on lane (pid=" +
                std::to_string(lane.first) + ",tid=" +
                std::to_string(lane.second) + ") with no open begin");
           continue;
@@ -499,7 +504,7 @@ validation_result validate_chrome_trace(const json_value& doc) {
         const parsed_event* open = stack.back();
         stack.pop_back();
         if (open->span_id != e->span_id)
-          fail("unbalanced: end of span " + std::to_string(e->span_id) +
+          r.fail("unbalanced: end of span " + std::to_string(e->span_id) +
                " ('" + e->name + "') crosses open span " +
                std::to_string(open->span_id) + " ('" + open->name + "')");
         auto it = spans.find(e->span_id);
@@ -510,7 +515,7 @@ validation_result validate_chrome_trace(const json_value& doc) {
       }
     }
     for (const parsed_event* e : stack)
-      fail("unbalanced: span " + std::to_string(e->span_id) + " ('" +
+      r.fail("unbalanced: span " + std::to_string(e->span_id) + " ('" +
            e->name + "') never ended");
   }
 
@@ -527,21 +532,21 @@ validation_result validate_chrome_trace(const json_value& doc) {
     }
     const auto pit = spans.find(s.parent);
     if (pit == spans.end()) {
-      fail("orphaned: span " + std::to_string(id) + " ('" + s.name +
+      r.fail("orphaned: span " + std::to_string(id) + " ('" + s.name +
            "') has unknown parent " + std::to_string(s.parent));
       continue;
     }
     const parsed_span& p = pit->second;
     if (p.trace_id != s.trace_id)
-      fail("span " + std::to_string(id) + " crosses traces (" +
+      r.fail("span " + std::to_string(id) + " crosses traces (" +
            std::to_string(s.trace_id) + " under " +
            std::to_string(p.trace_id) + ")");
     if (s.begin_ts < p.begin_ts)
-      fail("out of parent scope: span " + std::to_string(id) + " ('" +
+      r.fail("out of parent scope: span " + std::to_string(id) + " ('" +
            s.name + "') begins before its parent '" + p.name + "'");
     if (s.link == "scope" && p.closed && s.closed &&
         s.end_ts > p.end_ts)
-      fail("out of parent scope: span " + std::to_string(id) + " ('" +
+      r.fail("out of parent scope: span " + std::to_string(id) + " ('" +
            s.name + "') outlives its scope parent '" + p.name + "'");
   }
 
@@ -551,7 +556,7 @@ validation_result validate_chrome_trace(const json_value& doc) {
     if (e.ph == 'i') {
       ++r.instants;
       if (e.parent_span != 0 && !spans.contains(e.parent_span))
-        fail("orphaned: instant '" + e.name + "' references unknown span " +
+        r.fail("orphaned: instant '" + e.name + "' references unknown span " +
              std::to_string(e.parent_span));
     } else if (e.ph == 's') {
       flow_starts.emplace(e.flow_id, e.ts);
@@ -561,10 +566,10 @@ validation_result validate_chrome_trace(const json_value& doc) {
     if (e.ph != 'f') continue;
     const auto it = flow_starts.find(e.flow_id);
     if (it == flow_starts.end())
-      fail("orphaned: flow finish " + std::to_string(e.flow_id) + " ('" +
+      r.fail("orphaned: flow finish " + std::to_string(e.flow_id) + " ('" +
            e.name + "') has no start");
     else if (e.ts < it->second)
-      fail("flow " + std::to_string(e.flow_id) + " finishes before it starts");
+      r.fail("flow " + std::to_string(e.flow_id) + " finishes before it starts");
     else
       ++r.flows;
   }

@@ -21,7 +21,7 @@
 // rewrite steps, and flow events (s/f) drawing the causal arrows across
 // lanes.  validate_chrome_trace() re-checks an exported trace for
 // balance, orphaned parents, and parent-scope violations — the contract
-// bench/trace_export and the trace tests gate on.
+// `obs_export trace` and the trace tests gate on.
 //
 // Tracing is opt-in at the root: subsystem instrumentation (child_span,
 // instant, flows) records only when the calling thread already has an
@@ -244,6 +244,12 @@ class child_span {
 void instant(std::string name, std::string cat = "instant",
              std::vector<std::pair<std::string, std::string>> args = {});
 
+/// Point event that starts its own trace (a fresh trace id, no parent):
+/// verdicts raised off any request path, such as watchdog stalls and
+/// health SLO breaches.  Records whether or not the caller is traced.
+void root_instant(std::string name, std::string cat,
+                  std::vector<std::pair<std::string, std::string>> args = {});
+
 /// One Perfetto counter-track sample ('C' event) under the current trace,
 /// so metrics and spans share a single timeline: Perfetto renders every
 /// distinct `name` as its own counter track plotting `value` over time.
@@ -270,12 +276,10 @@ void flow_end(std::uint64_t flow_id, const std::string& name,
               const std::string& cat = "flow");
 
 // ---------------------------------------------------------------------------
-// Validation (shared by bench/trace_export and the trace tests)
+// Validation (shared by `obs_export trace` and the trace tests)
 // ---------------------------------------------------------------------------
 
-struct validation_result {
-  bool ok = true;
-  std::vector<std::string> errors;
+struct validation_result : validation {
   std::size_t spans = 0;         ///< matched begin/end pairs
   std::size_t instants = 0;
   std::size_t counters = 0;      ///< counter-track samples ('C' events)
@@ -284,8 +288,6 @@ struct validation_result {
   std::size_t threads = 0;       ///< distinct tids owning spans
   std::size_t roots = 0;         ///< spans with no parent
   std::size_t traces = 0;        ///< distinct trace ids
-
-  [[nodiscard]] std::string error_text() const;
 };
 
 /// Structural check of an exported Chrome trace document (as re-parsed by

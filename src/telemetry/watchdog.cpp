@@ -15,23 +15,6 @@ counter& stalls_counter() {
   return c;
 }
 
-// A watchdog verdict must land in the trace even when the sampler thread
-// has no active trace context (trace::instant would silently skip it), so
-// build a root instant event by hand.
-void record_stall_instant(const stall_event& ev) {
-  trace::sink& s = trace::sink::global();
-  trace::event e;
-  e.ph = trace::event::phase::instant;
-  e.link = trace::event::link_kind::root;
-  e.ts_ns = s.now_ns();
-  e.trace_id = trace::next_id();
-  e.span_id = trace::next_id();
-  e.name = "watchdog.stall: " + ev.participant;
-  e.cat = "telemetry.watchdog";
-  e.args.emplace_back("silent_ms", std::to_string(ev.silent_ms));
-  s.record(std::move(e));
-}
-
 }  // namespace
 
 heartbeat::heartbeat(std::string name) : name_(std::move(name)) {
@@ -122,7 +105,11 @@ std::size_t watchdog::check(std::uint64_t now_ms, std::uint64_t period_ms,
         flight_entry::kind::watchdog, ev.participant,
         static_cast<double>(ev.silent_ms),
         "stall: silent " + std::to_string(ev.silent_ms) + "ms while busy");
-    record_stall_instant(ev);
+    // A root instant: the sampler thread checking here has no trace
+    // context, and the verdict must reach the trace anyway.
+    trace::root_instant("watchdog.stall: " + ev.participant,
+                        "telemetry.watchdog",
+                        {{"silent_ms", std::to_string(ev.silent_ms)}});
     if (cb) cb(ev);
   }
   return fresh.size();

@@ -11,7 +11,7 @@
 // `miss_threshold` periods is flagged exactly once per stall episode —
 // a registry counter ticks, a trace instant is recorded, a flight-recorder
 // verdict is noted, and an optional callback fires so drivers and tests
-// can react (bench/live_export plants a stall and gates on detection).
+// can react (`obs_export live` plants a stall and gates on detection).
 //
 // Idle participants are never flagged: a worker parked on its condition
 // variable is healthy, not stalled — silence only indicts a participant

@@ -90,6 +90,10 @@ TEST(FlightRecorderTest, ValidatorRejectsNonMonotoneSeq) {
   auto doc2 = telemetry::parse_json(fr.dump_json());
   doc2.obj["entries"].arr[0].obj.erase("seq");
   EXPECT_FALSE(live::validate_flight_dump(doc2).ok);
+  // So is a field of the wrong kind: a string time is not read as 0.
+  auto doc3 = telemetry::parse_json(fr.dump_json());
+  doc3.obj["entries"].arr[0].obj["t_ms"] = telemetry::parse_json("\"soon\"");
+  EXPECT_FALSE(live::validate_flight_dump(doc3).ok);
 }
 
 // Satellite regression (tsan-live hammers this): N writer threads keep
@@ -473,11 +477,17 @@ TEST(LiveSamplerTest, ValidatorRejectsUnknownKindsAndTimeTravel) {
   doc.obj["series"].arr[0].obj["kind"].str = "nonsense";
   EXPECT_FALSE(live::validate_live_export(doc).ok);
   auto doc2 = telemetry::parse_json(manual_run_export());
-  for (auto& s : doc2.obj["series"].arr) {
+  auto doc3 = doc2;
+  for (std::size_t i = 0; i < doc2.at("series").arr.size(); ++i) {
+    auto& s = doc2.obj["series"].arr[i];
     if (s.at("points").arr.size() < 2) continue;
     std::swap(s.obj["points"].arr.front().obj["t_ms"].num,
               s.obj["points"].arr.back().obj["t_ms"].num);
     EXPECT_FALSE(live::validate_live_export(doc2).ok);
+    // A string time on the first point is not read as 0 either.
+    doc3.obj["series"].arr[i].obj["points"].arr.front().obj["t_ms"] =
+        telemetry::parse_json("\"soon\"");
+    EXPECT_FALSE(live::validate_live_export(doc3).ok);
     return;
   }
   FAIL() << "no multi-point series to tamper with";

@@ -341,6 +341,62 @@ TEST(TelemetryExport, ParserRejectsMalformedJson) {
                telemetry::json_error);
 }
 
+// The parser recurses once per nesting level: a hostile 100k-deep
+// document must end in json_error, not a stack overflow.
+TEST(TelemetryExport, ParserRejectsNestingPastTheDepthLimit) {
+  const std::size_t deep = 100'000;
+  EXPECT_THROW((void)telemetry::parse_json(std::string(deep, '[') +
+                                           std::string(deep, ']')),
+               telemetry::json_error);
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)telemetry::parse_json(objects), telemetry::json_error);
+  const std::size_t over = telemetry::kMaxJsonDepth + 1;
+  EXPECT_THROW((void)telemetry::parse_json(std::string(over, '[') +
+                                           std::string(over, ']')),
+               telemetry::json_error);
+}
+
+TEST(TelemetryExport, ParserAcceptsNestingAtTheDepthLimit) {
+  const std::size_t n = telemetry::kMaxJsonDepth;
+  const auto doc =
+      telemetry::parse_json(std::string(n, '[') + "7" + std::string(n, ']'));
+  const telemetry::json_value* v = &doc;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(v->is(telemetry::json_value::kind::array));
+    ASSERT_EQ(v->arr.size(), 1u);
+    v = &v->arr[0];
+  }
+  EXPECT_EQ(v->num, 7.0);
+}
+
+TEST(TelemetryExport, ValidationReadersRejectWrongKindsAndRanges) {
+  const auto doc = telemetry::parse_json(
+      R"({"n":-1,"big":1e30,"s":"x","a":[],"o":{},"u":7})");
+  telemetry::validation v;
+  double d = 0.0;
+  std::uint64_t u = 0;
+  std::string str;
+  EXPECT_TRUE(v.u64_field(doc, "u", "doc", u));
+  EXPECT_EQ(u, 7u);
+  EXPECT_TRUE(v.str_field(doc, "s", "doc", str));
+  EXPECT_NE(v.arr_field(doc, "a", "doc"), nullptr);
+  EXPECT_NE(v.obj_field(doc, "o", "doc"), nullptr);
+  EXPECT_TRUE(v.ok);
+  EXPECT_FALSE(v.num_field(doc, "s", "doc", d));     // wrong kind
+  EXPECT_FALSE(v.u64_field(doc, "n", "doc", u));     // negative
+  EXPECT_FALSE(v.u64_field(doc, "big", "doc", u));   // past 2^64
+  EXPECT_FALSE(v.str_field(doc, "u", "doc", str));   // wrong kind
+  EXPECT_EQ(v.arr_field(doc, "o", "doc"), nullptr);  // wrong kind
+  EXPECT_EQ(v.obj_field(doc, "missing", "doc"), nullptr);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.errors.size(), 6u);
+  EXPECT_NE(v.error_text().find("doc: missing numeric 's'"), std::string::npos);
+  // Failures past the cap still clear `ok` but keep no more messages.
+  for (int i = 0; i < 100; ++i) v.fail("more");
+  EXPECT_EQ(v.errors.size(), telemetry::validation::kMaxErrors);
+}
+
 TEST(TelemetryExport, DumpJsonSerializesEveryKind) {
   const auto doc = telemetry::parse_json(
       "{\"s\":\"a\\\"b\\nc\",\"n\":-2.5,\"t\":true,\"f\":false,"

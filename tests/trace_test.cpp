@@ -148,7 +148,7 @@ TEST_F(TraceTest, MaxEventsCapDropsNewEventsAndCounts) {
 TEST_F(TraceTest, DropAccountingSurvivesExportRoundTrip) {
   // Regression: the drop counter must survive a full serialize -> parse ->
   // re-serialize -> parse cycle, not just appear in the first export — a
-  // consumer that rewrites the document (as bench/trace_export does when it
+  // consumer that rewrites the document (as `obs_export trace` does when it
   // stamps the environment block) must not lose the truncation record.
   auto& sink = trace::sink::global();
   sink.set_max_events(2 * trace::sink::kShards);
