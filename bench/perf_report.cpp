@@ -314,10 +314,11 @@ perf::bench_registry build_registry(bool quick) {
            }});
 
   // The same echo wave with the health observatory live: every send pays
-  // the per-shard relaxed fetch_adds and every round the O(health shards)
-  // barrier fold.  Same declared bound, same deterministic message
-  // counters; the health_overhead gate below compares the two sweeps and
-  // trips when observation costs more than its budget.
+  // its shard-local health tallies and every round their batched fold
+  // plus the O(health shards) end_round.  Same declared bound, same
+  // deterministic message counters; the health_overhead gate below
+  // compares the two sweeps and trips when observation costs more than
+  // its budget.
   reg.add({.name = "distributed.sim_transport.health",
            .subsystem = "distributed",
            .declared = core::big_o::n(),
@@ -482,7 +483,7 @@ bool parse_args(int argc, char** argv, options& o) {
 // pool: the live sampler and the profiler's probes alike.
 constexpr double kSamplerOverheadBudget = 1.10;
 constexpr double kProbeOverheadBudget = 1.10;
-// The health observatory's per-message atomics and per-round shard folds
+// The health observatory's per-message tallies and per-round shard folds
 // must fit in the same 10% tax on the distributed engine.
 constexpr double kHealthOverheadBudget = 1.10;
 

@@ -64,9 +64,9 @@ void inproc_transport::enqueue_sync(std::size_t src, std::uint64_t seq,
     if (health_) health_->on_send(src, true, false);
     return;
   }
-  // Health hooks at the send site (relaxed atomics, same slot layout the
-  // routing-barrier backends bump — the hash fault plan keeps the counts
-  // identical across backends for a fixed seed).
+  // Health hooks at the send site (relaxed atomics, the same slots the
+  // base engine's per-round folds feed — the hash fault plan keeps the
+  // counts identical across backends for a fixed seed).
   if (health_) {
     health_->on_send(src, false, d.dup);
     health_->on_delivered(static_cast<std::size_t>(m.dst));
@@ -173,7 +173,7 @@ void inproc_transport::execute_synchronous(std::size_t max_rounds) {
     }
     bar_main.arrive_and_wait();
     std::vector<routed> local;   // this shard's round-r mail, recycled
-    std::vector<message> arena;  // bucketed per node, recycled
+    std::vector<const message*> arena;  // bucketed per node, recycled
     while (!stop) {
       {
         const std::scoped_lock lock(mailboxes_[s]->mu);
@@ -183,7 +183,7 @@ void inproc_transport::execute_synchronous(std::size_t max_rounds) {
       try {
         // Recover canonical order from the racy arrival order: sort by
         // (destination, sender, sequence-with-duplicate-bit).  Each node's
-        // run is then exactly the mailbox the single-threaded router would
+        // run is then exactly the mailbox the base engine's gather would
         // have handed it.
         std::sort(local.begin(), local.end(),
                   [](const routed& a, const routed& b) {
@@ -192,15 +192,15 @@ void inproc_transport::execute_synchronous(std::size_t max_rounds) {
                   });
         arena.clear();
         arena.reserve(local.size());
-        for (routed& r : local) arena.push_back(std::move(r.msg));
+        for (const routed& r : local) arena.push_back(&r.msg);
         std::size_t pos = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const std::size_t begin = pos;
           while (pos < arena.size() &&
-                 static_cast<std::size_t>(arena[pos].dst) == i)
+                 static_cast<std::size_t>(arena[pos]->dst) == i)
             ++pos;
-          node_superstep(i, std::span<const message>(arena.data() + begin,
-                                                     pos - begin));
+          node_superstep(i, std::span<const message* const>(
+                                arena.data() + begin, pos - begin));
         }
       } catch (...) {
         record_error(std::current_exception());

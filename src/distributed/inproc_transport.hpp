@@ -1,12 +1,12 @@
 // The third backend of the Transport concept: a shared-memory mailbox
 // transport with REAL cross-thread sends (DESIGN.md §13).
 //
-// sim_transport and parallel_transport both funnel every message through a
-// single-threaded routing barrier; the parallelism (if any) is confined to
-// handler execution.  inproc_transport removes that funnel: each shard of
-// contiguous nodes is owned by a dedicated thread, and a send appends
-// directly to the DESTINATION shard's mailbox under that mailbox's mutex —
-// there is no global superstep lock and no coordinator-side routing pass.
+// sim_transport and parallel_transport append each send to a shard-local
+// bucket and gather the buckets inside the next superstep's shard tasks.
+// inproc_transport instead gives each shard of contiguous nodes a
+// dedicated thread, and a send appends directly to the DESTINATION
+// shard's mailbox under that mailbox's mutex — there is no global
+// superstep lock and no pool.
 //
 // The round protocol is two barrier phases:
 //
@@ -25,12 +25,11 @@
 // Determinism despite racing sends: arrival order in a mailbox is
 // nondeterministic, but each entry carries its canonical identity
 // (sender index, send sequence, duplicate-before-original bit), so a sort
-// at the round boundary recovers EXACTLY the order the single-threaded
-// router would have produced.  Fault decisions are the same pure hash of
-// (seed, sender, sequence) the other backends use (network.hpp), drawn at
-// the send site instead of a routing barrier — order-independence of the
-// hash is precisely what makes the lock-free schedule agree bit for bit
-// with the sequential simulator's.
+// at the round boundary recovers EXACTLY the canonical order the bucket
+// gather produces.  Fault decisions are the same pure hash of (seed,
+// sender, sequence) the other backends use (network.hpp), drawn at the
+// send site — order-independence of the hash is precisely what makes the
+// lock-free schedule agree bit for bit with the sequential simulator's.
 //
 // Timing: synchronous only, like parallel_transport; asynchronous event
 // interleaving stays the deterministic simulator's job.
@@ -76,7 +75,7 @@ class inproc_transport final : public net_base {
   /// A mailbox entry: the message plus its canonical identity.  `key` is
   /// (send sequence << 1 | original-bit) — a duplicated copy carries the
   /// even key so that sorting by (src, key) puts it BEFORE its original,
-  /// matching the routing barrier's copy-first delivery order.
+  /// matching the base engine's copy-first delivery order.
   struct routed {
     std::uint32_t src;
     std::uint64_t key;

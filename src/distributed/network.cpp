@@ -38,36 +38,15 @@ telemetry::counter& live_faults_counter() {
 
 // core::mix64 is the per-message / per-(node, round) fault hash.
 // Stateless, so a fault decision does not depend on the order draws
-// happen in: the property that lets inproc_transport decide faults at
-// lock-free cross-thread send sites and still match the single-threaded
-// routing barrier bit for bit.
+// happen in: the property that lets every backend decide faults at
+// concurrent send sites and still match the sequential simulator bit for
+// bit.
 using core::mix64;
 
 /// Uniform in [0, 1) from the hash's top 53 bits.
 [[nodiscard]] constexpr double unit_interval(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-/// Memoized per-tag counter bump: routing a million same-tag messages does
-/// one map lookup, not a million.
-class tag_counter {
- public:
-  explicit tag_counter(std::map<std::string, std::size_t>& by_tag)
-      : by_tag_(&by_tag) {}
-  void bump(const std::string& tag) {
-    if (slot_ == nullptr || *last_ != tag) {
-      auto [it, inserted] = by_tag_->try_emplace(tag, 0);
-      last_ = &it->first;
-      slot_ = &it->second;
-    }
-    ++*slot_;
-  }
-
- private:
-  std::map<std::string, std::size_t>* by_tag_;
-  const std::string* last_ = nullptr;
-  std::size_t* slot_ = nullptr;
-};
 
 }  // namespace
 
@@ -147,14 +126,15 @@ net_base::net_base(const net_options& opts, std::size_t shards)
   // uids: a seeded permutation of 1..n.
   std::iota(uids_.begin(), uids_.end(), 1L);
   std::shuffle(uids_.begin(), uids_.end(), rng_);
-  // Shard layout: contiguous node ranges, one outbox/incoming/inbox arena
-  // per shard.
+  // Shard layout: contiguous node ranges, one send accumulator (with its
+  // two bucket sets) and one inbox arena per shard.
   shard_count_ = std::max<std::size_t>(1, std::min(shards, n));
   shard_width_ = (n + shard_count_ - 1) / shard_count_;
   shard_rngs_.resize(shard_count_);
-  outbox_arena_.resize(shard_count_);
-  incoming_.resize(shard_count_);
-  inbox_arena_.resize(shard_count_);
+  sends_.resize(shard_count_);
+  for (shard_sends& out : sends_)
+    for (auto& set : out.buckets) set.resize(shard_count_);
+  inbox_.resize(shard_count_);
   inbox_begin_.assign(n, 0);
   inbox_end_.assign(n, 0);
   stats_.local_steps_per_node.assign(n, 0);
@@ -281,9 +261,8 @@ void net_base::do_send(int from, int to, std::string_view tag,
   }
   const std::uint64_t seq = send_seq_[src]++;
   if (opts_.mode == timing::synchronous) {
-    // Backend-chosen sink: the base arenas (faults at the routing
-    // barrier), or inproc's cross-thread mailboxes (faults at the send
-    // site — the hash plan makes both agree).
+    // Backend-chosen sink: the base engine's shard buckets or inproc's
+    // cross-thread mailboxes (faults drawn here on both).
     enqueue_sync(src, seq, std::move(m));
     return;
   }
@@ -314,11 +293,45 @@ void net_base::do_send(int from, int to, std::string_view tag,
 }
 
 void net_base::enqueue_sync(std::size_t src, std::uint64_t seq, message&& m) {
-  // Node-local buffering only: shard tasks process their nodes in
-  // ascending order, so the arena's order is (sender, sequence) — the
-  // canonical order — with no per-message queue operations.
-  outbox_arena_[shard_of(src)].push_back(
-      outbox_entry{static_cast<std::uint32_t>(src), seq, std::move(m)});
+  // Runs on the sender's shard task and touches only that shard's
+  // accumulator and the sender's own slots.  Shard tasks run their nodes
+  // in ascending order, so each bucket fills in canonical sender order.
+  shard_sends& out = sends_[shard_of(src)];
+  ++out.total;
+  ++out.by_tag[m.tag];
+  ++stats_.messages_sent_per_node[src];
+  const fault_draw d = draw_faults(src, seq);
+  const bool dup = d.dup && !d.drop;
+  const auto tally = [&out, this](std::size_t node) -> health_tally& {
+    const std::size_t h = health_->shard_of(node);
+    health_tally& t = out.health[h];
+    if (t.routed == 0 && t.delivered == 0)
+      out.touched.push_back(static_cast<std::uint32_t>(h));
+    return t;
+  };
+  if (health_) {
+    health_tally& t = tally(src);
+    ++t.routed;
+    t.dropped += d.drop;
+    t.duplicated += dup;
+  }
+  if (d.drop) {
+    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    ++out.dropped;
+    ++out.faults;
+    return;
+  }
+  const auto dst = static_cast<std::size_t>(m.dst);
+  if (health_) tally(dst).delivered += 1 + dup;
+  auto& bucket = out.buckets[round_ & 1][shard_of(dst)];
+  if (dup) {
+    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    ++out.duplicated;
+    ++out.faults;
+    bucket.push_back(m);  // the copy is delivered BEFORE the original
+  }
+  bucket.push_back(std::move(m));
+  out.scheduled += 1 + dup;
 }
 
 void net_base::schedule_async(message&& m, std::uint64_t extra_delay) {
@@ -332,47 +345,20 @@ void net_base::schedule_async(message&& m, std::uint64_t extra_delay) {
   events_.push(event{t, seq_++, std::move(m)});
 }
 
-std::size_t net_base::route_outboxes() {
+std::size_t net_base::fold_sends() {
   std::size_t scheduled = 0;
-  const fault_options& f = opts_.faults;
-  const bool any_message_fault = f.drop > 0.0 || f.duplicate > 0.0;
-  tag_counter tags(stats_.messages_by_tag);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    for (outbox_entry& e : outbox_arena_[s]) {
-      ++stats_.messages_total;
-      tags.bump(e.msg.tag);
-      ++stats_.messages_sent_per_node[e.src];
-      bool dup = false;
-      if (any_message_fault) {
-        const fault_draw d = draw_faults(e.src, e.seq);
-        if (d.drop) {
-          telemetry::profile::probe fault_probe(prof_fault_frame_);
-          ++stats_.messages_dropped;
-          live_faults_counter().add();
-          if (health_) health_->on_send(e.src, true, false);
-          continue;
-        }
-        dup = d.dup;
-      }
-      const auto dst = static_cast<std::size_t>(e.msg.dst);
-      if (health_) {
-        health_->on_send(e.src, false, dup);
-        health_->on_delivered(dst);
-        if (dup) health_->on_delivered(dst);
-      }
-      auto& dest = incoming_[shard_of(dst)];
-      if (dup) {
-        telemetry::profile::probe fault_probe(prof_fault_frame_);
-        ++stats_.messages_duplicated;
-        live_faults_counter().add();
-        dest.push_back(e.msg);  // the copy is delivered BEFORE the original
-        ++scheduled;
-      }
-      dest.push_back(std::move(e.msg));
-      ++scheduled;
+  std::size_t faults = 0;
+  for (shard_sends& out : sends_) {
+    scheduled += std::exchange(out.scheduled, 0);
+    faults += std::exchange(out.faults, 0);
+    for (const std::uint32_t h : out.touched) {
+      health_tally& t = out.health[h];
+      health_->fold(h, t.routed, t.dropped, t.duplicated, t.delivered);
+      t = {};
     }
-    outbox_arena_[s].clear();  // recycle the arena's capacity
+    out.touched.clear();
   }
+  if (faults != 0) live_faults_counter().add(faults);
   return scheduled;
 }
 
@@ -410,7 +396,8 @@ void net_base::decide_node(int node, const std::string& key, long value) {
 
 // --- the synchronous superstep ----------------------------------------------
 
-void net_base::node_superstep(std::size_t i, std::span<const message> inbox) {
+void net_base::node_superstep(std::size_t i,
+                              std::span<const message* const> inbox) {
   if (crashed_[i] || churn_down_[i] != 0) return;  // mail rots undelivered
   // When this task runs on a worker thread it has no ambient trace
   // context; adopt the enclosing round span's so the node's spans stay in
@@ -427,7 +414,7 @@ void net_base::node_superstep(std::size_t i, std::span<const message> inbox) {
   telemetry::profile::probe superstep_probe(prof_superstep_frame_);
   if (!inbox.empty()) {
     telemetry::profile::probe deliver_probe(prof_deliver_frame_);
-    for (const message& m : inbox) deliver_to(i, m);
+    for (const message* m : inbox) deliver_to(i, *m);
   }
   context ctx(*this, static_cast<int>(i));
   telemetry::trace::child_span span("on_round", "distributed");
@@ -436,32 +423,52 @@ void net_base::node_superstep(std::size_t i, std::span<const message> inbox) {
 
 void net_base::shard_superstep(std::size_t s) {
   const auto [lo, hi] = shard_range(s);
-  auto& in = incoming_[s];
-  if (in.empty()) {
+  const std::size_t parity = (round_ & 1) ^ 1;  // the set round_ - 1 filled
+  std::size_t mail = 0;
+  for (const shard_sends& from : sends_) mail += from.buckets[parity][s].size();
+  if (mail == 0) {
     // Nothing due anywhere in this shard: run the bare supersteps.
     for (std::size_t i = lo; i < hi; ++i) node_superstep(i, {});
     return;
   }
-  // Stable counting-sort of the shard's incoming arena by destination:
-  // count, prefix, scatter.  The arena arrives in canonical routing order,
-  // and the sort is stable, so each node's span IS its canonical mailbox.
-  auto& arena = inbox_arena_[s];
-  for (std::size_t i = lo; i < hi; ++i) inbox_end_[i] = 0;
-  for (const message& m : in) ++inbox_end_[static_cast<std::size_t>(m.dst)];
-  std::uint32_t running = 0;
-  for (std::size_t i = lo; i < hi; ++i) {
-    inbox_begin_[i] = running;
-    running += inbox_end_[i];
-    inbox_end_[i] = inbox_begin_[i];  // becomes the scatter cursor
+  // Stable counting sort of the S buckets by destination: count, prefix,
+  // scatter pointers.  Buckets are visited in source-shard order and each
+  // is in sender order, so every node's span IS its canonical mailbox.
+  auto& inbox = inbox_[s];
+  {
+    telemetry::profile::probe route_probe(prof_route_frame_);
+    for (std::size_t i = lo; i < hi; ++i) inbox_end_[i] = 0;
+    for (const shard_sends& from : sends_)
+      for (const message& m : from.buckets[parity][s])
+        ++inbox_end_[static_cast<std::size_t>(m.dst)];
+    std::uint32_t running = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      inbox_begin_[i] = running;
+      running += inbox_end_[i];
+      inbox_end_[i] = inbox_begin_[i];  // becomes the scatter cursor
+    }
+    // Mail varies round to round: grow with headroom, not to the exact
+    // size, so a slightly busier round does not reallocate.
+    if (inbox.capacity() < mail) inbox.reserve(2 * mail);
+    inbox.resize(mail);
+    for (const shard_sends& from : sends_)
+      for (const message& m : from.buckets[parity][s])
+        inbox[inbox_end_[static_cast<std::size_t>(m.dst)]++] = &m;
   }
-  arena.resize(in.size());
-  for (message& m : in)
-    arena[inbox_end_[static_cast<std::size_t>(m.dst)]++] = std::move(m);
-  in.clear();  // recycle
-  for (std::size_t i = lo; i < hi; ++i)
-    node_superstep(i, std::span<const message>(
-                          arena.data() + inbox_begin_[i],
-                          arena.data() + inbox_end_[i]));
+  // Each message sits at a scattered bucket position: prefetch a few
+  // nodes ahead so those reads overlap instead of stalling one by one.
+  constexpr std::size_t kPrefetchNodes = 4;
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (const std::size_t j = i + kPrefetchNodes; j < hi)
+      for (std::uint32_t k = inbox_begin_[j]; k < inbox_end_[j]; ++k) {
+        __builtin_prefetch(inbox[k]);
+        __builtin_prefetch(reinterpret_cast<const char*>(inbox[k]) + 64);
+      }
+    node_superstep(i, std::span<const message* const>(
+                          inbox.data() + inbox_begin_[i],
+                          inbox.data() + inbox_end_[i]));
+  }
+  for (shard_sends& from : sends_) from.buckets[parity][s].clear();
 }
 
 void net_base::run_synchronous(std::size_t max_rounds) {
@@ -474,17 +481,12 @@ void net_base::run_synchronous(std::size_t max_rounds) {
     // Crash-stop nodes whose time has come; draw this round's churn.
     apply_round_faults();
     // Synchronous mode has no delay faults, so every pending message is
-    // due this round; each shard buckets its incoming arena and drains
-    // every node's span contiguously.
+    // due this round; each shard gathers its buckets and drains every
+    // node's span, its own sends filling the other bucket set.
     const bool any_due = pending_count_ > 0;
-    pending_count_ = 0;
     for_each_shard([this](std::size_t s) { shard_superstep(s); });
-    const std::size_t sent = [this] {
-      telemetry::profile::probe route_probe(prof_route_frame_);
-      return route_outboxes();
-    }();
-    pending_count_ = sent;
-    live_routed_counter().add(sent);
+    pending_count_ = fold_sends();
+    live_routed_counter().add(pending_count_);
     in_flight_gauge().set(static_cast<std::int64_t>(pending_count_));
     if (run_heartbeat_) run_heartbeat_->beat();
     if (health_)
@@ -539,15 +541,18 @@ void net_base::run_node_start(std::size_t i) {
 }
 
 void net_base::run_start_phase() {
+  // A run starts with no mail in flight: round 0 sends fill bucket set 0,
+  // which round 1 gathers.
+  round_ = 0;
+  for (shard_sends& out : sends_)
+    for (auto& set : out.buckets)
+      for (auto& bucket : set) bucket.clear();
   for_each_shard([this](std::size_t s) {
     const auto [lo, hi] = shard_range(s);
     for (std::size_t i = lo; i < hi; ++i) run_node_start(i);
   });
   if (opts_.mode == timing::synchronous) {
-    {
-      telemetry::profile::probe route_probe(prof_route_frame_);
-      pending_count_ = route_outboxes();
-    }
+    pending_count_ = fold_sends();
     // Round 0 = the start phase; the round loop continues from 1, so
     // every backend reports identical round indices to the observatory.
     if (health_) health_->end_round(0, phase_trace_id_, phase_parent_span_);
@@ -560,6 +565,15 @@ void net_base::execute_synchronous(std::size_t max_rounds) {
 }
 
 void net_base::finalize_stats() {
+  // The send accumulators fold once per run (inproc keeps its own).
+  for (shard_sends& out : sends_) {
+    stats_.messages_total += std::exchange(out.total, 0);
+    stats_.messages_dropped += std::exchange(out.dropped, 0);
+    stats_.messages_duplicated += std::exchange(out.duplicated, 0);
+    for (const auto& [tag, count] : out.by_tag)
+      stats_.messages_by_tag[tag] += count;
+    out.by_tag.clear();
+  }
   stats_.local_steps = 0;
   for (const std::size_t s : stats_.local_steps_per_node)
     stats_.local_steps += s;
@@ -604,6 +618,11 @@ run_stats net_base::run(std::size_t max_rounds) {
   // observatory is off — every hook below is one pointer test then).
   health_ = telemetry::health::observatory::global().begin_run(
       backend_name(), node_count());
+  const std::size_t health_slots = health_ ? health_->shards_used() : 0;
+  for (shard_sends& out : sends_) {
+    out.health.assign(health_slots, {});
+    out.touched.reserve(health_slots);
+  }
   if (opts_.mode == timing::synchronous) {
     execute_synchronous(max_rounds);
   } else {

@@ -39,24 +39,25 @@
 // each node's round-r mailbox in CANONICAL ORDER — sorted by (sending
 // round, sender index, per-sender send sequence, duplicate-before-original)
 // — and every per-message fault decision is a pure hash of (seed, sender,
-// send sequence), so the decision is the same whether it is drawn at a
-// single-threaded routing barrier (sim/parallel) or at a cross-thread send
-// site (inproc).  Handler invocations only touch node-local state, so a
-// run's decisions and statistics are identical across backends for a
-// fixed seed.
+// send sequence), so the decision is the same whichever thread draws it
+// and in whatever order: the base engine draws at the send site inside
+// each shard task, inproc at its cross-thread send site.  Handler
+// invocations only touch node-local state, so a run's decisions and
+// statistics are identical across backends for a fixed seed.
 //
-// Scale notes (the §13 batching protocol): senders append to per-shard
-// outbox arenas; the router drains them in shard order into per-
-// destination-shard incoming arenas (one contiguous append stream per
-// shard, no per-message queue ops); each shard buckets its arena by
-// destination with a stable counting sort at the round barrier and drains
-// every node's span contiguously.  All arenas are recycled round over
-// round, per-node RNGs are materialized lazily, and per-node state is
-// flat arrays — a million-node ring is a handful of large allocations,
-// not millions of small ones.
+// Scale notes (the §13 batching protocol): a send appends straight into
+// `bucket[src shard][dst shard]`, tallying stats, tags and health in the
+// source shard's accumulator.  Next superstep, each destination shard
+// gathers its S buckets in source-shard order (= canonical sender order)
+// by a stable counting sort of pointers into its inbox arena.  Buckets
+// alternate by round parity, so one barrier per round suffices.  All
+// arenas are recycled round over round, per-node RNGs are materialized
+// lazily, and per-node state is flat arrays — a million-node ring is a
+// handful of large allocations, not millions of small ones.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -184,7 +185,7 @@ class context {
 
   /// Sends to a neighbor; throws if `to` is not adjacent (the runtime
   /// enforces the topology).  The tag is viewed, not copied, until the
-  /// message is materialized; the payload is moved through to the outbox.
+  /// message is materialized; the payload is moved through to the bucket.
   void send(int to, std::string_view tag, std::vector<long> payload = {});
 
   /// Charges extra local computation steps to this node (Section 4: "local
@@ -366,7 +367,7 @@ class net_base {
 
  protected:
   /// `shards` is the unit of execution parallelism: nodes live in
-  /// contiguous shards, senders append to their shard's outbox arena, and
+  /// contiguous shards, senders append to their shard's bucket arenas, and
   /// `for_each_shard` runs one task per shard.  Sequential backends pass 1.
   explicit net_base(const net_options& opts, std::size_t shards = 1);
 
@@ -391,10 +392,11 @@ class net_base {
   virtual void execute_synchronous(std::size_t max_rounds);
 
   /// Synchronous send sink: where a validated, corrupted, trace-stamped
-  /// message goes.  Base: the sender shard's outbox arena (faults and
-  /// statistics are applied later, at the routing barrier).  Backends with
-  /// cross-thread sends override this and apply `draw_faults` inline —
-  /// the hash makes both schedules agree.
+  /// message goes.  Base: draws the hash fault plan, tallies the send in
+  /// the sender shard's accumulator and appends the survivors (duplicate
+  /// copy first) to the sender shard's bucket for the destination shard —
+  /// all shard-local, on the sending shard's task.  inproc overrides it
+  /// with its cross-thread mailbox append; the hash makes both agree.
   virtual void enqueue_sync(std::size_t src, std::uint64_t seq, message&& m);
 
   // --- shared machinery for custom engines ---------------------------------
@@ -411,7 +413,7 @@ class net_base {
   /// One node's synchronous superstep: deliver `inbox` in canonical order,
   /// then on_round.  Down nodes let their mail rot.  Adopts the enclosing
   /// phase span's trace context when executing on a worker thread.
-  void node_superstep(std::size_t i, std::span<const message> inbox);
+  void node_superstep(std::size_t i, std::span<const message* const> inbox);
 
   /// One node's start-phase slot (trace adoption + accounting + start()).
   void run_node_start(std::size_t i);
@@ -472,10 +474,11 @@ class net_base {
 
   // Health-observatory track for the current run (telemetry/health.hpp):
   // nullptr unless the observatory is enabled, acquired at run() entry.
-  // Message hooks fire at the same sites as the fault draw (routing
-  // barrier on the base engine, cross-thread send sites on inproc);
-  // end_round fires once per synchronous round at a single-threaded
-  // barrier point, with identical round indices on every backend.
+  // The base engine tallies each send in its shard accumulator and folds
+  // the touched health slots once per round; inproc calls the per-message
+  // hooks at its cross-thread send sites.  end_round fires once per
+  // synchronous round at a single-threaded barrier point, with identical
+  // round indices on every backend.
   telemetry::health::backend_track* health_ = nullptr;
 
   // Trace context of the current phase span (start phase / round span),
@@ -507,16 +510,14 @@ class net_base {
 
   void deliver_to(std::size_t dst, const message& m);
 
-  // Base synchronous engine: one shard's round slice — bucket the shard's
-  // incoming arena by destination (stable counting sort), then run every
-  // node's superstep over its contiguous span.
+  // Base synchronous engine: one shard's round slice — gather the mail
+  // the previous round bucketed for this shard (stable counting sort by
+  // destination), then run every node's superstep over its span.
   void shard_superstep(std::size_t s);
-
-  // Coordinator-side routing barrier: drains every per-shard outbox arena
-  // in shard order (= ascending sender order), counts statistics, applies
-  // the hash fault plan, and appends deliveries to the destination shards'
-  // incoming arenas.  Returns the number of newly scheduled messages.
-  std::size_t route_outboxes();
+  // Coordinator step after a phase: folds the shard accumulators' round
+  // tallies (scheduled deliveries, live fault counts, touched health
+  // slots).  Returns the number of newly scheduled deliveries.
+  std::size_t fold_sends();
   void schedule_async(message&& m, std::uint64_t extra_delay);
 
   void run_synchronous(std::size_t max_rounds);
@@ -535,15 +536,24 @@ class net_base {
   /// map per shard so concurrent shards never share a bucket).
   std::vector<std::unordered_map<std::uint32_t, std::mt19937>> shard_rngs_;
 
-  // Synchronous engine arenas (all recycled round over round):
-  struct outbox_entry {
-    std::uint32_t src;
-    std::uint64_t seq;
-    message msg;
+  // Synchronous engine state, all recycled round over round.  One send
+  // accumulator per source shard, touched only by that shard's task
+  // (cache-aligned so shards never share a line): round r's sends fill
+  // buckets[r & 1][dst shard], which destination shards gather in round
+  // r + 1 while the new sends fill the other set.
+  struct health_tally {
+    std::uint64_t routed = 0, dropped = 0, duplicated = 0, delivered = 0;
   };
-  std::vector<std::vector<outbox_entry>> outbox_arena_;  ///< per source shard
-  std::vector<std::vector<message>> incoming_;     ///< per destination shard
-  std::vector<std::vector<message>> inbox_arena_;  ///< bucketed by dst
+  struct alignas(64) shard_sends {
+    std::array<std::vector<std::vector<message>>, 2> buckets;
+    std::size_t total = 0, dropped = 0, duplicated = 0;  ///< this run
+    std::map<std::string, std::size_t> by_tag;           ///< this run
+    std::size_t scheduled = 0, faults = 0;  ///< this round
+    std::vector<health_tally> health;       ///< per health slot, this round
+    std::vector<std::uint32_t> touched;     ///< health slots tallied
+  };
+  std::vector<shard_sends> sends_;                    ///< per source shard
+  std::vector<std::vector<const message*>> inbox_;  ///< per dst shard
   std::vector<std::uint32_t> inbox_begin_;  ///< per node: span start
   std::vector<std::uint32_t> inbox_end_;    ///< per node: span end
   std::size_t pending_count_ = 0;

@@ -1,17 +1,17 @@
 // The parallel backend of the Transport concept: each synchronous
-// superstep fans the per-SHARD slices (mailbox bucketing + deliveries +
-// on_round for the shard's contiguous node range) out across the
+// superstep fans the per-SHARD slices (the gather of the shard's buckets +
+// deliveries + on_round for the shard's contiguous node range, whose sends
+// draw faults and fill the shard's own buckets) out across the
 // work-stealing pool and joins them at the round barrier.  One shard per
 // worker: a million-node superstep is `workers` tasks over recycled
 // arenas, not a million task submissions.
 //
 // Determinism: identical to sim_transport by construction.  Shard tasks
-// touch only shard-local state (the shard's arena slice and its nodes'
-// rngs, stats slots and decision maps); message routing, statistics, and
-// the hash fault plan run single-threaded at the barrier in canonical
-// sender order (see network.hpp).  For a fixed seed, decisions and
-// run_stats match the sequential simulator bit for bit, at any shard
-// count.
+// touch only shard-local state (the shard's accumulator, bucket row and
+// inbox, its nodes' rngs, stats slots and decision maps), the fault plan
+// is a pure hash, and the gather visits source shards in canonical sender
+// order (see network.hpp).  For a fixed seed, decisions and run_stats
+// match the sequential simulator bit for bit, at any shard count.
 //
 // Timing: implements `timing::synchronous` only — asynchronous event
 // interleaving is the deterministic simulator's job (see the backend

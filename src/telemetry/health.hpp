@@ -10,9 +10,10 @@
 //     HEALTH shards (contiguous node ranges, decoupled from the engine's
 //     execution shards so the sequential simulator is observable at the
 //     same granularity as the threaded backends).  Per shard: routed /
-//     delivered / dropped / duplicated counts (relaxed atomics, safe from
-//     concurrent send sites), plus inbox-depth and superstep-latency
-//     log2-histograms recorded single-threaded at the round barrier.
+//     delivered / dropped / duplicated counts (relaxed atomics, fed per
+//     message or as one batched tally per round), plus inbox-depth and
+//     superstep-latency log2-histograms recorded single-threaded at the
+//     round barrier.
 //     Shard rows fold into a backend rollup and backends fold into a run
 //     rollup; `observatory::tick` mirrors everything into the registry.
 //   * reservoir sampling — per-shard size-k reservoirs (algorithm R with
@@ -33,8 +34,10 @@
 //     structural gate `obs_export health` runs against it.
 //
 // Cost discipline: a disabled observatory costs one pointer test per hook
-// (net_base::run() gets a nullptr track); an enabled one costs a few
-// relaxed fetch_adds per message and O(health shards) work per round.
+// (net_base::run() gets a nullptr track).  An enabled one costs the base
+// engine a few shard-local increments per message plus one `fold` per
+// touched health slot per round, inproc's send sites a few relaxed
+// fetch_adds per message, and every backend O(health shards) per round.
 // Synchronous engine only — the asynchronous event queue (sim backend)
 // does not drive the round hooks.
 #pragma once
@@ -165,8 +168,8 @@ struct slo_verdict {
 class observatory;
 
 /// Owned by the observatory, handed to `net_base::run()` as a raw pointer
-/// (nullptr when disabled).  Message hooks are relaxed atomics, callable
-/// from concurrent shard threads; `end_round` must be called from a
+/// (nullptr when disabled).  Message hooks and `fold` are relaxed atomics,
+/// callable from concurrent shard threads; `end_round` must be called from a
 /// single-threaded barrier context (the coordinator or a barrier
 /// completion step).
 class backend_track {
@@ -188,6 +191,21 @@ class backend_track {
   void on_delivered(std::size_t dst) noexcept {
     if constexpr (!kEnabled) return;
     slots_[shard_of(dst)].delivered.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Batched form of the two hooks: a round's tallies for one health
+  /// slot — send attempts from its nodes with their drop / duplicate
+  /// verdicts, and deliveries scheduled to them.  Additive, so each
+  /// feeding shard may fold its own; must land before the round's
+  /// end_round, as the hooks do.
+  void fold(std::size_t shard, std::uint64_t routed, std::uint64_t dropped,
+            std::uint64_t duplicated, std::uint64_t delivered) noexcept {
+    if constexpr (!kEnabled) return;
+    constexpr auto relaxed = std::memory_order_relaxed;
+    slot& s = slots_[shard];  // zero tallies skip their atomic
+    if (routed != 0) s.routed.fetch_add(routed, relaxed);
+    if (dropped != 0) s.dropped.fetch_add(dropped, relaxed);
+    if (duplicated != 0) s.duplicated.fetch_add(duplicated, relaxed);
+    if (delivered != 0) s.delivered.fetch_add(delivered, relaxed);
   }
 
   /// Round barrier: folds the round's per-shard deltas into the depth and

@@ -10,7 +10,9 @@
 // mismatch prints a CGP_CHECK_SEED line that replays the exact
 // configuration.  A fixed 100k-node case keeps the oracle honest at scale
 // inside tier-1 (the million-node twin lives in distributed_scale_test.cpp
-// under the `slow` label).
+// under the `slow` label).  A worker-count sweep with the health
+// observatory on holds the parallel backend's per-shard health rollups to
+// the simulator's as well.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -24,9 +26,11 @@
 #include "distributed/inproc_transport.hpp"
 #include "distributed/network.hpp"
 #include "distributed/parallel_transport.hpp"
+#include "telemetry/health.hpp"
 
 namespace check = cgp::check;
 namespace dist = cgp::distributed;
+namespace health = cgp::telemetry::health;
 
 CGP_REGISTER_SEED_BANNER();
 
@@ -208,4 +212,105 @@ TEST(TransportConformance, ThreeWayParityAtHundredThousandNodes) {
   EXPECT_TRUE(stats_equal(sim.stats, inp.stats));
   EXPECT_EQ(sim.decisions, par.decisions);
   EXPECT_EQ(sim.decisions, inp.decisions);
+}
+
+namespace {
+
+bool rows_equal(const health::shard_rollup& a, const health::shard_rollup& b) {
+  return a.routed == b.routed && a.delivered == b.delivered &&
+         a.dropped == b.dropped && a.duplicated == b.duplicated &&
+         a.last_active_round == b.last_active_round &&
+         a.rounds_active == b.rounds_active &&
+         a.latency_count == b.latency_count &&
+         a.latency_sum == b.latency_sum && a.depth_count == b.depth_count &&
+         a.depth_sum == b.depth_sum &&
+         a.latency_buckets == b.latency_buckets &&
+         a.depth_buckets == b.depth_buckets;
+}
+
+bool health_equal(const health::backend_snapshot& a,
+                  const health::backend_snapshot& b) {
+  if (a.rounds != b.rounds || a.shards.size() != b.shards.size() ||
+      !rows_equal(a.rollup, b.rollup) || a.reservoir_seen != b.reservoir_seen ||
+      a.reservoir.size() != b.reservoir.size())
+    return false;
+  for (std::size_t i = 0; i < a.shards.size(); ++i)
+    if (!rows_equal(a.shards[i], b.shards[i])) return false;
+  for (std::size_t i = 0; i < a.reservoir.size(); ++i)
+    if (a.reservoir[i].shard != b.reservoir[i].shard ||
+        a.reservoir[i].round != b.reservoir[i].round ||
+        a.reservoir[i].seen != b.reservoir[i].seen)
+      return false;
+  return true;
+}
+
+}  // namespace
+
+TEST(TransportConformance, ParallelMatchesSimAcrossWorkerCountsWithHealth) {
+  // The send-site routing of the parallel backend against the simulator:
+  // every worker count from 1 to 8 over node counts it does not divide
+  // (so the last shard is short), drop + duplicate + churn faults, a
+  // multi-tag algorithm, and the health observatory on at 8 and at 16
+  // health shards.  Statistics (per tag and per node), decisions and the
+  // per-shard health rollups must all equal the simulator's.
+  std::size_t multi_tag_cases = 0;
+  const auto res = check::for_all<std::uint64_t>(
+      "transport.parity.parallel_workers_health",
+      [&multi_tag_cases](std::uint64_t raw) {
+        check::random_source rs(raw);
+        constexpr unsigned kWorkers[] = {1, 2, 3, 5, 8};
+        plan p;
+        p.opts.workers = kWorkers[rs.below(std::size(kWorkers))];
+        const std::size_t w = p.opts.workers;
+        // w * k + r with 0 < r < w (any n for one worker).
+        p.opts.nodes =
+            w * (1 + rs.below(6)) + (w == 1 ? 2 : 1 + rs.below(w - 1));
+        p.opts.seed = static_cast<std::uint32_t>(rs.bits());
+        p.opts.faults.drop = 0.05 * static_cast<double>(1 + rs.below(3));
+        p.opts.faults.duplicate = 0.05 * static_cast<double>(1 + rs.below(3));
+        p.opts.faults.churn_crash = 0.05;
+        p.opts.faults.churn_recover = 0.3;
+        p.opts.faults.churn_until = 2 + rs.below(6);
+        // Echo wave (probe/echo) on any topology, or Hirschberg-Sinclair
+        // (probe/reply/leader) on a ring.
+        const bool ring_election = rs.chance(50);
+        const auto topos = dist::all_topologies();
+        p.opts.topo = ring_election ? dist::topology::ring
+                                    : topos[rs.below(topos.size())];
+        const dist::process_factory factory =
+            ring_election ? dist::hs_leader_election() : dist::echo_wave(0);
+        auto& obs = health::observatory::global();
+        obs.enable({.shards = rs.chance(50) ? std::size_t{8} : std::size_t{16},
+                    .reservoir_k = 4,
+                    .seed = raw,
+                    .manual_clock = true,
+                    .rules = {}});
+        const outcome sim = run_on<dist::sim_transport>(p, factory);
+        const outcome par = run_on<dist::parallel_transport>(p, factory);
+        const auto snaps = obs.snapshots();
+        obs.disable();
+        obs.reset();
+        if (sim.stats.messages_by_tag.size() > 1) ++multi_tag_cases;
+        const health::backend_snapshot* hs_sim = nullptr;
+        const health::backend_snapshot* hs_par = nullptr;
+        for (const auto& snap : snaps) {
+          if (snap.name == "sim") hs_sim = &snap;
+          if (snap.name == "parallel") hs_par = &snap;
+        }
+        // The health counts are anchored to the run statistics, so a fold
+        // both backends got wrong the same way still fails.
+        return hs_sim != nullptr && hs_par != nullptr &&
+               hs_sim->rollup.routed == sim.stats.messages_total &&
+               hs_sim->rollup.dropped == sim.stats.messages_dropped &&
+               hs_sim->rollup.duplicated == sim.stats.messages_duplicated &&
+               hs_sim->rollup.delivered == sim.stats.messages_total -
+                                               sim.stats.messages_dropped +
+                                               sim.stats.messages_duplicated &&
+               health_equal(*hs_sim, *hs_par) &&
+               sim.decisions == par.decisions &&
+               stats_equal(sim.stats, par.stats);
+      },
+      parity_config());
+  EXPECT_TRUE(res.ok) << res.message;
+  EXPECT_GT(multi_tag_cases, 0u) << "no case ran more than one tag";
 }

@@ -6,9 +6,12 @@
 // cgp.health.v1 validator's tamper detection, byte-identical manual-clock
 // exports, cross-backend per-shard parity, and — via whole-binary
 // operator new/delete shims — the O(shards) memory contract at a million
-// nodes.
+// nodes and the allocation-free steady state of the engine's rounds.
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -35,9 +38,11 @@ namespace telemetry = cgp::telemetry;
 
 namespace {
 std::atomic<std::size_t> g_alloc_bytes{0};
+/// Set on a thread whose allocations a test deliberately leaves out.
+thread_local bool t_uncounted = false;
 
 void* counted_alloc(std::size_t size) {
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (!t_uncounted) g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -251,6 +256,87 @@ TEST(HealthReservoirTest, SeededSamplingIsDeterministicAndBounded) {
     EXPECT_EQ(first.reservoir[i].round, second.reservoir[i].round);
     EXPECT_EQ(first.reservoir[i].seen, second.reservoir[i].seen);
     EXPECT_EQ(first.reservoir[i].latency, second.reservoir[i].latency);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// batched folds
+// ---------------------------------------------------------------------------
+
+TEST(HealthFoldTest, FoldedTalliesMatchPerMessageHooks) {
+  // Two tracks see the same traffic: one through the per-message hooks
+  // (inproc's send sites), one as a single fold per touched (health slot,
+  // round) (the base engine).  Rollups, depth and latency histograms and
+  // the reservoir must come out identical.
+  observatory_session session({.shards = 8,
+                               .reservoir_k = 3,
+                               .seed = 9,
+                               .manual_clock = true,
+                               .rules = {}});
+  auto& obs = health::observatory::global();
+  constexpr std::size_t kNodes = 61;  // width 8: the last slot is short
+  health::backend_track* hooks = obs.begin_run("hooks", kNodes);
+  health::backend_track* folded = obs.begin_run("folded", kNodes);
+  ASSERT_NE(hooks, nullptr);
+  ASSERT_NE(folded, nullptr);
+  struct tally {
+    std::uint64_t routed = 0, dropped = 0, duplicated = 0, delivered = 0;
+  };
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (std::size_t r = 0; r < 24; ++r) {
+    std::vector<tally> round(hooks->shards_used());
+    // Rounds 5 and 6 are quiet, so activity tracking sees gaps.
+    const std::size_t sends = (r == 5 || r == 6) ? 0 : next() % 200;
+    for (std::size_t k = 0; k < sends; ++k) {
+      // Skew the senders towards the low slots, like a hot shard.
+      const std::size_t src = next() % (1 + next() % kNodes);
+      const std::size_t dst = next() % kNodes;
+      const bool drop = next() % 10 == 0;
+      const bool dup = !drop && next() % 7 == 0;
+      hooks->on_send(src, drop, dup);
+      tally& s = round[hooks->shard_of(src)];
+      ++s.routed;
+      s.dropped += drop;
+      s.duplicated += dup;
+      if (drop) continue;
+      for (int copy = 0; copy <= int{dup}; ++copy) {
+        hooks->on_delivered(dst);
+        ++round[hooks->shard_of(dst)].delivered;
+      }
+    }
+    for (std::size_t h = 0; h < round.size(); ++h) {
+      const tally& t = round[h];
+      if (t.routed + t.delivered != 0)
+        folded->fold(h, t.routed, t.dropped, t.duplicated, t.delivered);
+    }
+    hooks->end_round(r);
+    folded->end_round(r);
+  }
+  const health::backend_snapshot a = hooks->snapshot();
+  const health::backend_snapshot b = folded->snapshot();
+  EXPECT_GT(a.rollup.routed, 1000u);
+  EXPECT_GT(a.rollup.dropped, 0u);
+  EXPECT_GT(a.rollup.duplicated, 0u);
+  EXPECT_EQ(a.rounds, b.rounds);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (std::size_t i = 0; i < a.shards.size(); ++i)
+    expect_rows_equal(b.shards[i], a.shards[i], "shard " + std::to_string(i));
+  expect_rows_equal(b.rollup, a.rollup, "rollup");
+  EXPECT_EQ(b.reservoir_seen, a.reservoir_seen);
+  ASSERT_EQ(b.reservoir.size(), a.reservoir.size());
+  for (std::size_t i = 0; i < a.reservoir.size(); ++i) {
+    EXPECT_EQ(b.reservoir[i].shard, a.reservoir[i].shard) << i;
+    EXPECT_EQ(b.reservoir[i].round, a.reservoir[i].round) << i;
+    EXPECT_EQ(b.reservoir[i].seen, a.reservoir[i].seen) << i;
+    EXPECT_EQ(b.reservoir[i].routed, a.reservoir[i].routed) << i;
+    EXPECT_EQ(b.reservoir[i].delivered, a.reservoir[i].delivered) << i;
+    EXPECT_EQ(b.reservoir[i].latency, a.reservoir[i].latency) << i;
   }
 }
 
@@ -531,6 +617,87 @@ TEST(HealthScaleTest, TrackStateIsOShardsNotONodes) {
       g_alloc_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LT(total, 1024u * 1024u)
       << "per-round/per-tick work allocated " << total << " bytes";
+}
+
+// ---------------------------------------------------------------------------
+// Allocation-free steady state of the synchronous engine
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Beats every neighbour each round; node 0 brackets rounds 3..10 with
+// allocation-counter reads (round 11's superstep closes the window).  A
+// churned-down node 0 skips rounds, so each end reads at the first round
+// it runs on or after its mark.
+struct alloc_window {
+  std::size_t begin_round = 0, begin_bytes = 0;
+  std::size_t end_round = 0, end_bytes = 0;
+};
+
+class beat_process final : public dist::process {
+ public:
+  explicit beat_process(std::shared_ptr<alloc_window> window)
+      : window_(std::move(window)) {}
+  void receive(dist::context&, const dist::message&) override {}
+  void on_round(dist::context& ctx) override {
+    if (window_ && window_->begin_round == 0 && ctx.round() >= 3) {
+      window_->begin_round = ctx.round();
+      window_->begin_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    }
+    if (window_ && window_->end_round == 0 && ctx.round() >= 11) {
+      window_->end_round = ctx.round();
+      window_->end_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    }
+    for (const int nb : ctx.neighbors()) ctx.send(nb, "beat");
+  }
+
+ private:
+  std::shared_ptr<alloc_window> window_;
+};
+
+template <class Transport>
+std::size_t steady_state_bytes(const dist::net_options& opts) {
+  auto window = std::make_shared<alloc_window>();
+  Transport net(opts);
+  net.spawn([window](int id) {
+    return std::make_unique<beat_process>(id == 0 ? window : nullptr);
+  });
+  const dist::run_stats& stats = net.run(12);
+  EXPECT_EQ(stats.rounds, 13u);  // ran out the budget: no early stop
+  EXPECT_GT(stats.messages_dropped, 0u);
+  EXPECT_GT(stats.messages_duplicated, 0u);
+  // The window really opened early and closed late.
+  EXPECT_GE(window->begin_round, 3u);
+  EXPECT_LE(window->begin_round, 4u);
+  EXPECT_GE(window->end_round, 11u);
+  return window->end_bytes - window->begin_bytes;
+}
+
+}  // namespace
+
+TEST(HealthScaleTest, SteadyStateRoundsAllocateNothing) {
+  // The engine recycles its bucket and inbox arenas, shard accumulators
+  // and health tallies: once the first rounds have sized them, a round
+  // allocates zero bytes — sends, fault draws, health folds, the gather
+  // and delivery included.
+  observatory_session session(
+      {.shards = 16, .manual_clock = true, .rules = {}});
+  const dist::net_options opts{
+      .nodes = 10'000,
+      .topo = dist::topology::random_regular,
+      .seed = 17,
+      .workers = 3,
+      .faults = {.drop = 0.01, .duplicate = 0.01, .churn_crash = 0.002,
+                 .churn_recover = 0.25}};
+  // The simulator runs every phase on this thread, so every byte counts.
+  EXPECT_EQ(steady_state_bytes<dist::sim_transport>(opts), 0u);
+  // On the parallel backend the shard tasks run on pool workers; the
+  // coordinator's own task submissions (the pool erases each task onto
+  // the heap) are left out, everything the shard tasks do is counted.
+  t_uncounted = true;
+  const std::size_t parallel = steady_state_bytes<dist::parallel_transport>(opts);
+  t_uncounted = false;
+  EXPECT_EQ(parallel, 0u);
 }
 
 TEST(HealthScaleTest, DisabledObservatoryHandsOutNullTracks) {
