@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "core/symbol.hpp"
+#include "stllint/lexer.hpp"
+
 namespace cgp::stllint {
 
 /// MiniCpp types.  Containers know their kind ("vector", "list", "deque",
@@ -60,7 +63,8 @@ struct mini_type {
 };
 
 /// Expression node.  `text` holds the operator, callee, variable name, or
-/// literal spelling depending on `k`.
+/// literal spelling depending on `k`; operators also carry their `op` id,
+/// and names (var, call, member_call) their interned `sym`.
 struct ast_expr {
   enum class kind {
     int_lit,
@@ -78,6 +82,8 @@ struct ast_expr {
 
   kind k = kind::int_lit;
   std::string text;
+  op_id op = 0;
+  core::symbol sym = core::no_symbol;
   std::vector<std::unique_ptr<ast_expr>> children;
   int line = 0;
   int column = 0;
@@ -102,6 +108,7 @@ struct ast_stmt {
   kind k = kind::block;
   mini_type decl_type;
   std::string name;  ///< declared variable name
+  core::symbol sym = core::no_symbol;  ///< interned `name`
   expr_ptr e1, e2;
   std::unique_ptr<ast_stmt> s1, s2;
   std::vector<std::unique_ptr<ast_stmt>> body;
@@ -116,19 +123,23 @@ using stmt_ptr = std::unique_ptr<ast_stmt>;
 struct ast_param {
   mini_type type;
   std::string name;
+  core::symbol sym = core::no_symbol;
   bool by_ref = false;
 };
 
 struct ast_function {
   mini_type return_type;
   std::string name;
+  core::symbol sym = core::no_symbol;
   std::vector<ast_param> params;
   stmt_ptr body;
   int line = 0;
 };
 
+/// A parsed translation unit; it owns the symbol table its `sym` ids index.
 struct ast_program {
   std::vector<ast_function> functions;
+  core::symbol_table symbols;
 };
 
 }  // namespace cgp::stllint

@@ -1,21 +1,17 @@
 #include "stllint/lexer.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cctype>
 #include <string_view>
 
 namespace cgp::stllint {
 namespace {
 
-bool is_keyword(std::string_view s) {
-  static constexpr std::string_view kw[] = {
-      "int",   "bool",  "double", "string",   "void",     "vector",
-      "list",  "deque", "set",    "iterator", "if",       "else",
-      "while", "for",   "return", "true",     "false",    "const",
-      "break", "continue", "input_stream", "multiset"};
-  for (std::string_view k : kw)
-    if (k == s) return true;
-  return false;
+/// The op_table id of `s` among rows [first, last), or 0.
+op_id find_op(std::string_view s, op_id first, op_id last) {
+  for (op_id o = first; o < last; ++o)
+    if (op_table[o] == s) return o;
+  return 0;
 }
 
 bool ident_start(char c) {
@@ -29,21 +25,17 @@ bool ident_char(char c) {
 
 std::vector<std::string> source_lines(std::string_view source) {
   std::vector<std::string> lines;
-  std::string cur;
-  for (char c : source) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  lines.push_back(cur);
+  lines.reserve(std::count(source.begin(), source.end(), '\n') + 1);
+  std::size_t at = 0;
+  for (std::size_t nl; (nl = source.find('\n', at)) != source.npos; at = nl + 1)
+    lines.emplace_back(source.substr(at, nl - at));
+  lines.emplace_back(source.substr(at));
   return lines;
 }
 
 std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
   std::vector<token> out;
+  out.reserve(src.size() / 2 + 1);
   int line = 1, col = 1;
   std::size_t i = 0;
   const std::size_t n = src.size();
@@ -84,11 +76,11 @@ std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
     if (ident_start(c)) {
       std::size_t j = i;
       while (j < n && ident_char(src[j])) ++j;
-      std::string text(src.substr(i, j - i));
+      const std::string_view text = src.substr(i, j - i);
+      const op_id kw = find_op(text, 1, op_of("::"));
       advance(j - i);
-      out.push_back({is_keyword(text) ? token_kind::keyword
-                                      : token_kind::identifier,
-                     std::move(text), tline, tcol});
+      out.push_back({kw != 0 ? token_kind::keyword : token_kind::identifier,
+                     kw, text, tline, tcol});
       continue;
     }
     // Numbers.
@@ -100,10 +92,10 @@ std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
         if (src[j] == '.') is_float = true;
         ++j;
       }
-      std::string text(src.substr(i, j - i));
+      const std::string_view text = src.substr(i, j - i);
       advance(j - i);
-      out.push_back({is_float ? token_kind::floating : token_kind::integer,
-                     std::move(text), tline, tcol});
+      out.push_back({is_float ? token_kind::floating : token_kind::integer, 0,
+                     text, tline, tcol});
       continue;
     }
     // String literals.
@@ -119,36 +111,25 @@ std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
         advance(n - i);
         continue;
       }
-      std::string text(src.substr(i, j - i + 1));
+      const std::string_view text = src.substr(i, j - i + 1);
       advance(j - i + 1);
-      out.push_back({token_kind::string_lit, std::move(text), tline, tcol});
+      out.push_back({token_kind::string_lit, 0, text, tline, tcol});
       continue;
     }
-    // Multi-character punctuation, longest first.
-    static constexpr std::string_view two[] = {
-        "::", "++", "--", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=",
-        "->"};
-    bool matched = false;
-    for (std::string_view t : two) {
-      if (src.substr(i, 2) == t) {
-        out.push_back({token_kind::punct, std::string(t), tline, tcol});
-        advance(2);
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    static constexpr std::string_view one = "(){}[];,.<>=+-*/!&|:%";
-    if (one.find(c) != std::string_view::npos) {
-      out.push_back({token_kind::punct, std::string(1, c), tline, tcol});
-      advance(1);
+    // Punctuation, longest first.
+    op_id p = find_op(src.substr(i, 2), op_of("::"), op_of("("));
+    if (p == 0) p = find_op(src.substr(i, 1), op_of("("),
+                             static_cast<op_id>(std::size(op_table)));
+    if (p != 0) {
+      out.push_back({token_kind::punct, p, op_table[p], tline, tcol});
+      advance(op_table[p].size());
       continue;
     }
     diags.push_back({severity::error, tline, tcol,
                      std::string("unexpected character '") + c + "'", ""});
     advance(1);
   }
-  out.push_back({token_kind::end_of_file, "<eof>", line, col});
+  out.push_back({token_kind::end_of_file, 0, "<eof>", line, col});
   return out;
 }
 

@@ -8,6 +8,8 @@
 // symbolic executor in analyzer.cpp — is fully exercised.
 #pragma once
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,21 +18,51 @@
 
 namespace cgp::stllint {
 
+/// Keywords and punctuators, one table: a token's `op` is its index here (0
+/// for identifiers, literals and end of file).  The order carries the
+/// classification: scalar types first, in mini_type::kind order, then the
+/// container kinds, the other keywords, and the punctuators, two-character
+/// ones first so the lexer matches the longest.
+inline constexpr std::string_view op_table[] = {
+    "", "void", "int", "bool", "double", "string",  //
+    "vector", "list", "deque", "set", "multiset", "input_stream",  //
+    "iterator", "if", "else", "while", "for", "return", "true", "false",
+    "const", "break", "continue",  //
+    "::", "++", "--", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "->",
+    "(", ")", "{", "}", "[", "]", ";", ",", ".", "<", ">", "=", "+", "-", "*",
+    "/", "!", "&", "|", ":", "%"};
+using op_id = std::uint8_t;
+
+/// The id of a keyword or punctuator; not a constant expression (so a
+/// compile error) for anything else.
+consteval op_id op_of(std::string_view s) {
+  for (std::size_t i = 1; i < std::size(op_table); ++i)
+    if (op_table[i] == s) return static_cast<op_id>(i);
+  throw "not a MiniCpp keyword or punctuator";
+}
+constexpr bool is_scalar_type(op_id o) {
+  return o >= op_of("void") && o <= op_of("string");
+}
+constexpr bool is_container_kind(op_id o) {
+  return o >= op_of("vector") && o <= op_of("input_stream");
+}
+
 enum class token_kind {
   identifier,
-  keyword,      // int, bool, double, string, void, vector, list, deque, set,
-                // iterator, if, else, while, for, return, true, false,
-                // const, break, continue, input_stream
+  keyword,  // the keyword rows of op_table
   integer,
   floating,
   string_lit,
-  punct,        // ( ) { } [ ] ; , . :: & < > etc. and multi-char operators
+  punct,  // the punctuator rows of op_table
   end_of_file,
 };
 
+/// A token is plain data: `text` views the source passed to `tokenize`,
+/// which must outlive the tokens and therefore parsing.
 struct token {
   token_kind kind = token_kind::end_of_file;
-  std::string text;
+  op_id op = 0;
+  std::string_view text;
   int line = 1;
   int column = 1;
 
@@ -38,10 +70,12 @@ struct token {
   [[nodiscard]] bool is(token_kind k, std::string_view t) const {
     return kind == k && text == t;
   }
+  [[nodiscard]] bool is(op_id o) const { return op == o; }
 };
 
-/// Tokenizes `source`.  Lexical problems are reported into `diags`; the
-/// returned stream always ends with an end_of_file token.
+/// Tokenizes `source`, which the tokens view (see `token`).  Lexical problems
+/// are reported into `diags`; the stream always ends with an end_of_file
+/// token.
 [[nodiscard]] std::vector<token> tokenize(std::string_view source,
                                           diagnostics& diags);
 

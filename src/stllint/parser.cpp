@@ -5,44 +5,16 @@
 namespace cgp::stllint {
 
 std::string mini_type::to_string() const {
-  switch (k) {
-    case kind::void_t:
-      return "void";
-    case kind::int_t:
-      return "int";
-    case kind::bool_t:
-      return "bool";
-    case kind::double_t:
-      return "double";
-    case kind::string_t:
-      return "string";
-    case kind::user:
-      return user_name;
-    case kind::container:
-      return container + "<" + (element ? element->to_string() : "?") + ">";
-    case kind::iterator:
-      return container + "<" + (element ? element->to_string() : "?") +
-             ">::iterator";
-  }
-  return "?";
+  if (k == kind::user) return user_name;
+  if (!is_container() && !is_iterator())  // a scalar: its op_table row
+    return std::string(op_table[op_of("void") + static_cast<int>(k)]);
+  return container + "<" + (element ? element->to_string() : "?") + ">" +
+         (is_iterator() ? "::iterator" : "");
 }
 
 std::string mini_type_to_string(const mini_type& t) { return t.to_string(); }
 
 namespace {
-
-bool is_container_keyword(const token& t) {
-  return t.is(token_kind::keyword) &&
-         (t.text == "vector" || t.text == "list" || t.text == "deque" ||
-          t.text == "set" || t.text == "multiset" ||
-          t.text == "input_stream");
-}
-
-bool is_scalar_type_keyword(const token& t) {
-  return t.is(token_kind::keyword) &&
-         (t.text == "int" || t.text == "bool" || t.text == "double" ||
-          t.text == "string" || t.text == "void");
-}
 
 class parser {
  public:
@@ -50,13 +22,12 @@ class parser {
       : toks_(toks), diags_(diags) {}
 
   ast_program parse_program() {
-    ast_program prog;
     while (!peek().is(token_kind::end_of_file)) {
       const std::size_t before = pos_;
-      if (auto fn = parse_function()) prog.functions.push_back(std::move(*fn));
+      if (auto fn = parse_function()) prog_.functions.push_back(std::move(*fn));
       if (pos_ == before) advance();  // ensure progress on malformed input
     }
-    return prog;
+    return std::move(prog_);
   }
 
  private:
@@ -70,33 +41,29 @@ class parser {
     if (pos_ + 1 < toks_.size()) ++pos_;
     return t;
   }
-  bool accept(token_kind k, std::string_view text) {
-    if (peek().is(k, text)) {
-      advance();
-      return true;
-    }
-    return false;
+  bool accept(op_id o) {
+    if (!peek().is(o)) return false;
+    advance();
+    return true;
   }
-  bool accept_punct(std::string_view text) {
-    return accept(token_kind::punct, text);
-  }
-  void expect_punct(std::string_view text) {
-    if (!accept_punct(text)) error("expected '" + std::string(text) + "'");
+  void expect(op_id o) {
+    if (!accept(o)) error("expected '" + std::string(op_table[o]) + "'");
   }
   void error(const std::string& msg) {
     diags_.push_back({severity::error, peek().line, peek().column,
-                      msg + " (got '" + peek().text + "')", ""});
+                      msg + " (got '" + std::string(peek().text) + "')", ""});
   }
+  core::symbol intern(const token& t) { return prog_.symbols.intern(t.text); }
   void sync_to_statement_end() {
     int depth = 0;
     while (!peek().is(token_kind::end_of_file)) {
       const token& t = peek();
-      if (t.is(token_kind::punct, "{")) ++depth;
-      if (t.is(token_kind::punct, "}")) {
+      if (t.is(op_of("{"))) ++depth;
+      if (t.is(op_of("}"))) {
         if (depth == 0) return;
         --depth;
       }
-      if (t.is(token_kind::punct, ";") && depth == 0) {
+      if (t.is(op_of(";")) && depth == 0) {
         advance();
         return;
       }
@@ -108,7 +75,7 @@ class parser {
   /// Returns true iff a type starts at position `pos_ + k` (lookahead only).
   bool looks_like_type(std::size_t k = 0) const {
     const token& t = peek(k);
-    if (is_scalar_type_keyword(t) || is_container_keyword(t)) return true;
+    if (is_scalar_type(t.op) || is_container_kind(t.op)) return true;
     // user-type declaration heuristic: identifier identifier
     return t.is(token_kind::identifier) &&
            peek(k + 1).is(token_kind::identifier);
@@ -116,26 +83,21 @@ class parser {
 
   std::optional<mini_type> parse_type() {
     const token& t = peek();
-    if (is_scalar_type_keyword(t)) {
+    if (is_scalar_type(t.op)) {
       advance();
-      if (t.text == "int") return mini_type::scalar(mini_type::kind::int_t);
-      if (t.text == "bool") return mini_type::scalar(mini_type::kind::bool_t);
-      if (t.text == "double")
-        return mini_type::scalar(mini_type::kind::double_t);
-      if (t.text == "string")
-        return mini_type::scalar(mini_type::kind::string_t);
-      return mini_type::void_type();
+      return mini_type::scalar(
+          static_cast<mini_type::kind>(t.op - op_of("void")));
     }
-    if (is_container_keyword(t)) {
-      const std::string cont = advance().text;
-      expect_punct("<");
+    if (is_container_kind(t.op)) {
+      const std::string cont(advance().text);
+      expect(op_of("<"));
       auto elem = parse_type();
       if (!elem) return std::nullopt;
       // tolerate `>>` from nested templates by splitting: not needed in
       // MiniCpp (single-level templates only).
-      expect_punct(">");
-      if (accept_punct("::")) {
-        if (!accept(token_kind::keyword, "iterator")) {
+      expect(op_of(">"));
+      if (accept(op_of("::"))) {
+        if (!accept(op_of("iterator"))) {
           error("expected 'iterator' after '::'");
           return std::nullopt;
         }
@@ -144,19 +106,20 @@ class parser {
       return mini_type::make_container(cont, std::move(*elem));
     }
     if (t.is(token_kind::identifier)) {
-      return mini_type::user(advance().text);
+      return mini_type::user(std::string(advance().text));
     }
     error("expected a type");
     return std::nullopt;
   }
 
   // --- expressions --------------------------------------------------------------
-  expr_ptr make_expr(ast_expr::kind k, std::string text, int line, int col) {
+  expr_ptr make_expr(ast_expr::kind k, const token& t) {
     auto e = std::make_unique<ast_expr>();
     e->k = k;
-    e->text = std::move(text);
-    e->line = line;
-    e->column = col;
+    e->text = t.text;
+    e->op = t.op;
+    e->line = t.line;
+    e->column = t.column;
     return e;
   }
 
@@ -165,12 +128,12 @@ class parser {
   expr_ptr parse_assignment() {
     expr_ptr lhs = parse_logical_or();
     if (lhs == nullptr) return nullptr;
-    for (const char* op : {"=", "+=", "-="}) {
-      if (peek().is(token_kind::punct, op)) {
+    for (const op_id op : {op_of("="), op_of("+="), op_of("-=")}) {
+      if (peek().is(op)) {
         const token& t = advance();
         expr_ptr rhs = parse_assignment();
         if (rhs == nullptr) return nullptr;
-        auto e = make_expr(ast_expr::kind::assign, op, t.line, t.column);
+        auto e = make_expr(ast_expr::kind::assign, t);
         e->children.push_back(std::move(lhs));
         e->children.push_back(std::move(rhs));
         return e;
@@ -181,20 +144,24 @@ class parser {
 
   expr_ptr parse_binary_level(int level) {
     // levels: 0 ||, 1 &&, 2 ==/!=, 3 </<=/>/>=, 4 +/-, 5 */ /%.
-    static const std::vector<std::vector<std::string>> ops = {
-        {"||"}, {"&&"}, {"==", "!="}, {"<", "<=", ">", ">="},
-        {"+", "-"}, {"*", "/", "%"}};
+    static const std::vector<std::vector<op_id>> ops = {
+        {op_of("||")},
+        {op_of("&&")},
+        {op_of("=="), op_of("!=")},
+        {op_of("<"), op_of("<="), op_of(">"), op_of(">=")},
+        {op_of("+"), op_of("-")},
+        {op_of("*"), op_of("/"), op_of("%")}};
     if (level >= static_cast<int>(ops.size())) return parse_unary();
     expr_ptr lhs = parse_binary_level(level + 1);
     if (lhs == nullptr) return nullptr;
     for (;;) {
       bool matched = false;
-      for (const std::string& op : ops[level]) {
-        if (peek().is(token_kind::punct, op)) {
+      for (const op_id op : ops[level]) {
+        if (peek().is(op)) {
           const token& t = advance();
           expr_ptr rhs = parse_binary_level(level + 1);
           if (rhs == nullptr) return nullptr;
-          auto e = make_expr(ast_expr::kind::binary, op, t.line, t.column);
+          auto e = make_expr(ast_expr::kind::binary, t);
           e->children.push_back(std::move(lhs));
           e->children.push_back(std::move(rhs));
           lhs = std::move(e);
@@ -210,12 +177,13 @@ class parser {
 
   expr_ptr parse_unary() {
     const token& t = peek();
-    for (const char* op : {"++", "--", "!", "-", "*"}) {
-      if (t.is(token_kind::punct, op)) {
+    for (const op_id op :
+         {op_of("++"), op_of("--"), op_of("!"), op_of("-"), op_of("*")}) {
+      if (t.is(op)) {
         advance();
         expr_ptr operand = parse_unary();
         if (operand == nullptr) return nullptr;
-        auto e = make_expr(ast_expr::kind::unary, op, t.line, t.column);
+        auto e = make_expr(ast_expr::kind::unary, t);
         e->children.push_back(std::move(operand));
         return e;
       }
@@ -228,14 +196,14 @@ class parser {
     if (e == nullptr) return nullptr;
     for (;;) {
       const token& t = peek();
-      if (t.is(token_kind::punct, "++") || t.is(token_kind::punct, "--")) {
+      if (t.is(op_of("++")) || t.is(op_of("--"))) {
         advance();
-        auto p = make_expr(ast_expr::kind::postfix, t.text, t.line, t.column);
+        auto p = make_expr(ast_expr::kind::postfix, t);
         p->children.push_back(std::move(e));
         e = std::move(p);
         continue;
       }
-      if (t.is(token_kind::punct, ".")) {
+      if (t.is(op_of("."))) {
         advance();
         const token& name = peek();
         if (!name.is(token_kind::identifier) &&
@@ -244,18 +212,11 @@ class parser {
           return nullptr;
         }
         advance();
-        auto call = make_expr(ast_expr::kind::member_call, name.text,
-                              name.line, name.column);
+        auto call = make_expr(ast_expr::kind::member_call, name);
+        call->sym = intern(name);
         call->children.push_back(std::move(e));
-        expect_punct("(");
-        if (!peek().is(token_kind::punct, ")")) {
-          do {
-            expr_ptr arg = parse_expression();
-            if (arg == nullptr) return nullptr;
-            call->children.push_back(std::move(arg));
-          } while (accept_punct(","));
-        }
-        expect_punct(")");
+        expect(op_of("("));
+        if (!parse_arguments(*call)) return nullptr;
         e = std::move(call);
         continue;
       }
@@ -267,48 +228,49 @@ class parser {
     const token& t = peek();
     if (t.is(token_kind::integer)) {
       advance();
-      return make_expr(ast_expr::kind::int_lit, t.text, t.line, t.column);
+      return make_expr(ast_expr::kind::int_lit, t);
     }
     if (t.is(token_kind::floating)) {
       advance();
-      return make_expr(ast_expr::kind::double_lit, t.text, t.line, t.column);
+      return make_expr(ast_expr::kind::double_lit, t);
     }
     if (t.is(token_kind::string_lit)) {
       advance();
-      return make_expr(ast_expr::kind::string_lit, t.text, t.line, t.column);
+      return make_expr(ast_expr::kind::string_lit, t);
     }
-    if (t.is(token_kind::keyword, "true") ||
-        t.is(token_kind::keyword, "false")) {
+    if (t.is(op_of("true")) || t.is(op_of("false"))) {
       advance();
-      return make_expr(ast_expr::kind::bool_lit, t.text, t.line, t.column);
+      return make_expr(ast_expr::kind::bool_lit, t);
     }
-    if (t.is(token_kind::punct, "(")) {
+    if (t.is(op_of("("))) {
       advance();
       expr_ptr inner = parse_expression();
-      expect_punct(")");
+      expect(op_of(")"));
       return inner;
     }
     if (t.is(token_kind::identifier)) {
       advance();
-      if (peek().is(token_kind::punct, "(")) {
-        // Free function call.
-        advance();
-        auto call =
-            make_expr(ast_expr::kind::call, t.text, t.line, t.column);
-        if (!peek().is(token_kind::punct, ")")) {
-          do {
-            expr_ptr arg = parse_expression();
-            if (arg == nullptr) return nullptr;
-            call->children.push_back(std::move(arg));
-          } while (accept_punct(","));
-        }
-        expect_punct(")");
-        return call;
-      }
-      return make_expr(ast_expr::kind::var, t.text, t.line, t.column);
+      const bool is_call = accept(op_of("("));  // free function call
+      auto e = make_expr(is_call ? ast_expr::kind::call : ast_expr::kind::var,
+                         t);
+      e->sym = intern(t);
+      return is_call && !parse_arguments(*e) ? nullptr : std::move(e);
     }
     error("expected an expression");
     return nullptr;
+  }
+
+  /// Parses `arg, ...)` after a call's '(' into `call`'s children.
+  bool parse_arguments(ast_expr& call) {
+    if (!peek().is(op_of(")"))) {
+      do {
+        expr_ptr arg = parse_expression();
+        if (arg == nullptr) return false;
+        call.children.push_back(std::move(arg));
+      } while (accept(op_of(",")));
+    }
+    expect(op_of(")"));
+    return true;
   }
 
   // --- statements ------------------------------------------------------------
@@ -322,26 +284,22 @@ class parser {
 
   stmt_ptr parse_statement() {
     const token& t = peek();
-    if (t.is(token_kind::punct, "{")) return parse_block();
-    if (t.is(token_kind::keyword, "if")) return parse_if();
-    if (t.is(token_kind::keyword, "while")) return parse_while();
-    if (t.is(token_kind::keyword, "for")) return parse_for();
-    if (t.is(token_kind::keyword, "return")) {
+    if (t.is(op_of("{"))) return parse_block();
+    if (t.is(op_of("if")) || t.is(op_of("while"))) return parse_if_or_while();
+    if (t.is(op_of("for"))) return parse_for();
+    if (t.is(op_of("return"))) {
       advance();
       auto s = make_stmt(ast_stmt::kind::return_stmt, t.line, t.column);
-      if (!peek().is(token_kind::punct, ";")) s->e1 = parse_expression();
-      expect_punct(";");
+      if (!peek().is(op_of(";"))) s->e1 = parse_expression();
+      expect(op_of(";"));
       return s;
     }
-    if (t.is(token_kind::keyword, "break")) {
+    if (t.is(op_of("break")) || t.is(op_of("continue"))) {
       advance();
-      expect_punct(";");
-      return make_stmt(ast_stmt::kind::break_stmt, t.line, t.column);
-    }
-    if (t.is(token_kind::keyword, "continue")) {
-      advance();
-      expect_punct(";");
-      return make_stmt(ast_stmt::kind::continue_stmt, t.line, t.column);
+      expect(op_of(";"));
+      return make_stmt(t.is(op_of("break")) ? ast_stmt::kind::break_stmt
+                                            : ast_stmt::kind::continue_stmt,
+                       t.line, t.column);
     }
     if (looks_like_type()) return parse_declaration();
     // Expression statement.
@@ -351,7 +309,7 @@ class parser {
       sync_to_statement_end();
       return nullptr;
     }
-    expect_punct(";");
+    expect(op_of(";"));
     return s;
   }
 
@@ -372,72 +330,67 @@ class parser {
     auto s = make_stmt(ast_stmt::kind::decl, t.line, t.column);
     s->decl_type = std::move(*type);
     s->name = name.text;
-    if (accept_punct("=")) {
+    s->sym = intern(name);
+    if (accept(op_of("="))) {
       s->e1 = parse_expression();
       if (s->e1 == nullptr) {
         sync_to_statement_end();
         return nullptr;
       }
     }
-    expect_punct(";");
+    expect(op_of(";"));
     return s;
   }
 
   stmt_ptr parse_block() {
     const token& t = peek();
-    expect_punct("{");
+    expect(op_of("{"));
     auto s = make_stmt(ast_stmt::kind::block, t.line, t.column);
-    while (!peek().is(token_kind::punct, "}") &&
+    while (!peek().is(op_of("}")) &&
            !peek().is(token_kind::end_of_file)) {
       const std::size_t before = pos_;
       if (stmt_ptr inner = parse_statement())
         s->body.push_back(std::move(inner));
       if (pos_ == before) advance();
     }
-    expect_punct("}");
+    expect(op_of("}"));
     return s;
   }
 
-  stmt_ptr parse_if() {
-    const token& t = advance();  // 'if'
-    auto s = make_stmt(ast_stmt::kind::if_stmt, t.line, t.column);
-    expect_punct("(");
+  /// `if (e1) s1 [else s2]` or `while (e1) s1`.
+  stmt_ptr parse_if_or_while() {
+    const token& t = advance();
+    const bool is_if = t.is(op_of("if"));
+    auto s = make_stmt(is_if ? ast_stmt::kind::if_stmt
+                             : ast_stmt::kind::while_stmt,
+                       t.line, t.column);
+    expect(op_of("("));
     s->e1 = parse_expression();
-    expect_punct(")");
+    expect(op_of(")"));
     s->s1 = parse_statement();
-    if (accept(token_kind::keyword, "else")) s->s2 = parse_statement();
-    return s;
-  }
-
-  stmt_ptr parse_while() {
-    const token& t = advance();  // 'while'
-    auto s = make_stmt(ast_stmt::kind::while_stmt, t.line, t.column);
-    expect_punct("(");
-    s->e1 = parse_expression();
-    expect_punct(")");
-    s->s1 = parse_statement();
+    if (is_if && accept(op_of("else"))) s->s2 = parse_statement();
     return s;
   }
 
   stmt_ptr parse_for() {
     const token& t = advance();  // 'for'
     auto s = make_stmt(ast_stmt::kind::for_stmt, t.line, t.column);
-    expect_punct("(");
-    if (!accept_punct(";")) {
+    expect(op_of("("));
+    if (!accept(op_of(";"))) {
       if (looks_like_type()) {
         s->s1 = parse_declaration();  // consumes ';'
       } else {
         auto init = make_stmt(ast_stmt::kind::expr, peek().line,
                               peek().column);
         init->e1 = parse_expression();
-        expect_punct(";");
+        expect(op_of(";"));
         s->s1 = std::move(init);
       }
     }
-    if (!peek().is(token_kind::punct, ";")) s->e1 = parse_expression();
-    expect_punct(";");
-    if (!peek().is(token_kind::punct, ")")) s->e2 = parse_expression();
-    expect_punct(")");
+    if (!peek().is(op_of(";"))) s->e1 = parse_expression();
+    expect(op_of(";"));
+    if (!peek().is(op_of(")"))) s->e2 = parse_expression();
+    expect(op_of(")"));
     s->s2 = parse_statement();
     return s;
   }
@@ -459,16 +412,17 @@ class parser {
     ast_function fn;
     fn.return_type = std::move(*ret);
     fn.name = name.text;
+    fn.sym = intern(name);
     fn.line = name.line;
-    expect_punct("(");
-    if (!peek().is(token_kind::punct, ")")) {
+    expect(op_of("("));
+    if (!peek().is(op_of(")"))) {
       do {
-        accept(token_kind::keyword, "const");
+        accept(op_of("const"));
         auto pt = parse_type();
         if (!pt) return std::nullopt;
         ast_param p;
         p.type = std::move(*pt);
-        p.by_ref = accept_punct("&");
+        p.by_ref = accept(op_of("&"));
         const token& pname = peek();
         if (!pname.is(token_kind::identifier)) {
           error("expected parameter name");
@@ -476,10 +430,11 @@ class parser {
         }
         advance();
         p.name = pname.text;
+        p.sym = intern(pname);
         fn.params.push_back(std::move(p));
-      } while (accept_punct(","));
+      } while (accept(op_of(",")));
     }
-    expect_punct(")");
+    expect(op_of(")"));
     fn.body = parse_block();
     return fn;
   }
@@ -487,6 +442,7 @@ class parser {
   const std::vector<token>& toks_;
   diagnostics& diags_;
   std::size_t pos_ = 0;
+  ast_program prog_;
 };
 
 }  // namespace

@@ -11,20 +11,12 @@ const container_spec& spec_for(const std::string& kind) {
     // may reallocate.  The C++ standard invalidates at-and-after the point
     // of change (and everything on reallocation); like STLlint we use the
     // sound conservative approximation: all iterators die.
+    // (`all` is every rule's default.)
     m["vector"] = {.kind = "vector",
-                   .iterator_concept = "RandomAccessIterator",
-                   .on_insert = invalidation::all,
-                   .on_erase = invalidation::all,
-                   .on_push_back = invalidation::all,
-                   .on_clear = invalidation::all};
+                   .iterator_concept = "RandomAccessIterator"};
     // deque: any middle insert/erase invalidates everything; push_back
     // invalidates iterators (not references) — again: all.
-    m["deque"] = {.kind = "deque",
-                  .iterator_concept = "RandomAccessIterator",
-                  .on_insert = invalidation::all,
-                  .on_erase = invalidation::all,
-                  .on_push_back = invalidation::all,
-                  .on_clear = invalidation::all};
+    m["deque"] = {.kind = "deque", .iterator_concept = "RandomAccessIterator"};
     // list: node-based; only the erased iterator dies.
     m["list"] = {.kind = "list",
                  .iterator_concept = "BidirectionalIterator",
@@ -47,10 +39,6 @@ const container_spec& spec_for(const std::string& kind) {
     // (Section 3.1's most-restrictive InputIterator model).
     m["input_stream"] = {.kind = "input_stream",
                          .iterator_concept = "InputIterator",
-                         .on_insert = invalidation::all,
-                         .on_erase = invalidation::all,
-                         .on_push_back = invalidation::all,
-                         .on_clear = invalidation::all,
                          .has_push_back = false,
                          .single_pass = true};
     return m;
@@ -67,10 +55,12 @@ const std::vector<algorithm_spec>& all_algorithms() {
       {.name = "find",
        .requires_iterator = "InputIterator",
        .linear_search = true,
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "find_if",
        .requires_iterator = "InputIterator",
        .linear_search = true,
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "count",
        .requires_iterator = "InputIterator",
@@ -83,12 +73,15 @@ const std::vector<algorithm_spec>& all_algorithms() {
        .returns = res::none},
       {.name = "max_element",
        .requires_iterator = "ForwardIterator",
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "min_element",
        .requires_iterator = "ForwardIterator",
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "adjacent_find",
        .requires_iterator = "ForwardIterator",
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "unique",
        .requires_iterator = "ForwardIterator",
@@ -96,10 +89,12 @@ const std::vector<algorithm_spec>& all_algorithms() {
       {.name = "lower_bound",
        .requires_iterator = "ForwardIterator",
        .requires_sorted = true,
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "upper_bound",
        .requires_iterator = "ForwardIterator",
        .requires_sorted = true,
+       .may_return_end = true,
        .returns = res::iterator_into_range},
       {.name = "equal_range",
        .requires_iterator = "ForwardIterator",
@@ -137,10 +132,10 @@ const std::vector<algorithm_spec>& all_algorithms() {
   return algos;
 }
 
-std::optional<algorithm_spec> algorithm_for(const std::string& name) {
+const algorithm_spec* algorithm_for(std::string_view name) {
   for (const algorithm_spec& a : all_algorithms())
-    if (a.name == name) return a;
-  return std::nullopt;
+    if (a.name == name) return &a;
+  return nullptr;
 }
 
 }  // namespace cgp::stllint

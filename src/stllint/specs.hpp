@@ -8,8 +8,8 @@
 // operation invalidates outstanding iterators.
 #pragma once
 
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cgp::stllint {
@@ -48,14 +48,14 @@ struct algorithm_spec {
   bool requires_sorted = false;      ///< entry handler: precondition
   bool establishes_sorted = false;   ///< exit handler: postcondition
   bool linear_search = false;        ///< triggers the sorted-range advisory
+  bool may_return_end = false;  ///< the result may be the not-found end()
   enum class result { none, iterator_into_range, boolean, value } returns =
       result::none;
 };
 
-/// Looks up a known STL-style algorithm; nullopt for unknown functions
+/// Looks up a known STL-style algorithm; nullptr for unknown functions
 /// (which the analyzer treats as opaque and pure).
-[[nodiscard]] std::optional<algorithm_spec> algorithm_for(
-    const std::string& name);
+[[nodiscard]] const algorithm_spec* algorithm_for(std::string_view name);
 
 /// All registered algorithm specs (used by the taxonomy and docs).
 [[nodiscard]] const std::vector<algorithm_spec>& all_algorithms();

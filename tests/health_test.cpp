@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+// Whole-binary counting operator new/delete; the scale tests read deltas.
+#include "alloc_hook.hpp"
 #include "distributed/algorithms.hpp"
 #include "distributed/inproc_transport.hpp"
 #include "distributed/network.hpp"
@@ -31,29 +33,6 @@
 namespace dist = cgp::distributed;
 namespace health = cgp::telemetry::health;
 namespace telemetry = cgp::telemetry;
-
-// ---------------------------------------------------------------------------
-// Counting allocator shims (whole-binary; the scale test reads the deltas)
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::size_t> g_alloc_bytes{0};
-/// Set on a thread whose allocations a test deliberately leaves out.
-thread_local bool t_uncounted = false;
-
-void* counted_alloc(std::size_t size) {
-  if (!t_uncounted) g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
