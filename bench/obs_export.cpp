@@ -5,7 +5,8 @@
 //       Drives every instrumented subsystem, runs the empirical
 //       performance-concept checks, and prints the telemetry registry
 //       wrapped with the environment block (--text: one line per metric).
-//       Fails when a measured complexity exceeds its declared concept.
+//       Fails when a measured complexity exceeds its declared concept or
+//       the printed document does not re-parse.
 //   obs_export trace [--out trace.json]
 //       Grows one causal tree across PageRank on all three Transport
 //       backends, a pool fan-out, STLlint and the rewriter, and writes it
@@ -312,11 +313,15 @@ int run_registry(const options& o) {
 
   auto& reg = telemetry::registry::global();
   const auto env = perf::env_info(perf::utc_timestamp());
-  if (o.text)
+  if (o.text) {
     std::cout << "# " << env.to_string() << "\n" << reg.export_text() << "\n";
-  else
-    std::cout << "{\"environment\":" << telemetry::dump_json(env.to_json())
-              << ",\"telemetry\":" << reg.export_json() << "}\n";
+  } else {
+    const std::string json = "{\"environment\":" +
+                             telemetry::dump_json(env.to_json()) +
+                             ",\"telemetry\":" + reg.export_json() + "}";
+    (void)parse_or_fail(json, 3, "re-parse");
+    std::cout << json << "\n";
+  }
   for (const auto& report : reg.check_reports())
     if (!report.ok) throw gate_failure{1, report.to_string()};
   return 0;

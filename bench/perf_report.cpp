@@ -520,16 +520,10 @@ overhead_verdict gate_overhead_pair(
     return v;
   v.present = true;
 
-  const auto num = [](double x) {
-    telemetry::json_value j;
-    j.k = telemetry::json_value::kind::number;
-    j.num = x;
-    return j;
-  };
-  v.block.k = telemetry::json_value::kind::object;
-  v.block.obj["budget_ratio"] = num(budget);
-  telemetry::json_value pts;
-  pts.k = telemetry::json_value::kind::array;
+  using telemetry::json_number;
+  v.block = telemetry::json_object();
+  v.block.obj["budget_ratio"] = json_number(budget);
+  telemetry::json_value& pts = v.block.obj["points"] = telemetry::json_array();
   std::size_t over = 0;
   for (std::size_t i = 0; i < plain->sweep.size(); ++i) {
     const auto& p = plain->sweep[i];
@@ -539,27 +533,19 @@ overhead_verdict gate_overhead_pair(
     const bool tripped = p.time_ns.ci.hi > 0.0 &&
                          s.time_ns.ci.lo > p.time_ns.ci.hi * budget;
     if (tripped) ++over;
-    telemetry::json_value pt;
-    pt.k = telemetry::json_value::kind::object;
-    pt.obj["n"] = num(static_cast<double>(p.n));
-    pt.obj[a_key + "_median_ns"] = num(p.time_ns.median);
-    pt.obj[a_key + "_ci_hi_ns"] = num(p.time_ns.ci.hi);
-    pt.obj[b_key + "_median_ns"] = num(s.time_ns.median);
-    pt.obj[b_key + "_ci_lo_ns"] = num(s.time_ns.ci.lo);
-    pt.obj["ratio"] = num(ratio);
-    telemetry::json_value t;
-    t.k = telemetry::json_value::kind::boolean;
-    t.b = tripped;
-    pt.obj["over_budget"] = std::move(t);
+    telemetry::json_value pt = telemetry::json_object();
+    pt.obj["n"] = json_number(p.n);
+    pt.obj[a_key + "_median_ns"] = json_number(p.time_ns.median);
+    pt.obj[a_key + "_ci_hi_ns"] = json_number(p.time_ns.ci.hi);
+    pt.obj[b_key + "_median_ns"] = json_number(s.time_ns.median);
+    pt.obj[b_key + "_ci_lo_ns"] = json_number(s.time_ns.ci.lo);
+    pt.obj["ratio"] = json_number(ratio);
+    pt.obj["over_budget"] = telemetry::json_bool(tripped);
     pts.arr.push_back(std::move(pt));
   }
   v.ok = over < (plain->sweep.size() + 1) / 2;
-  v.block.obj["points"] = std::move(pts);
-  v.block.obj["points_over_budget"] = num(static_cast<double>(over));
-  telemetry::json_value ok;
-  ok.k = telemetry::json_value::kind::boolean;
-  ok.b = v.ok;
-  v.block.obj["ok"] = std::move(ok);
+  v.block.obj["points_over_budget"] = json_number(over);
+  v.block.obj["ok"] = telemetry::json_bool(v.ok);
   return v;
 }
 

@@ -8,20 +8,6 @@ namespace cgp::perf {
 
 namespace {
 
-telemetry::json_value jstr(std::string s) {
-  telemetry::json_value v;
-  v.k = telemetry::json_value::kind::string;
-  v.str = std::move(s);
-  return v;
-}
-
-telemetry::json_value jnum(double n) {
-  telemetry::json_value v;
-  v.k = telemetry::json_value::kind::number;
-  v.num = n;
-  return v;
-}
-
 std::string compiler_id() {
 #if defined(__clang__)
   return std::string("Clang ") + __clang_version__;
@@ -49,14 +35,13 @@ std::string os_id() {
 }  // namespace
 
 telemetry::json_value environment::to_json() const {
-  telemetry::json_value v;
-  v.k = telemetry::json_value::kind::object;
-  v.obj["compiler"] = jstr(compiler);
-  v.obj["build_type"] = jstr(build_type);
-  v.obj["cxx_flags"] = jstr(cxx_flags);
-  v.obj["hardware_threads"] = jnum(static_cast<double>(hardware_threads));
-  v.obj["os"] = jstr(os);
-  v.obj["timestamp"] = jstr(timestamp);
+  telemetry::json_value v = telemetry::json_object();
+  v.obj["compiler"] = telemetry::json_string(compiler);
+  v.obj["build_type"] = telemetry::json_string(build_type);
+  v.obj["cxx_flags"] = telemetry::json_string(cxx_flags);
+  v.obj["hardware_threads"] = telemetry::json_number(hardware_threads);
+  v.obj["os"] = telemetry::json_string(os);
+  v.obj["timestamp"] = telemetry::json_string(timestamp);
   return v;
 }
 

@@ -42,7 +42,7 @@ struct gate_options {
 
 struct regression {
   std::string benchmark;
-  std::string what;    ///< "coverage" | "counter" | "time" | "fit"
+  std::string what;    ///< "coverage" | "counter" | "time" | "fit" | "schema"
   std::string detail;
 };
 
@@ -50,6 +50,9 @@ struct regression {
 /// as parsed JSON, so the baseline can come straight off disk).  Every
 /// benchmark present in the baseline must be present in the current
 /// report (a vanished benchmark is a coverage regression, not a pass).
+/// Both documents must carry the kSchema tag, and a malformed field (a
+/// required one absent, or any of the wrong kind) is a "schema"
+/// regression, never read as 0.
 [[nodiscard]] std::vector<regression> compare_reports(
     const telemetry::json_value& current, const telemetry::json_value& baseline,
     const gate_options& opts = {});

@@ -105,23 +105,9 @@ class parser {
       --depth_;
       return v;
     }
-    if (c == '"') {
-      json_value v;
-      v.k = json_value::kind::string;
-      v.str = parse_string();
-      return v;
-    }
-    if (consume_literal("true")) {
-      json_value v;
-      v.k = json_value::kind::boolean;
-      v.b = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      json_value v;
-      v.k = json_value::kind::boolean;
-      return v;
-    }
+    if (c == '"') return json_string(parse_string());
+    if (consume_literal("true")) return json_bool(true);
+    if (consume_literal("false")) return json_bool(false);
     if (consume_literal("null")) return {};
     return parse_number();
   }
@@ -196,8 +182,7 @@ class parser {
       ++pos_;
     if (pos_ == start)
       throw json_error("expected a value at offset " + std::to_string(start));
-    json_value v;
-    v.k = json_value::kind::number;
+    json_value v = json_number(0.0);
     const auto res =
         std::from_chars(text_.data() + start, text_.data() + pos_, v.num);
     if (res.ec != std::errc{} || res.ptr != text_.data() + pos_)
@@ -207,8 +192,7 @@ class parser {
 
   json_value parse_array() {
     expect('[');
-    json_value v;
-    v.k = json_value::kind::array;
+    json_value v = json_array();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
@@ -226,8 +210,7 @@ class parser {
 
   json_value parse_object() {
     expect('{');
-    json_value v;
-    v.k = json_value::kind::object;
+    json_value v = json_object();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
@@ -268,16 +251,9 @@ void dump_to(const json_value& v, std::string* out) {
     case json_value::kind::boolean:
       *out += v.b ? "true" : "false";
       break;
-    case json_value::kind::number: {
-      if (!std::isfinite(v.num)) {
-        *out += "null";  // JSON has no NaN/inf
-        break;
-      }
-      char buf[32];
-      const auto res = std::to_chars(buf, buf + sizeof buf, v.num);
-      out->append(buf, res.ptr);
+    case json_value::kind::number:
+      *out += json_number_text(v.num);
       break;
-    }
     case json_value::kind::string:
       *out += json_quote(v.str);
       break;
@@ -316,6 +292,52 @@ std::string dump_json(const json_value& v) {
   return out;
 }
 
+std::string json_number_text(double v) {
+  if (!std::isfinite(v)) return "null";  // JSON has no NaN/inf
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return {buf, res.ptr};
+}
+
+json_value json_number(double v) {
+  json_value j;
+  j.k = json_value::kind::number;
+  j.num = v;
+  return j;
+}
+
+json_value json_string(std::string s) {
+  json_value j;
+  j.k = json_value::kind::string;
+  j.str = std::move(s);
+  return j;
+}
+
+json_value json_bool(bool b) {
+  json_value j;
+  j.k = json_value::kind::boolean;
+  j.b = b;
+  return j;
+}
+
+json_value json_object() {
+  json_value j;
+  j.k = json_value::kind::object;
+  return j;
+}
+
+json_value json_array() {
+  json_value j;
+  j.k = json_value::kind::array;
+  return j;
+}
+
+json_value json_document(std::string schema) {
+  json_value doc = json_object();
+  doc.obj["schema"] = json_string(std::move(schema));
+  return doc;
+}
+
 void validation::fail(std::string msg) {
   ok = false;
   if (errors.size() < kMaxErrors) errors.push_back(std::move(msg));
@@ -328,6 +350,14 @@ std::string validation::error_text() const {
     out += '\n';
   }
   return out;
+}
+
+bool validation::schema_field(const json_value& doc, const std::string& want) {
+  if (doc.has("schema") && doc.at("schema").is(json_value::kind::string) &&
+      doc.at("schema").str == want)
+    return true;
+  fail("document is not a " + want + " document");
+  return false;
 }
 
 bool validation::num_field(const json_value& v, const std::string& key,

@@ -1,8 +1,9 @@
-// JSON helpers for the telemetry exporters: string escaping on the way
-// out, a minimal recursive-descent parser on the way in (so tests can
-// round-trip registry::export_json() and bench/ tools can consume it
-// without an external dependency), and the result skeleton every
-// document validator shares.
+// The one JSON document path every telemetry exporter shares: value
+// builders and number spelling on the way out, a minimal recursive-descent
+// parser on the way in (so tests can round-trip registry::export_json()
+// and bench/ tools can consume it without an external dependency), and
+// the result skeleton every document validator shares, schema check
+// included.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +63,21 @@ inline constexpr std::size_t kMaxJsonDepth = 512;
 /// (non-finite numbers, which valid JSON cannot carry, serialize as null).
 [[nodiscard]] std::string dump_json(const json_value& v);
 
+/// How dump_json spells a number: the shortest text that reads back as
+/// the same double (std::to_chars), or `null` when `v` is not finite.
+/// Writers that stream their document (the registry, which must keep
+/// 64-bit counters exact, and the Chrome trace) print every double with it.
+[[nodiscard]] std::string json_number_text(double v);
+
+/// Value builders for the exporters' documents.
+[[nodiscard]] json_value json_number(double v);
+[[nodiscard]] json_value json_string(std::string s);
+[[nodiscard]] json_value json_bool(bool b);
+[[nodiscard]] json_value json_object();
+[[nodiscard]] json_value json_array();
+/// An object that already carries its `"schema"` tag.
+[[nodiscard]] json_value json_document(std::string schema);
+
 /// Result skeleton shared by the document validators (trace, live,
 /// flight, health, profile): each result type extends it with its own
 /// counters.  The typed readers record a failure naming `where` and `key`
@@ -77,6 +93,12 @@ struct validation {
   void fail(std::string msg);
   /// The kept messages, one per line.
   [[nodiscard]] std::string error_text() const;
+
+  /// True when `doc` is an object whose "schema" is `want`; otherwise
+  /// fails with "document is not a <want> document".  Validators stop
+  /// when it fails: nothing else in an alien document is worth reading.
+  [[nodiscard]] bool schema_field(const json_value& doc,
+                                  const std::string& want);
 
   [[nodiscard]] bool num_field(const json_value& v, const std::string& key,
                                const std::string& where, double& dst);

@@ -16,41 +16,15 @@ namespace {
 // and identical on every backend and every run.
 using core::mix64;
 
-[[nodiscard]] json_value jnum(double v) {
-  json_value j;
-  j.k = json_value::kind::number;
-  j.num = v;
-  return j;
-}
-[[nodiscard]] json_value jnum(std::uint64_t v) {
-  return jnum(static_cast<double>(v));
-}
-[[nodiscard]] json_value jstr(std::string s) {
-  json_value j;
-  j.k = json_value::kind::string;
-  j.str = std::move(s);
-  return j;
-}
-[[nodiscard]] json_value jobj() {
-  json_value j;
-  j.k = json_value::kind::object;
-  return j;
-}
-[[nodiscard]] json_value jarr() {
-  json_value j;
-  j.k = json_value::kind::array;
-  return j;
-}
-
 /// Nonzero log2 buckets as [index, count] pairs — compact and lossless.
 [[nodiscard]] json_value jbuckets(
     const std::array<std::uint64_t, histogram::kBuckets>& buckets) {
-  json_value out = jarr();
+  json_value out = json_array();
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i] == 0) continue;
-    json_value pair = jarr();
-    pair.arr.push_back(jnum(static_cast<std::uint64_t>(i)));
-    pair.arr.push_back(jnum(buckets[i]));
+    json_value pair = json_array();
+    pair.arr.push_back(json_number(i));
+    pair.arr.push_back(json_number(buckets[i]));
     out.arr.push_back(std::move(pair));
   }
   return out;
@@ -59,21 +33,21 @@ using core::mix64;
 [[nodiscard]] json_value jhist(
     std::uint64_t count, std::uint64_t sum,
     const std::array<std::uint64_t, histogram::kBuckets>& buckets) {
-  json_value out = jobj();
-  out.obj["count"] = jnum(count);
-  out.obj["sum"] = jnum(sum);
+  json_value out = json_object();
+  out.obj["count"] = json_number(count);
+  out.obj["sum"] = json_number(sum);
   out.obj["buckets"] = jbuckets(buckets);
   return out;
 }
 
 [[nodiscard]] json_value jrollup(const shard_rollup& r) {
-  json_value out = jobj();
-  out.obj["routed"] = jnum(r.routed);
-  out.obj["delivered"] = jnum(r.delivered);
-  out.obj["dropped"] = jnum(r.dropped);
-  out.obj["duplicated"] = jnum(r.duplicated);
-  out.obj["last_active_round"] = jnum(r.last_active_round);
-  out.obj["rounds_active"] = jnum(r.rounds_active);
+  json_value out = json_object();
+  out.obj["routed"] = json_number(r.routed);
+  out.obj["delivered"] = json_number(r.delivered);
+  out.obj["dropped"] = json_number(r.dropped);
+  out.obj["duplicated"] = json_number(r.duplicated);
+  out.obj["last_active_round"] = json_number(r.last_active_round);
+  out.obj["rounds_active"] = json_number(r.rounds_active);
   out.obj["latency"] = jhist(r.latency_count, r.latency_sum, r.latency_buckets);
   out.obj["depth"] = jhist(r.depth_count, r.depth_sum, r.depth_buckets);
   return out;
@@ -555,74 +529,67 @@ std::size_t observatory::evaluate_rules_locked(
 
 std::string observatory::export_json() const {
   const std::lock_guard lock(mu_);
-  json_value doc = jobj();
-  doc.obj["schema"] = jstr("cgp.health.v1");
-  doc.obj["clock"] = jstr(opts_.manual_clock ? "manual" : "steady");
-  doc.obj["ticks"] = jnum(ticks_);
-  doc.obj["seed"] = jnum(opts_.seed);
-  doc.obj["shards"] = jnum(static_cast<std::uint64_t>(opts_.shards));
-  doc.obj["reservoir_k"] =
-      jnum(static_cast<std::uint64_t>(opts_.reservoir_k));
-  json_value backends = jarr();
+  json_value doc = json_document("cgp.health.v1");
+  doc.obj["clock"] = json_string(opts_.manual_clock ? "manual" : "steady");
+  doc.obj["ticks"] = json_number(ticks_);
+  doc.obj["seed"] = json_number(opts_.seed);
+  doc.obj["shards"] = json_number(opts_.shards);
+  doc.obj["reservoir_k"] = json_number(opts_.reservoir_k);
+  json_value& backends = doc.obj["backends"] = json_array();
   shard_rollup run_rollup;
   for (const auto& [name, track] : tracks_) {
     const backend_snapshot b = track->snapshot();
-    json_value jb = jobj();
-    jb.obj["name"] = jstr(b.name);
-    jb.obj["nodes"] = jnum(static_cast<std::uint64_t>(b.nodes));
-    jb.obj["shards_used"] = jnum(static_cast<std::uint64_t>(b.shards_used));
-    jb.obj["rounds"] = jnum(b.rounds);
-    json_value rows = jarr();
+    json_value jb = json_object();
+    jb.obj["name"] = json_string(b.name);
+    jb.obj["nodes"] = json_number(b.nodes);
+    jb.obj["shards_used"] = json_number(b.shards_used);
+    jb.obj["rounds"] = json_number(b.rounds);
+    json_value& rows = jb.obj["shards"] = json_array();
     for (std::size_t s = 0; s < b.shards.size(); ++s) {
       json_value row = jrollup(b.shards[s]);
-      row.obj["index"] = jnum(static_cast<std::uint64_t>(s));
+      row.obj["index"] = json_number(s);
       rows.arr.push_back(std::move(row));
     }
-    jb.obj["shards"] = std::move(rows);
     jb.obj["rollup"] = jrollup(b.rollup);
-    json_value reservoir = jarr();
+    json_value& reservoir = jb.obj["reservoir"] = json_array();
     for (const exemplar& ex : b.reservoir) {
-      json_value je = jobj();
-      je.obj["shard"] = jnum(static_cast<std::uint64_t>(ex.shard));
-      je.obj["round"] = jnum(ex.round);
-      je.obj["delivered"] = jnum(ex.delivered);
-      je.obj["routed"] = jnum(ex.routed);
-      je.obj["latency"] = jnum(ex.latency);
-      je.obj["seen"] = jnum(ex.seen);
+      json_value je = json_object();
+      je.obj["shard"] = json_number(ex.shard);
+      je.obj["round"] = json_number(ex.round);
+      je.obj["delivered"] = json_number(ex.delivered);
+      je.obj["routed"] = json_number(ex.routed);
+      je.obj["latency"] = json_number(ex.latency);
+      je.obj["seen"] = json_number(ex.seen);
       reservoir.arr.push_back(std::move(je));
     }
-    jb.obj["reservoir"] = std::move(reservoir);
-    jb.obj["reservoir_seen"] = jnum(b.reservoir_seen);
+    jb.obj["reservoir_seen"] = json_number(b.reservoir_seen);
     run_rollup.fold(b.rollup);
     backends.arr.push_back(std::move(jb));
   }
-  doc.obj["backends"] = std::move(backends);
   doc.obj["rollup"] = jrollup(run_rollup);
-  json_value rules = jarr();
+  json_value& rules = doc.obj["rules"] = json_array();
   for (const slo_rule& r : opts_.rules) {
-    json_value jr = jobj();
-    jr.obj["name"] = jstr(r.name);
-    jr.obj["kind"] = jstr(to_string(r.kind));
-    jr.obj["threshold"] = jnum(r.threshold);
-    jr.obj["budget"] = jnum(r.budget);
-    jr.obj["metric"] = jstr(r.metric);
-    jr.obj["min_activity"] = jnum(r.min_activity);
+    json_value jr = json_object();
+    jr.obj["name"] = json_string(r.name);
+    jr.obj["kind"] = json_string(to_string(r.kind));
+    jr.obj["threshold"] = json_number(r.threshold);
+    jr.obj["budget"] = json_number(r.budget);
+    jr.obj["metric"] = json_string(r.metric);
+    jr.obj["min_activity"] = json_number(r.min_activity);
     rules.arr.push_back(std::move(jr));
   }
-  doc.obj["rules"] = std::move(rules);
-  json_value verdicts = jarr();
+  json_value& verdicts = doc.obj["verdicts"] = json_array();
   for (const slo_verdict& v : verdicts_) {
-    json_value jv = jobj();
-    jv.obj["rule"] = jstr(v.rule);
-    jv.obj["kind"] = jstr(to_string(v.kind));
-    jv.obj["target"] = jstr(v.target);
-    jv.obj["value"] = jnum(v.value);
-    jv.obj["threshold"] = jnum(v.threshold);
-    jv.obj["tick"] = jnum(v.tick);
-    jv.obj["now_ms"] = jnum(v.now_ms);
+    json_value jv = json_object();
+    jv.obj["rule"] = json_string(v.rule);
+    jv.obj["kind"] = json_string(to_string(v.kind));
+    jv.obj["target"] = json_string(v.target);
+    jv.obj["value"] = json_number(v.value);
+    jv.obj["threshold"] = json_number(v.threshold);
+    jv.obj["tick"] = json_number(v.tick);
+    jv.obj["now_ms"] = json_number(v.now_ms);
     verdicts.arr.push_back(std::move(jv));
   }
-  doc.obj["verdicts"] = std::move(verdicts);
   return dump_json(doc);
 }
 
@@ -719,14 +686,7 @@ void check_fold(validation& c, const shard_rollup& rollup,
 
 health_validation validate_health_export(const json_value& doc) {
   health_validation v;
-  if (!doc.is(json_value::kind::object)) {
-    v.fail("document is not an object");
-    return v;
-  }
-  std::string schema;
-  if (v.str_field(doc, "schema", "document", schema) &&
-      schema != "cgp.health.v1")
-    v.fail("schema is '" + schema + "', expected 'cgp.health.v1'");
+  if (!v.schema_field(doc, "cgp.health.v1")) return v;
   std::string clock;
   if (v.str_field(doc, "clock", "document", clock) && clock != "manual" &&
       clock != "steady")

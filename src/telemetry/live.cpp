@@ -316,67 +316,36 @@ std::string sampler::export_prometheus() const {
 }
 
 std::string sampler::export_json() const {
-  json_value doc;
-  doc.k = json_value::kind::object;
-  auto& obj = doc.obj;
-  {
-    json_value schema;
-    schema.k = json_value::kind::string;
-    schema.str = "cgp.live.v1";
-    obj["schema"] = std::move(schema);
-  }
-  const auto num = [](double v) {
-    json_value j;
-    j.k = json_value::kind::number;
-    j.num = v;
-    return j;
-  };
-  const auto str = [](std::string s) {
-    json_value j;
-    j.k = json_value::kind::string;
-    j.str = std::move(s);
-    return j;
-  };
-  obj["period_ms"] = num(static_cast<double>(opts_.period_ms));
-  obj["capacity"] = num(static_cast<double>(opts_.capacity));
-  obj["samples"] = num(static_cast<double>(samples_taken()));
-  json_value series_arr;
-  series_arr.k = json_value::kind::array;
+  json_value doc = json_document("cgp.live.v1");
+  doc.obj["period_ms"] = json_number(opts_.period_ms);
+  doc.obj["capacity"] = json_number(opts_.capacity);
+  doc.obj["samples"] = json_number(samples_taken());
+  json_value& series_arr = doc.obj["series"] = json_array();
   for (series_view& v : series()) {
-    json_value s;
-    s.k = json_value::kind::object;
-    s.obj["name"] = str(std::move(v.name));
-    s.obj["kind"] = str(std::move(v.kind));
-    s.obj["total_points"] = num(static_cast<double>(v.total_points));
-    json_value pts;
-    pts.k = json_value::kind::array;
+    json_value s = json_object();
+    s.obj["name"] = json_string(std::move(v.name));
+    s.obj["kind"] = json_string(std::move(v.kind));
+    s.obj["total_points"] = json_number(v.total_points);
+    json_value& pts = s.obj["points"] = json_array();
     for (const series_point& p : v.points) {
-      json_value pt;
-      pt.k = json_value::kind::object;
-      pt.obj["t_ms"] = num(static_cast<double>(p.t_ms));
-      pt.obj["v"] = num(p.value);
+      json_value pt = json_object();
+      pt.obj["t_ms"] = json_number(p.t_ms);
+      pt.obj["v"] = json_number(p.value);
       pts.arr.push_back(std::move(pt));
     }
-    s.obj["points"] = std::move(pts);
     series_arr.arr.push_back(std::move(s));
   }
-  obj["series"] = std::move(series_arr);
   if (opts_.watch) {
-    json_value wd;
-    wd.k = json_value::kind::object;
-    json_value stalls;
-    stalls.k = json_value::kind::array;
+    json_value& wd = doc.obj["watchdog"] = json_object();
+    json_value& stalls = wd.obj["stalls"] = json_array();
     for (const stall_event& ev : watchdog::global().stalls()) {
-      json_value s;
-      s.k = json_value::kind::object;
-      s.obj["participant"] = str(ev.participant);
-      s.obj["last_beat_ms"] = num(static_cast<double>(ev.last_beat_ms));
-      s.obj["detected_at_ms"] = num(static_cast<double>(ev.detected_at_ms));
-      s.obj["silent_ms"] = num(static_cast<double>(ev.silent_ms));
+      json_value s = json_object();
+      s.obj["participant"] = json_string(ev.participant);
+      s.obj["last_beat_ms"] = json_number(ev.last_beat_ms);
+      s.obj["detected_at_ms"] = json_number(ev.detected_at_ms);
+      s.obj["silent_ms"] = json_number(ev.silent_ms);
       stalls.arr.push_back(std::move(s));
     }
-    wd.obj["stalls"] = std::move(stalls);
-    obj["watchdog"] = std::move(wd);
   }
   return dump_json(doc);
 }
@@ -391,12 +360,7 @@ void sampler::clear() {
 
 live_validation validate_live_export(const json_value& doc) {
   live_validation r;
-  std::string schema;
-  if (!r.str_field(doc, "schema", "document", schema) ||
-      schema != "cgp.live.v1") {
-    r.fail("document is not a cgp.live.v1 export");
-    return r;
-  }
+  if (!r.schema_field(doc, "cgp.live.v1")) return r;
   double period = 0.0, cap = 0.0, samples = 0.0;
   (void)r.num_field(doc, "period_ms", "document", period);
   (void)r.num_field(doc, "capacity", "document", cap);

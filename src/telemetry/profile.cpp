@@ -385,49 +385,28 @@ std::string collapsed(const profile_snapshot& s) {
 
 namespace {
 
-json_value num(std::uint64_t v) {
-  json_value j;
-  j.k = json_value::kind::number;
-  j.num = static_cast<double>(v);
-  return j;
-}
-
-json_value str(std::string s) {
-  json_value j;
-  j.k = json_value::kind::string;
-  j.str = std::move(s);
-  return j;
-}
-
 json_value node_json(const profile_node& n, std::size_t& frames) {
   ++frames;
-  json_value j;
-  j.k = json_value::kind::object;
-  j.obj.emplace("name", str(n.name));
-  j.obj.emplace("count", num(n.count));
-  j.obj.emplace("incl", num(n.incl));
-  j.obj.emplace("excl", num(n.excl));
-  j.obj.emplace("traced", num(n.traced));
-  json_value kids;
-  kids.k = json_value::kind::array;
+  json_value j = json_object();
+  j.obj.emplace("name", json_string(n.name));
+  j.obj.emplace("count", json_number(n.count));
+  j.obj.emplace("incl", json_number(n.incl));
+  j.obj.emplace("excl", json_number(n.excl));
+  j.obj.emplace("traced", json_number(n.traced));
+  json_value& kids = j.obj["children"] = json_array();
   for (const auto& c : n.children) kids.arr.push_back(node_json(c, frames));
-  j.obj.emplace("children", std::move(kids));
   return j;
 }
 
 }  // namespace
 
 std::string export_json(const profile_snapshot& s) {
-  json_value doc;
-  doc.k = json_value::kind::object;
-  doc.obj.emplace("schema", str("cgp.prof.v1"));
-  doc.obj.emplace("unit", str(s.unit));
-  json_value roots;
-  roots.k = json_value::kind::array;
+  json_value doc = json_document("cgp.prof.v1");
+  doc.obj.emplace("unit", json_string(s.unit));
+  json_value& roots = doc.obj["roots"] = json_array();
   std::size_t frames = 0;
   for (const auto& r : s.roots) roots.arr.push_back(node_json(r, frames));
-  doc.obj.emplace("roots", std::move(roots));
-  doc.obj.emplace("frames", num(frames));
+  doc.obj.emplace("frames", json_number(frames));
   return dump_json(doc);
 }
 
@@ -544,14 +523,8 @@ void validate_node(const json_value& n, const std::string& where,
 
 profile_validation validate_profile(const json_value& doc) {
   profile_validation out;
-  if (!doc.is(json_value::kind::object)) {
-    out.fail("document is not an object");
-    return out;
-  }
-  std::string schema, unit;
-  if (out.str_field(doc, "schema", "document", schema) &&
-      schema != "cgp.prof.v1")
-    out.fail("schema tag is not cgp.prof.v1");
+  if (!out.schema_field(doc, "cgp.prof.v1")) return out;
+  std::string unit;
   if (out.str_field(doc, "unit", "document", unit) && unit != "ns" &&
       unit != "ticks")
     out.fail("unit must be \"ns\" or \"ticks\"");

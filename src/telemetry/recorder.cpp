@@ -1,7 +1,6 @@
 #include "telemetry/recorder.hpp"
 
 #include <chrono>
-#include <sstream>
 
 namespace cgp::telemetry::live {
 
@@ -105,21 +104,22 @@ std::string flight_recorder::dump_json() const {
     over = overwritten_;
     cap = capacity_;
   }
-  std::ostringstream os;
-  os << "{\"schema\":\"cgp.flight.v1\",\"capacity\":" << cap
-     << ",\"recorded\":" << rec << ",\"overwritten\":" << over
-     << ",\"entries\":[";
-  bool first = true;
+  json_value doc = json_document("cgp.flight.v1");
+  doc.obj["capacity"] = json_number(cap);
+  doc.obj["recorded"] = json_number(rec);
+  doc.obj["overwritten"] = json_number(over);
+  json_value& out = doc.obj["entries"] = json_array();
   for (const flight_entry& e : entries) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"t_ms\":" << e.t_ms << ",\"seq\":" << e.seq
-       << ",\"kind\":" << json_quote(to_string(e.k))
-       << ",\"name\":" << json_quote(e.name) << ",\"value\":" << e.value
-       << ",\"detail\":" << json_quote(e.detail) << "}";
+    json_value j = json_object();
+    j.obj["t_ms"] = json_number(e.t_ms);
+    j.obj["seq"] = json_number(e.seq);
+    j.obj["kind"] = json_string(to_string(e.k));
+    j.obj["name"] = json_string(e.name);
+    j.obj["value"] = json_number(e.value);
+    j.obj["detail"] = json_string(e.detail);
+    out.arr.push_back(std::move(j));
   }
-  os << "]}";
-  return os.str();
+  return telemetry::dump_json(doc);
 }
 
 void flight_recorder::clear() {
@@ -132,12 +132,7 @@ void flight_recorder::clear() {
 
 flight_validation validate_flight_dump(const json_value& doc) {
   flight_validation r;
-  std::string schema;
-  if (!r.str_field(doc, "schema", "document", schema) ||
-      schema != "cgp.flight.v1") {
-    r.fail("document is not a cgp.flight.v1 dump");
-    return r;
-  }
+  if (!r.schema_field(doc, "cgp.flight.v1")) return r;
   double cap = 0.0, rec = 0.0, over = 0.0;
   bool totals = r.num_field(doc, "capacity", "document", cap);
   totals = r.num_field(doc, "recorded", "document", rec) && totals;

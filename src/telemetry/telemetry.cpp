@@ -181,14 +181,15 @@ std::string registry::export_json() const {
     if (!first) os << ",";
     first = false;
     os << json_quote(name) << ":{\"count\":" << h->count()
-       << ",\"sum\":" << h->sum() << ",\"mean\":" << h->mean();
+       << ",\"sum\":" << h->sum()
+       << ",\"mean\":" << json_number_text(h->mean());
     if (h->count() == 0) {
       // No samples means no percentiles: explicit nulls, not a fake 0.
       os << ",\"p50\":null,\"p95\":null,\"p99\":null";
     } else {
-      os << ",\"p50\":" << h->percentile(50)
-         << ",\"p95\":" << h->percentile(95)
-         << ",\"p99\":" << h->percentile(99);
+      os << ",\"p50\":" << json_number_text(h->percentile(50))
+         << ",\"p95\":" << json_number_text(h->percentile(95))
+         << ",\"p99\":" << json_number_text(h->percentile(99));
     }
     os << ",\"max\":" << h->max() << ",\"buckets\":[";
     bool first_b = true;
@@ -211,8 +212,9 @@ std::string registry::export_json() const {
        << ",\"bound\":" << json_quote(r.bound)
        << ",\"ok\":" << (r.ok ? "true" : "false")
        << ",\"inconclusive\":" << (r.inconclusive ? "true" : "false")
-       << ",\"growth_slope\":" << r.growth_slope
-       << ",\"max_ratio\":" << r.max_ratio << ",\"tolerance\":" << r.tolerance
+       << ",\"growth_slope\":" << json_number_text(r.growth_slope)
+       << ",\"max_ratio\":" << json_number_text(r.max_ratio)
+       << ",\"tolerance\":" << json_number_text(r.tolerance)
        << ",\"samples\":" << r.samples
        << ",\"detail\":" << json_quote(r.detail) << "}";
   }

@@ -198,7 +198,8 @@ std::string sink::export_chrome_trace() const {
     if (e.ph == event::phase::counter) {
       // Counter tracks carry ONLY the plotted series: extra args keys
       // would each become their own Perfetto series and bury the metric.
-      os << ",\"args\":{\"value\":" << e.value << "}}";
+      os << ",\"args\":{\"value\":" << json_number_text(e.value)
+         << "}}";
       continue;
     }
     if (e.ph == event::phase::instant) os << ",\"s\":\"t\"";

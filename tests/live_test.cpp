@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,6 +66,21 @@ TEST(FlightRecorderTest, DumpRoundTripsAndValidates) {
   // dump -> parse -> dump is a fixed point through the bundled JSON layer.
   const std::string dumped = telemetry::dump_json(doc);
   EXPECT_EQ(telemetry::dump_json(telemetry::parse_json(dumped)), dumped);
+
+  // Note values keep every digit, and a NaN note still dumps a parseable
+  // document whose validator names the entry that carries it.
+  live::flight_recorder digits(8);
+  digits.note(live::flight_entry::kind::marker, "big", 1234567.0);
+  digits.note(live::flight_entry::kind::marker, "small", 0.123456789);
+  digits.note(live::flight_entry::kind::marker, "nan", std::nan(""));
+  const auto reread = telemetry::parse_json(digits.dump_json());
+  ASSERT_EQ(reread.at("entries").arr.size(), 3u);
+  EXPECT_EQ(reread.at("entries").arr[0].at("value").num, 1234567.0);
+  EXPECT_EQ(reread.at("entries").arr[1].at("value").num, 0.123456789);
+  const auto nan_check = live::validate_flight_dump(reread);
+  EXPECT_FALSE(nan_check.ok);
+  EXPECT_NE(nan_check.error_text().find("entry 2"), std::string::npos)
+      << nan_check.error_text();
 }
 
 TEST(FlightRecorderTest, ValidatorRejectsIncoherentTotals) {

@@ -420,6 +420,23 @@ TEST(PerfReport, TimeGateUsesCiAgainstBaselineMedian) {
   EXPECT_TRUE(perf::compare_reports(mild, base, gate).empty());
 }
 
+TEST(PerfReport, MalformedBaselineFieldsAreSchemaRegressions) {
+  // A string where a number belongs must fail the gate, not read as 0 and
+  // switch the counter and time gates off.
+  const auto env = perf::env_info("t0");
+  const auto cur = perf::report_json({toy_result("perftest.a", 1.0, 10.0)}, env);
+  auto base = cur;
+  auto& pt = base.obj["benchmarks"].arr[0].obj["sweep"].arr[0];
+  pt.obj["counters"].obj["perftest.a.ops"] = telemetry::parse_json("\"10\"");
+  pt.obj["time_ns"].obj["median"] = telemetry::parse_json("\"10\"");
+  const auto regs = perf::compare_reports(cur, base);
+  ASSERT_EQ(regs.size(), 2u);
+  for (const auto& r : regs) {
+    EXPECT_EQ(r.what, "schema") << r.detail;
+    EXPECT_EQ(r.benchmark, "perftest.a");
+  }
+}
+
 TEST(PerfReport, ViolatedFitIsARegression) {
   const auto env = perf::env_info("t0");
   auto bad = toy_result("perftest.a", 1.0, 10.0);

@@ -15,8 +15,12 @@
 
 #include "parallel/work_stealing_pool.hpp"
 #include "perf/profdiff.hpp"
+#include "perf/report.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/health.hpp"
+#include "telemetry/live.hpp"
 #include "telemetry/profile.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -367,6 +371,55 @@ TEST_F(ProfileTest, ValidatorRejectsTamperedDocuments) {
   // Not a profile document at all.
   auto alien = telemetry::parse_json("{\"schema\":\"cgp.flight.v1\"}");
   EXPECT_FALSE(profile::validate_profile(alien).ok);
+
+  // Every document checker accepts its own minimal document and rejects
+  // that document once its schema tag is wrong or missing.
+  static constexpr char kPerf[] =
+      "{\"schema\":\"cgp.perf.v1\",\"benchmarks\":[]}";
+  struct checker {
+    const char* good;
+    bool (*accepts)(const telemetry::json_value&);
+  };
+  const checker checkers[] = {
+      {"{\"schema\":\"cgp.live.v1\",\"period_ms\":40,\"capacity\":8,"
+       "\"samples\":0,\"series\":[]}",
+       [](const telemetry::json_value& d) {
+         return telemetry::live::validate_live_export(d).ok;
+       }},
+      {"{\"schema\":\"cgp.flight.v1\",\"capacity\":1,\"recorded\":0,"
+       "\"overwritten\":0,\"entries\":[]}",
+       [](const telemetry::json_value& d) {
+         return telemetry::live::validate_flight_dump(d).ok;
+       }},
+      {"{\"schema\":\"cgp.health.v1\",\"clock\":\"manual\",\"ticks\":0,"
+       "\"reservoir_k\":1,\"shards\":1,\"seed\":0,\"rules\":[],"
+       "\"backends\":[],\"verdicts\":[]}",
+       [](const telemetry::json_value& d) {
+         return telemetry::health::validate_health_export(d).ok;
+       }},
+      {"{\"schema\":\"cgp.prof.v1\",\"unit\":\"ns\",\"roots\":[],"
+       "\"frames\":0}",
+       [](const telemetry::json_value& d) {
+         return profile::validate_profile(d).ok;
+       }},
+      {kPerf,
+       [](const telemetry::json_value& d) {
+         // Either side of the comparison may be the malformed one.
+         const auto good = telemetry::parse_json(kPerf);
+         return perf::compare_reports(d, good).empty() &&
+                perf::compare_reports(good, d).empty();
+       }},
+  };
+  for (const checker& c : checkers) {
+    const auto good = telemetry::parse_json(c.good);
+    EXPECT_TRUE(c.accepts(good)) << c.good;
+    auto wrong = good;
+    wrong.obj["schema"].str = "cgp.alien.v1";
+    EXPECT_FALSE(c.accepts(wrong)) << "wrong tag: " << c.good;
+    auto missing = good;
+    missing.obj.erase("schema");
+    EXPECT_FALSE(c.accepts(missing)) << "missing tag: " << c.good;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -236,6 +236,18 @@ TEST(TelemetryExport, JsonRoundTripsThroughParse) {
   EXPECT_EQ(checks.arr[0].at("bound").str, "O(n log n)");
   EXPECT_TRUE(checks.arr[0].at("ok").b);
   EXPECT_EQ(checks.arr[0].at("detail").str, "quoted \"detail\" with\nnewline");
+
+  // Doubles keep every digit: no stream precision rounds them.
+  telemetry::registry digits;
+  telemetry::histogram& wide = digits.get_histogram("digits.hist");
+  wide.record(500001);
+  wide.record(500002);
+  digits.record_check({.name = "digits.check", .growth_slope = 0.0123456789});
+  const auto reread = telemetry::parse_json(digits.export_json());
+  EXPECT_EQ(reread.at("histograms").at("digits.hist").at("mean").num,
+            500001.5);
+  EXPECT_EQ(reread.at("checks").arr.at(0).at("growth_slope").num,
+            0.0123456789);
 }
 
 TEST(TelemetryExport, TextIsOneLinePerMetric) {

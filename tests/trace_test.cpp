@@ -412,11 +412,21 @@ TEST_F(TraceTest, CounterSamplesRecordOnlyUnderATrace) {
   {
     trace::trace_span root("root", "test");
     trace::counter_sample("metrics.visible", 42.5);
+    trace::counter_sample("x", 1234567.0);
   }
   const auto samples = events_named("metrics.visible");
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].ph, trace::event::phase::counter);
   EXPECT_DOUBLE_EQ(samples[0].value, 42.5);
+
+  // The Chrome export keeps every digit of a sample.
+  const auto doc =
+      telemetry::parse_json(trace::sink::global().export_chrome_trace());
+  const telemetry::json_value* x = nullptr;
+  for (const auto& e : doc.at("traceEvents").arr)
+    if (e.at("name").str == "x") x = &e;
+  ASSERT_NE(x, nullptr);
+  EXPECT_EQ(x->at("args").at("value").num, 1234567.0);
 }
 
 TEST_F(TraceTest, RegistrySamplingExportsValidatedCounterTracks) {
