@@ -261,8 +261,6 @@ void net_base::do_send(int from, int to, std::string_view tag,
   }
   const std::uint64_t seq = send_seq_[src]++;
   if (opts_.mode == timing::synchronous) {
-    // Backend-chosen sink: the base engine's shard buckets or inproc's
-    // cross-thread mailboxes (faults drawn here on both).
     enqueue_sync(src, seq, std::move(m));
     return;
   }
@@ -559,13 +557,8 @@ void net_base::run_start_phase() {
   }
 }
 
-void net_base::execute_synchronous(std::size_t max_rounds) {
-  run_start_phase();
-  run_synchronous(max_rounds);
-}
-
 void net_base::finalize_stats() {
-  // The send accumulators fold once per run (inproc keeps its own).
+  // The send accumulators fold once per run.
   for (shard_sends& out : sends_) {
     stats_.messages_total += std::exchange(out.total, 0);
     stats_.messages_dropped += std::exchange(out.dropped, 0);
@@ -614,25 +607,35 @@ run_stats net_base::run(std::size_t max_rounds) {
   run_heartbeat_ = telemetry::live::watchdog::global().register_heartbeat(
       std::string("distributed.") + backend_name() + ".run");
   run_heartbeat_->begin_work();
-  // Health roll-ups: one fixed-size track per backend (nullptr when the
-  // observatory is off — every hook below is one pointer test then).
-  health_ = telemetry::health::observatory::global().begin_run(
-      backend_name(), node_count());
-  const std::size_t health_slots = health_ ? health_->shards_used() : 0;
-  for (shard_sends& out : sends_) {
-    out.health.assign(health_slots, {});
-    out.touched.reserve(health_slots);
-  }
-  if (opts_.mode == timing::synchronous) {
-    execute_synchronous(max_rounds);
-  } else {
+  {
+    // However the run ends — a handler may throw — it leaves no busy
+    // heartbeat (a phantom stall), no health track and no in-flight
+    // backlog behind.
+    struct run_scope {
+      net_base& net;
+      ~run_scope() {
+        net.run_heartbeat_->end_work();
+        net.run_heartbeat_.reset();
+        net.health_ = nullptr;
+        in_flight_gauge().set(0);
+      }
+    } const release{*this};
+    // Health roll-ups: one fixed-size track per backend (nullptr when the
+    // observatory is off — every hook below is one pointer test then).
+    health_ = telemetry::health::observatory::global().begin_run(
+        backend_name(), node_count());
+    const std::size_t health_slots = health_ ? health_->shards_used() : 0;
+    for (shard_sends& out : sends_) {
+      out.health.assign(health_slots, {});
+      out.touched.clear();
+      out.touched.reserve(health_slots);
+    }
     run_start_phase();
-    run_asynchronous(max_rounds);
+    if (opts_.mode == timing::synchronous)
+      run_synchronous(max_rounds);
+    else
+      run_asynchronous(max_rounds);
   }
-  run_heartbeat_->end_work();
-  run_heartbeat_.reset();
-  health_ = nullptr;
-  in_flight_gauge().set(0);
   finalize_stats();
   // Fold this run into the process-wide telemetry registry so every
   // backend exports uniformly (the taxonomy's measured dimensions:

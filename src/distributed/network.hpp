@@ -16,14 +16,13 @@
 //     message routing, fault injection, and measured statistics
 //     (messages, rounds, LOCAL COMPUTATION per node — the quantity the
 //     paper says is "rarely accounted for");
-//   * backends plug in an execution strategy: `sim_transport` runs
-//     handlers sequentially and deterministically (and is the only
-//     backend implementing `timing::asynchronous` via an event queue),
-//     `parallel_transport` (parallel_transport.hpp) runs each shard's
-//     synchronous superstep concurrently on an Executor, and
-//     `inproc_transport` (inproc_transport.hpp) replaces the whole
-//     engine with shard-owning threads and real cross-thread mailbox
-//     sends;
+//   * backends plug in an execution strategy and nothing else:
+//     `sim_transport` runs the shards sequentially and deterministically
+//     (and is the only backend implementing `timing::asynchronous` via an
+//     event queue), `parallel_transport` (parallel_transport.hpp) runs
+//     each shard's synchronous superstep on a work-stealing Executor, and
+//     `inproc_transport` (inproc_transport.hpp) on a thread spawned for
+//     that phase;
 //   * the driver-facing boundary is the `Transport` concept
 //     (transport.hpp), checked with an archetype in the spirit of
 //     core/archetypes.hpp, so algorithm drivers provably need nothing
@@ -40,10 +39,10 @@
 // round, sender index, per-sender send sequence, duplicate-before-original)
 // — and every per-message fault decision is a pure hash of (seed, sender,
 // send sequence), so the decision is the same whichever thread draws it
-// and in whatever order: the base engine draws at the send site inside
-// each shard task, inproc at its cross-thread send site.  Handler
-// invocations only touch node-local state, so a run's decisions and
-// statistics are identical across backends for a fixed seed.
+// and in whatever order: the engine draws at the send site inside each
+// shard task.  Handler invocations only touch node-local state, so a
+// run's decisions and statistics are identical across backends for a
+// fixed seed.
 //
 // Scale notes (the §13 batching protocol): a send appends straight into
 // `bucket[src shard][dst shard]`, tallying stats, tags and health in the
@@ -69,6 +68,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -167,6 +167,13 @@ struct net_options {
   /// (0 = auto, at least 2).
   unsigned workers = 0;
   fault_options faults{};
+
+  /// The worker count after resolving the auto default: hardware
+  /// concurrency, at least 2 so concurrency is always exercised.
+  [[nodiscard]] unsigned resolved_workers() const noexcept {
+    return workers != 0 ? workers
+                        : std::max(2u, std::thread::hardware_concurrency());
+  }
 };
 
 class net_base;
@@ -292,12 +299,10 @@ struct run_stats {
 /// The shared engine behind every transport backend: the CSR topology,
 /// uids, the canonical synchronous superstep loop, the asynchronous event
 /// queue, the unified fault surface, decisions, and statistics.  Backends
-/// override `for_each_shard` with their execution strategy (everything a
-/// shard task touches is node-local — the shard's slice of the arenas,
-/// rngs, stats slots and decision maps — so the strategy may be
-/// concurrent), or, like inproc_transport, replace the whole synchronous
-/// engine via `execute_synchronous` + `enqueue_sync` while reusing the
-/// shared per-node superstep, fault hashing, and accounting.
+/// override only `for_each_shard` with their execution strategy
+/// (everything a shard task touches is node-local — the shard's slice of
+/// the arenas, rngs, stats slots and decision maps — so the strategy may
+/// be concurrent), `backend_name`, and `supports_asynchronous`.
 class net_base {
  public:
   virtual ~net_base() = default;
@@ -372,7 +377,8 @@ class net_base {
   explicit net_base(const net_options& opts, std::size_t shards = 1);
 
   /// Execution strategy: invoke `fn(s)` once for every shard index in
-  /// [0, shard_count()).  All invocations of one barrier phase may run
+  /// [0, shard_count()) and return when all have finished, rethrowing the
+  /// first exception.  All invocations of one barrier phase may run
   /// concurrently; `fn` only touches shard-local state.
   virtual void for_each_shard(const std::function<void(std::size_t)>& fn) = 0;
 
@@ -386,20 +392,12 @@ class net_base {
     return false;
   }
 
-  /// The synchronous engine: start phase + round loop.  The base
-  /// implementation is the barrier-per-round arena engine below;
-  /// inproc_transport overrides it with its thread-owning mailbox loop.
-  virtual void execute_synchronous(std::size_t max_rounds);
+  [[nodiscard]] std::size_t shard_count() const noexcept {
+    return shard_count_;
+  }
 
-  /// Synchronous send sink: where a validated, corrupted, trace-stamped
-  /// message goes.  Base: draws the hash fault plan, tallies the send in
-  /// the sender shard's accumulator and appends the survivors (duplicate
-  /// copy first) to the sender shard's bucket for the destination shard —
-  /// all shard-local, on the sending shard's task.  inproc overrides it
-  /// with its cross-thread mailbox append; the hash makes both agree.
-  virtual void enqueue_sync(std::size_t src, std::uint64_t seq, message&& m);
-
-  // --- shared machinery for custom engines ---------------------------------
+ private:
+  friend class context;
 
   /// Deterministic per-message fault plan: a pure function of the run seed
   /// and the message's (sender, send-sequence) identity.
@@ -410,6 +408,13 @@ class net_base {
   [[nodiscard]] fault_draw draw_faults(std::size_t src,
                                        std::uint64_t seq) const noexcept;
 
+  /// Synchronous send sink for a validated, corrupted, trace-stamped
+  /// message: draws the hash fault plan, tallies the send in the sender
+  /// shard's accumulator and appends the survivors (duplicate copy first)
+  /// to the sender shard's bucket for the destination shard — all
+  /// shard-local, on the sending shard's task.
+  void enqueue_sync(std::size_t src, std::uint64_t seq, message&& m);
+
   /// One node's synchronous superstep: deliver `inbox` in canonical order,
   /// then on_round.  Down nodes let their mail rot.  Adopts the enclosing
   /// phase span's trace context when executing on a worker thread.
@@ -419,13 +424,9 @@ class net_base {
   void run_node_start(std::size_t i);
 
   /// Applies the deferred-crash schedule and the churn hash draws for the
-  /// current `round_`.  Single-threaded contexts only (the coordinator, or
-  /// a barrier completion step).
+  /// current `round_`.  Coordinator only, between phases.
   void apply_round_faults();
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shard_count_;
-  }
   [[nodiscard]] std::size_t shard_of(std::size_t node) const noexcept {
     return node / shard_width_;
   }
@@ -448,9 +449,8 @@ class net_base {
     return static_cast<std::size_t>(id);
   }
 
-  // Shared state a custom engine needs to read or (in synchronized phases)
-  // write.  Worker tasks only ever touch node-local slots; the scalar
-  // fields are coordinator/completion-step territory.
+  // Worker tasks only ever touch node-local slots; the scalar fields are
+  // coordinator territory.
   net_options opts_;
   csr_topology topo_;
   std::vector<long> uids_;
@@ -474,11 +474,9 @@ class net_base {
 
   // Health-observatory track for the current run (telemetry/health.hpp):
   // nullptr unless the observatory is enabled, acquired at run() entry.
-  // The base engine tallies each send in its shard accumulator and folds
-  // the touched health slots once per round; inproc calls the per-message
-  // hooks at its cross-thread send sites.  end_round fires once per
-  // synchronous round at a single-threaded barrier point, with identical
-  // round indices on every backend.
+  // Each send is tallied in its shard accumulator and the touched health
+  // slots fold once per round; end_round fires once per synchronous round
+  // on the coordinator, with identical round indices on every backend.
   telemetry::health::backend_track* health_ = nullptr;
 
   // Trace context of the current phase span (start phase / round span),
@@ -496,9 +494,6 @@ class net_base {
   std::uint32_t prof_route_frame_ = 0xffff'ffffu;
   std::uint32_t prof_deliver_frame_ = 0xffff'ffffu;
   std::uint32_t prof_fault_frame_ = 0xffff'ffffu;
-
- private:
-  friend class context;
 
   // Handler-side entry points (called from per-node tasks; thread-safe by
   // node-locality, see for_each_shard).
@@ -591,10 +586,5 @@ class sim_transport final : public net_base {
     return true;
   }
 };
-
-/// Transitional alias for the pre-redesign class name; new code should
-/// name the backend it wants (sim_transport / parallel_transport /
-/// inproc_transport).
-using network = sim_transport;
 
 }  // namespace cgp::distributed

@@ -1,29 +1,17 @@
 #include "distributed/parallel_transport.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "distributed/transport.hpp"
 #include "parallel/task_group.hpp"
 
 namespace cgp::distributed {
 
-namespace {
-
-unsigned superstep_workers(const net_options& opts) {
-  return opts.workers != 0
-             ? opts.workers
-             : std::max(2u, std::thread::hardware_concurrency());
-}
-
-}  // namespace
-
 static_assert(Transport<parallel_transport>);
 
 parallel_transport::parallel_transport(const net_options& opts)
-    : net_base(opts, superstep_workers(opts)),
-      pool_(parallel::pool_options{.workers = superstep_workers(opts)}) {
+    : net_base(opts, opts.resolved_workers()),
+      pool_(parallel::pool_options{.workers = opts.resolved_workers()}) {
   if (opts.mode == timing::asynchronous)
     throw std::invalid_argument(
         "parallel_transport implements only timing::synchronous "

@@ -11,7 +11,7 @@
 // and measured statistics.  Algorithm drivers constrained on this concept
 // — `run_ring_election`, the benchmarks, the backend-parity tests — run
 // unchanged on any backend: the deterministic `sim_transport`, the
-// executor-fan-out `parallel_transport`, the shared-memory mailbox
+// executor-fan-out `parallel_transport`, the per-phase-thread
 // `inproc_transport`, or the archetype below.
 //
 // `transport_archetype` is the syntactic archetype (core/archetypes.hpp

@@ -68,9 +68,6 @@ work_stealing_pool::work_stealing_pool(const pool_options& opts)
           "parallel.work_stealing.task_us")) {
   opts.validate();
   workers_ = opts.resolved_workers();
-  steal_attempts_ = opts.steal_attempts;
-  park_timeout_us_ = opts.park_timeout_us;
-  capacity_ = opts.queue_capacity;
   slots_.reserve(workers_);
   for (unsigned i = 0; i < workers_; ++i)
     slots_.push_back(std::make_unique<worker_slot>());
@@ -94,7 +91,6 @@ work_stealing_pool::~work_stealing_pool() {
     const std::lock_guard lock(idle_m_);
   }
   idle_cv_.notify_all();
-  space_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   heartbeats_.clear();
   if constexpr (telemetry::kEnabled)
@@ -117,20 +113,13 @@ void work_stealing_pool::enqueue(detail::task_item&& item) {
   // can never transiently wrap below zero and fake "work everywhere" to
   // sleepers or stall the stopping&&drained exit check.
   if (tls_ws_pool == this) {
-    // Worker self-submit: own deque, back (LIFO hot end).  Never blocks on
-    // capacity — a worker is its own consumer, and fork-join would
-    // deadlock against a full inject queue.
+    // Worker self-submit: own deque, back (LIFO hot end).
     worker_slot& s = *slots_[tls_ws_index];
     const std::lock_guard lock(s.m);
     s.dq.push_back(std::move(item));
     ready_.fetch_add(1, std::memory_order_acq_rel);
   } else {
-    std::unique_lock lock(inject_m_);
-    if (capacity_ != 0)
-      space_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               inject_.size() < capacity_;
-      });
+    const std::lock_guard lock(inject_m_);
     inject_.push_back(std::move(item));
     ready_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -140,7 +129,7 @@ void work_stealing_pool::enqueue(detail::task_item&& item) {
 }
 
 // Claim order: own deque back (LIFO, cache-warm), inject queue front
-// (FIFO fairness for external work), then stealing — `steal_attempts_`
+// (FIFO fairness for external work), then stealing — `kStealAttempts`
 // random probes followed by one full round-robin sweep so a lone loaded
 // victim is always found before parking.  Thieves take the FRONT of a
 // victim's deque: the oldest task is the coarsest split, the one worth
@@ -164,7 +153,6 @@ bool work_stealing_pool::next_task(unsigned self, detail::task_item& out) {
       inject_.pop_front();
       ready_.fetch_sub(1, std::memory_order_acq_rel);
       queue_depth_.sub();
-      if (capacity_ != 0) space_cv_.notify_one();
       return true;
     }
   }
@@ -182,7 +170,7 @@ bool work_stealing_pool::next_task(unsigned self, detail::task_item& out) {
       steals_.add();
       return true;
     };
-    for (unsigned a = 0; a < steal_attempts_; ++a)
+    for (unsigned a = 0; a < kStealAttempts; ++a)
       if (steal_from(next_rand() % workers_)) return true;
     for (unsigned v = 0; v < workers_; ++v)
       if (steal_from((self + 1 + v) % workers_)) return true;
@@ -240,15 +228,14 @@ void work_stealing_pool::worker_loop(unsigned idx) {
         ready_.load(std::memory_order_acquire) == 0)
       return;  // stopping and drained
     // Park, bounded: the timeout re-arms the scan so a wakeup lost to the
-    // sleepers_-vs-enqueue race costs at most park_timeout_us.
+    // sleepers_-vs-enqueue race costs at most kParkTimeout.
     parks_.add();
     std::unique_lock lock(idle_m_);
     sleepers_.fetch_add(1, std::memory_order_acq_rel);
-    idle_cv_.wait_for(lock, std::chrono::microseconds(park_timeout_us_),
-                      [this] {
-                        return stopping_.load(std::memory_order_acquire) ||
-                               ready_.load(std::memory_order_acquire) > 0;
-                      });
+    idle_cv_.wait_for(lock, kParkTimeout, [this] {
+      return stopping_.load(std::memory_order_acquire) ||
+             ready_.load(std::memory_order_acquire) > 0;
+    });
     sleepers_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }

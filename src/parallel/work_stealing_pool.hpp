@@ -9,14 +9,14 @@
 //     worker goes to its own deque (cache-warm, no shared-queue
 //     contention), external submits land in a shared inject queue;
 //   - an idle worker pops its own deque from the back, then the inject
-//     queue from the front, then probes `steal_attempts` random victims
+//     queue from the front, then probes `kStealAttempts` random victims
 //     plus one full round-robin scan, stealing from the FRONT of a
 //     victim's deque;
 //   - idle/wake protocol without thundering herds: submitters wake at
 //     most ONE parked worker; a worker that claims a task while more
 //     remain queued wakes one more (wake chaining), so the woken set
 //     grows with the work instead of stampeding every sleeper at once;
-//     parks are bounded by `park_timeout_us` to ride out lost-wakeup
+//     parks are bounded by `kParkTimeout` to ride out lost-wakeup
 //     races;
 //   - nested fork-join recurses through task_group: a worker waiting on
 //     a group runs its own (LIFO) splits via try_help instead of
@@ -28,6 +28,7 @@
 // feed the threads-sweep benchmarks.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -67,7 +68,7 @@ class work_stealing_pool {
   /// Enqueues any invocable.  Concept-bounded and single-erasure: the
   /// callable is erased once into task_fn, so move-only callables work.
   /// Worker-thread submits go to the caller's own deque; external submits
-  /// to the inject queue (with capacity backpressure when configured).
+  /// to the inject queue.
   template <std::invocable F>
   void submit(F&& task) {
     detail::task_item item;
@@ -110,10 +111,13 @@ class work_stealing_pool {
   void worker_loop(unsigned idx);
   void wake_one();
 
+  /// Random victims an idle worker probes before its full sweep.
+  static constexpr unsigned kStealAttempts = 4;
+  /// Longest park before an idle worker rescans (bounds the cost of a lost
+  /// wakeup race).
+  static constexpr std::chrono::microseconds kParkTimeout{2000};
+
   unsigned workers_ = 0;
-  unsigned steal_attempts_ = 4;
-  std::uint32_t park_timeout_us_ = 2000;
-  std::size_t capacity_ = 0;  ///< inject-queue bound; 0 = unbounded
 
   std::vector<std::unique_ptr<worker_slot>> slots_;
   std::vector<std::thread> threads_;
@@ -121,7 +125,6 @@ class work_stealing_pool {
 
   std::mutex inject_m_;
   std::deque<detail::task_item> inject_;
-  std::condition_variable space_cv_;  ///< submitters waiting on capacity
 
   std::mutex idle_m_;
   std::condition_variable idle_cv_;

@@ -70,10 +70,9 @@ void emit_verdict(const slo_verdict& v) {
 }
 
 /// Exemplar instants join the run's causal tree: use the barrier thread's
-/// own context when it has one (the sim coordinator runs inside the round
-/// span), else adopt the engine's captured phase context (the inproc
-/// completion step fires on a bare worker thread).  Only called for
-/// traced runs (see end_round).
+/// own context when it has one (the engine's coordinator runs inside the
+/// round span), else adopt the caller's captured phase context.  Only
+/// called for traced runs (see end_round).
 void record_exemplar_instant(const std::string& backend, const exemplar& ex,
                              std::uint64_t trace_id,
                              std::uint64_t parent_span) {
@@ -169,7 +168,7 @@ backend_track::backend_track(std::string name, const health_options& opts)
       slots_(opts.shards == 0 ? 1 : opts.shards),
       rows_(opts.shards == 0 ? 1 : opts.shards) {
   // Pre-size the reservoirs so end_round stays allocation-free on the
-  // admission path (it runs inside a noexcept barrier completion step).
+  // admission path (it runs once per round on the engine's coordinator).
   for (round_row& r : rows_) r.reservoir.reserve(opts_.reservoir_k);
 }
 

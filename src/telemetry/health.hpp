@@ -10,8 +10,8 @@
 //     HEALTH shards (contiguous node ranges, decoupled from the engine's
 //     execution shards so the sequential simulator is observable at the
 //     same granularity as the threaded backends).  Per shard: routed /
-//     delivered / dropped / duplicated counts (relaxed atomics, fed per
-//     message or as one batched tally per round), plus inbox-depth and
+//     delivered / dropped / duplicated counts (relaxed atomics, fed as
+//     one batched `fold` per round), plus inbox-depth and
 //     superstep-latency log2-histograms recorded single-threaded at the
 //     round barrier.
 //     Shard rows fold into a backend rollup and backends fold into a run
@@ -34,10 +34,9 @@
 //     structural gate `obs_export health` runs against it.
 //
 // Cost discipline: a disabled observatory costs one pointer test per hook
-// (net_base::run() gets a nullptr track).  An enabled one costs the base
+// (net_base::run() gets a nullptr track).  An enabled one costs the
 // engine a few shard-local increments per message plus one `fold` per
-// touched health slot per round, inproc's send sites a few relaxed
-// fetch_adds per message, and every backend O(health shards) per round.
+// touched health slot per round, and O(health shards) per round.
 // Synchronous engine only — the asynchronous event queue (sim backend)
 // does not drive the round hooks.
 #pragma once
@@ -168,35 +167,20 @@ struct slo_verdict {
 class observatory;
 
 /// Owned by the observatory, handed to `net_base::run()` as a raw pointer
-/// (nullptr when disabled).  Message hooks and `fold` are relaxed atomics,
-/// callable from concurrent shard threads; `end_round` must be called from a
-/// single-threaded barrier context (the coordinator or a barrier
-/// completion step).
+/// (nullptr when disabled).  `fold` is relaxed atomics, callable from
+/// concurrent threads; `end_round` must be called from a single-threaded
+/// barrier context (the engine's coordinator).
 class backend_track {
  public:
   backend_track(const backend_track&) = delete;
   backend_track& operator=(const backend_track&) = delete;
 
-  /// A send attempt routed from node `src` (call once per attempt, with
-  /// the fault draw's verdicts).
-  void on_send(std::size_t src, bool dropped, bool duplicated) noexcept {
-    if constexpr (!kEnabled) return;
-    slot& s = slots_[shard_of(src)];
-    s.routed.fetch_add(1, std::memory_order_relaxed);
-    if (dropped) s.dropped.fetch_add(1, std::memory_order_relaxed);
-    if (duplicated) s.duplicated.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// A delivery scheduled to node `dst` (once per copy — a duplicated
-  /// message counts twice, a dropped one never).
-  void on_delivered(std::size_t dst) noexcept {
-    if constexpr (!kEnabled) return;
-    slots_[shard_of(dst)].delivered.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Batched form of the two hooks: a round's tallies for one health
-  /// slot — send attempts from its nodes with their drop / duplicate
-  /// verdicts, and deliveries scheduled to them.  Additive, so each
-  /// feeding shard may fold its own; must land before the round's
-  /// end_round, as the hooks do.
+  /// The only way traffic reaches a track: a round's tallies for one
+  /// health slot — send attempts from its nodes with their drop /
+  /// duplicate verdicts, and deliveries scheduled to them (once per copy:
+  /// a duplicated message counts twice, a dropped one never).  Additive,
+  /// so each feeding shard may fold its own; must land before the round's
+  /// end_round.
   void fold(std::size_t shard, std::uint64_t routed, std::uint64_t dropped,
             std::uint64_t duplicated, std::uint64_t delivered) noexcept {
     if constexpr (!kEnabled) return;

@@ -82,8 +82,7 @@ std::uint64_t flight_recorder::overwritten() const {
   return overwritten_;
 }
 
-std::vector<flight_entry> flight_recorder::snapshot() const {
-  const std::lock_guard lock(mu_);
+std::vector<flight_entry> flight_recorder::ordered_entries() const {
   std::vector<flight_entry> out;
   out.reserve(ring_.size());
   // head_ is the oldest slot once the ring has lapped; 0 before that.
@@ -92,14 +91,22 @@ std::vector<flight_entry> flight_recorder::snapshot() const {
   return out;
 }
 
+std::vector<flight_entry> flight_recorder::snapshot() const {
+  const std::lock_guard lock(mu_);
+  return ordered_entries();
+}
+
 std::string flight_recorder::dump_json() const {
-  // Snapshot first (its own lock), then serialize lock-free: a dump taken
-  // from a fault path must not hold the ring lock while building strings.
-  const std::vector<flight_entry> entries = snapshot();
+  // Copy the entries and the totals under one lock, so a dump taken while
+  // writers note still has totals that match its entries; then serialize
+  // lock-free: a dump taken from a fault path must not hold the ring lock
+  // while building strings.
+  std::vector<flight_entry> entries;
   std::uint64_t rec, over;
   std::size_t cap;
   {
     const std::lock_guard lock(mu_);
+    entries = ordered_entries();
     rec = recorded_;
     over = overwritten_;
     cap = capacity_;

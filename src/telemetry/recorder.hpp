@@ -89,6 +89,9 @@ class flight_recorder {
   void clear();
 
  private:
+  /// The ring's contents, oldest first; the caller holds mu_.
+  [[nodiscard]] std::vector<flight_entry> ordered_entries() const;
+
   mutable std::mutex mu_;
   std::vector<flight_entry> ring_;
   std::size_t capacity_;

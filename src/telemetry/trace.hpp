@@ -6,7 +6,7 @@
 // operation is a span with a 64-bit (trace_id, span_id) identity; spans
 // nest through a thread-local context stack, and the context is captured
 // and restored across asynchrony boundaries (work_stealing_pool::submit
-// queues it beside the task, distributed::network carries it in the
+// queues it beside the task, the distributed transports carry it in the
 // message envelope), so one driver-level root span grows into a single
 // causally-linked tree spanning worker threads and simulated ranks.
 //

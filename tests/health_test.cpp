@@ -149,16 +149,16 @@ TEST(HealthTrackTest, ActivityFollowsSendsNotDeliveries) {
   health::backend_track* t = obs.begin_run("sim", 8);  // width 2: 4 shards
   ASSERT_NE(t, nullptr);
   // Round 0: both shards route; shard 1's mail lands on node 3.
-  t->on_send(0, false, false);
-  t->on_send(2, false, false);
-  t->on_delivered(1);
-  t->on_delivered(3);
+  t->fold(t->shard_of(0), 1, 0, 0, 0);
+  t->fold(t->shard_of(2), 1, 0, 0, 0);
+  t->fold(t->shard_of(1), 0, 0, 0, 1);
+  t->fold(t->shard_of(3), 0, 0, 0, 1);
   t->end_round(0);
   // Rounds 1..2: shard 0 keeps sending; shard 1 only RECEIVES (the
   // crashed-node shape: neighbors keep gossiping at it).
   for (std::size_t r = 1; r <= 2; ++r) {
-    t->on_send(0, false, false);
-    t->on_delivered(3);
+    t->fold(t->shard_of(0), 1, 0, 0, 0);
+    t->fold(t->shard_of(3), 0, 0, 0, 1);
     t->end_round(r);
   }
   const health::backend_snapshot snap = t->snapshot();
@@ -201,8 +201,8 @@ TEST(HealthReservoirTest, SeededSamplingIsDeterministicAndBounded) {
     obs.reset();
     health::backend_track* t = obs.begin_run("sim", 8);
     for (std::size_t r = 0; r < kRounds; ++r) {
-      t->on_send(0, false, false);  // shard 0
-      t->on_send(7, false, false);  // shard 3
+      t->fold(t->shard_of(0), 1, 0, 0, 0);  // shard 0
+      t->fold(t->shard_of(7), 1, 0, 0, 0);  // shard 3
       t->end_round(r);
     }
     return t->snapshot();
@@ -239,87 +239,6 @@ TEST(HealthReservoirTest, SeededSamplingIsDeterministicAndBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// batched folds
-// ---------------------------------------------------------------------------
-
-TEST(HealthFoldTest, FoldedTalliesMatchPerMessageHooks) {
-  // Two tracks see the same traffic: one through the per-message hooks
-  // (inproc's send sites), one as a single fold per touched (health slot,
-  // round) (the base engine).  Rollups, depth and latency histograms and
-  // the reservoir must come out identical.
-  observatory_session session({.shards = 8,
-                               .reservoir_k = 3,
-                               .seed = 9,
-                               .manual_clock = true,
-                               .rules = {}});
-  auto& obs = health::observatory::global();
-  constexpr std::size_t kNodes = 61;  // width 8: the last slot is short
-  health::backend_track* hooks = obs.begin_run("hooks", kNodes);
-  health::backend_track* folded = obs.begin_run("folded", kNodes);
-  ASSERT_NE(hooks, nullptr);
-  ASSERT_NE(folded, nullptr);
-  struct tally {
-    std::uint64_t routed = 0, dropped = 0, duplicated = 0, delivered = 0;
-  };
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  const auto next = [&x] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  for (std::size_t r = 0; r < 24; ++r) {
-    std::vector<tally> round(hooks->shards_used());
-    // Rounds 5 and 6 are quiet, so activity tracking sees gaps.
-    const std::size_t sends = (r == 5 || r == 6) ? 0 : next() % 200;
-    for (std::size_t k = 0; k < sends; ++k) {
-      // Skew the senders towards the low slots, like a hot shard.
-      const std::size_t src = next() % (1 + next() % kNodes);
-      const std::size_t dst = next() % kNodes;
-      const bool drop = next() % 10 == 0;
-      const bool dup = !drop && next() % 7 == 0;
-      hooks->on_send(src, drop, dup);
-      tally& s = round[hooks->shard_of(src)];
-      ++s.routed;
-      s.dropped += drop;
-      s.duplicated += dup;
-      if (drop) continue;
-      for (int copy = 0; copy <= int{dup}; ++copy) {
-        hooks->on_delivered(dst);
-        ++round[hooks->shard_of(dst)].delivered;
-      }
-    }
-    for (std::size_t h = 0; h < round.size(); ++h) {
-      const tally& t = round[h];
-      if (t.routed + t.delivered != 0)
-        folded->fold(h, t.routed, t.dropped, t.duplicated, t.delivered);
-    }
-    hooks->end_round(r);
-    folded->end_round(r);
-  }
-  const health::backend_snapshot a = hooks->snapshot();
-  const health::backend_snapshot b = folded->snapshot();
-  EXPECT_GT(a.rollup.routed, 1000u);
-  EXPECT_GT(a.rollup.dropped, 0u);
-  EXPECT_GT(a.rollup.duplicated, 0u);
-  EXPECT_EQ(a.rounds, b.rounds);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t i = 0; i < a.shards.size(); ++i)
-    expect_rows_equal(b.shards[i], a.shards[i], "shard " + std::to_string(i));
-  expect_rows_equal(b.rollup, a.rollup, "rollup");
-  EXPECT_EQ(b.reservoir_seen, a.reservoir_seen);
-  ASSERT_EQ(b.reservoir.size(), a.reservoir.size());
-  for (std::size_t i = 0; i < a.reservoir.size(); ++i) {
-    EXPECT_EQ(b.reservoir[i].shard, a.reservoir[i].shard) << i;
-    EXPECT_EQ(b.reservoir[i].round, a.reservoir[i].round) << i;
-    EXPECT_EQ(b.reservoir[i].seen, a.reservoir[i].seen) << i;
-    EXPECT_EQ(b.reservoir[i].routed, a.reservoir[i].routed) << i;
-    EXPECT_EQ(b.reservoir[i].delivered, a.reservoir[i].delivered) << i;
-    EXPECT_EQ(b.reservoir[i].latency, a.reservoir[i].latency) << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SLO episodes and verdict side effects
 // ---------------------------------------------------------------------------
 
@@ -338,8 +257,8 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   // Rounds 0..5: shard 0 routes every round, shard 1 only in round 0 —
   // after round 5 its lag (6 - 1 = 5) blows the budget of 1.
   for (std::size_t r = 0; r <= 5; ++r) {
-    t->on_send(0, false, false);
-    if (r == 0) t->on_send(2, false, false);
+    t->fold(t->shard_of(0), 1, 0, 0, 0);
+    if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
     t->end_round(r);
   }
   EXPECT_EQ(obs.tick(1000), 1u);
@@ -367,13 +286,13 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   EXPECT_NE(trace_json.find("health.shard_stall: distributed.sim.shard1"),
             std::string::npos);
   // The condition clears (shard 1 routes again) — the episode re-arms...
-  t->on_send(0, false, false);
-  t->on_send(2, false, false);
+  t->fold(t->shard_of(0), 1, 0, 0, 0);
+  t->fold(t->shard_of(2), 1, 0, 0, 0);
   t->end_round(6);
   EXPECT_EQ(obs.tick(3000), 0u);
   // ...and a FRESH stall of the same shard is a fresh verdict.
   for (std::size_t r = 7; r <= 9; ++r) {
-    t->on_send(0, false, false);
+    t->fold(t->shard_of(0), 1, 0, 0, 0);
     t->end_round(r);
   }
   EXPECT_EQ(obs.tick(4000), 1u);
@@ -395,9 +314,9 @@ std::string synthetic_export() {
   for (const char* backend : {"sim", "inproc"}) {
     health::backend_track* t = obs.begin_run(backend, 8);
     for (std::size_t r = 0; r <= 5; ++r) {
-      t->on_send(0, r == 3, r == 4);  // one drop, one duplicate
-      if (r == 0) t->on_send(2, false, false);
-      t->on_delivered(1);
+      t->fold(t->shard_of(0), 1, r == 3, r == 4, 0);  // one drop, one duplicate
+      if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
+      t->fold(t->shard_of(1), 0, 0, 0, 1);
       t->end_round(r);
     }
   }
@@ -578,12 +497,12 @@ TEST(HealthScaleTest, TrackStateIsOShardsNotONodes) {
   EXPECT_LT(track_bytes, 256u * 1024u)
       << "begin_run(1M) allocated " << track_bytes
       << " bytes — per-node state crept in";
-  // The message hooks allocate NOTHING (relaxed fetch_adds on fixed slots).
+  // Folds allocate NOTHING (relaxed fetch_adds on fixed slots).
   const std::size_t hooks_before =
       g_alloc_bytes.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < 1000; ++i) {
-    t->on_send(i * 997, false, false);
-    t->on_delivered(999'999 - i * 991);
+    t->fold(t->shard_of(i * 997), 1, 0, 0, 0);
+    t->fold(t->shard_of(999'999 - i * 991), 0, 0, 0, 1);
   }
   EXPECT_EQ(g_alloc_bytes.load(std::memory_order_relaxed), hooks_before);
   // Round barrier + snapshot + a tick stay O(shards) too.

@@ -12,12 +12,14 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "distributed/inproc_transport.hpp"
 #include "distributed/network.hpp"
+#include "distributed/parallel_transport.hpp"
 #include "parallel/work_stealing_pool.hpp"
 #include "perf/env_info.hpp"
 #include "telemetry/export.hpp"
@@ -670,6 +672,57 @@ TEST(WatchdogTest, InprocChurnStallProducesOneEpisodeVerdict) {
   for (const auto& sv : s.series())
     if (sv.name == "distributed.network.runs.inproc") lane_seen = true;
   EXPECT_TRUE(lane_seen) << "no distributed.network.runs.inproc series";
+}
+
+namespace {
+
+// Every node pings its ring neighbours each round; node 0's round-2
+// superstep throws with a round's worth of mail (16 messages) in flight.
+class throw_at_round_two final : public distributed::process {
+ public:
+  void start(distributed::context& ctx) override { ping(ctx); }
+  void receive(distributed::context&, const distributed::message&) override {}
+  void on_round(distributed::context& ctx) override {
+    if (ctx.id() == 0 && ctx.round() == 2)
+      throw std::runtime_error("handler failed in round 2");
+    ping(ctx);
+  }
+
+ private:
+  static void ping(distributed::context& ctx) {
+    for (int n : ctx.neighbors()) ctx.send(n, "ping");
+  }
+};
+
+template <class Transport>
+void expect_aborted_run_releases_liveness(const char* backend) {
+  SCOPED_TRACE(backend);
+  auto& wd = live::watchdog::global();
+  wd.reset();
+  Transport net({.nodes = 8, .workers = 2});
+  net.spawn([](int) { return std::make_unique<throw_at_round_two>(); });
+  EXPECT_THROW((void)net.run(10), std::runtime_error);
+  // The transport is still alive, so a heartbeat the run failed to release
+  // would still be registered, busy and silent: a phantom stall.
+  EXPECT_EQ(wd.check(live::steady_now_ms() + 1000, 10, 2), 0u);
+  EXPECT_EQ(telemetry::registry::global()
+                .get_gauge("distributed.network.in_flight")
+                .value(),
+            0);
+}
+
+}  // namespace
+
+// A handler that throws aborts run(): the exception reaches the caller,
+// and the run still ends its watchdog participation and zeroes the
+// in-flight gauge on every backend.
+TEST(WatchdogTest, AbortedRunReleasesHeartbeatAndInFlightGauge) {
+  expect_aborted_run_releases_liveness<distributed::sim_transport>("sim");
+  expect_aborted_run_releases_liveness<distributed::parallel_transport>(
+      "parallel");
+  expect_aborted_run_releases_liveness<distributed::inproc_transport>(
+      "inproc");
+  live::watchdog::global().reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the causal tracing layer: span identity and nesting, the
 // bounded lock-sharded sink, Chrome trace-event export round-tripped
 // through the bundled JSON parser, context propagation across
-// work_stealing_pool::submit and across distributed::network ranks,
+// work_stealing_pool::submit and across distributed transport ranks,
 // provenance instants from the rewriter and STLlint, and the trace
 // validator's negative cases.
 #include <gtest/gtest.h>
