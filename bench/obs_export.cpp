@@ -2,11 +2,10 @@
 // document, each exiting non-zero when its document fails a check.
 //
 //   obs_export registry [--text]
-//       Drives every instrumented subsystem, runs the empirical
-//       performance-concept checks, and prints the telemetry registry
-//       wrapped with the environment block (--text: one line per metric).
-//       Fails when a measured complexity exceeds its declared concept or
-//       the printed document does not re-parse.
+//       Drives every instrumented subsystem and prints the telemetry
+//       registry wrapped with the environment block (--text: one line per
+//       metric).  Fails when the printed document does not re-parse.
+//       Declared complexities are fitted by perf_report, not here.
 //   obs_export trace [--out trace.json]
 //       Grows one causal tree across PageRank on all three Transport
 //       backends, a pool fan-out, STLlint and the rewriter, and writes it
@@ -62,7 +61,6 @@
 #include "rewrite/parser.hpp"
 #include "sequences/instrumented.hpp"
 #include "stllint/stllint.hpp"
-#include "telemetry/complexity_check.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/recorder.hpp"
@@ -273,30 +271,14 @@ void f(vector<int>& v) {
 // registry
 // ---------------------------------------------------------------------------
 
-std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> dist(0, 1 << 30);
-  std::vector<int> v(n);
-  for (int& x : v) x = dist(rng);
-  return v;
-}
-
-void check_declared_complexities() {
-  // The sort's declared ComplexityO(n log n).
-  (void)telemetry::check_scaling(
-      "sequences.sort.comparisons", {512, 1024, 2048, 4096, 8192},
-      core::big_o::power("n", 1, 1), [](std::size_t n) {
-        auto v = random_ints(n, static_cast<std::uint32_t>(n));
-        return sequences::instrumented::sort(v.begin(), v.end());
-      });
-  // BFS on rings: O(V + E) = O(n).
-  (void)telemetry::check_scaling(
-      "graph.bfs.operations", {256, 512, 1024, 2048}, core::big_o::n(),
-      [](std::size_t n) {
-        graph::adjacency_list<double> g(n);
-        for (std::size_t i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n, 1.0);
-        return graph::instrumented::bfs_distances(g, 0).second;
-      });
+/// The sequential algorithm subsystems, so the registry document carries
+/// their counters.  perf_report fits these counters against the declared
+/// bounds; this gate only exports them.
+void drive_algorithms() {
+  std::mt19937 sort_rng(4096);
+  std::vector<int> v(4096);
+  for (int& x : v) x = static_cast<int>(sort_rng() >> 2);
+  (void)sequences::instrumented::sort(v.begin(), v.end());
   // Kruskal on random weights: O(E log E).
   graph::adjacency_list<double> g(64);
   std::mt19937 rng(11);
@@ -309,7 +291,7 @@ void check_declared_complexities() {
 int run_registry(const options& o) {
   drive_pagerank(5);
   mixed_load().run();
-  check_declared_complexities();
+  drive_algorithms();
 
   auto& reg = telemetry::registry::global();
   const auto env = perf::env_info(perf::utc_timestamp());
@@ -322,8 +304,6 @@ int run_registry(const options& o) {
     (void)parse_or_fail(json, 3, "re-parse");
     std::cout << json << "\n";
   }
-  for (const auto& report : reg.check_reports())
-    if (!report.ok) throw gate_failure{1, report.to_string()};
   return 0;
 }
 

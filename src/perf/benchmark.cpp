@@ -54,12 +54,13 @@ benchmark_result run_benchmark(const benchmark_def& def,
   }
 
   // Prefer the deterministic signal: fit ops/iteration when every sweep
-  // point produced matching counters, wall time otherwise.
+  // point produced matching counters, wall time otherwise.  The tolerance
+  // follows from the signal.
   if (ops_usable && !ops_points.empty()) {
-    r.fit = fit_against(ops_points, def.declared, def.excess_tolerance);
+    r.fit = fit_against(ops_points, def.declared, kCounterExcessTolerance);
     r.fitted_on = "counters";
   } else {
-    r.fit = fit_against(time_points, def.declared, def.excess_tolerance);
+    r.fit = fit_against(time_points, def.declared, kTimeExcessTolerance);
     r.fitted_on = "time_ns";
   }
   return r;

@@ -33,10 +33,9 @@ struct benchmark_def {
   /// Telemetry counter prefix attributed to this workload (e.g.
   /// "sequences.sort."); when non-empty and the workload actually bumps
   /// matching counters, the complexity fit runs on ops/iteration
-  /// (deterministic) instead of wall time.
+  /// (deterministic, kCounterExcessTolerance) instead of wall time
+  /// (kTimeExcessTolerance).
   std::string counter_prefix;
-  /// Excess-exponent tolerance for the fit (see perf::fit_against).
-  double excess_tolerance = kDefaultExcessTolerance;
   /// Whether the workload belongs in the byte-deterministic manual-clock
   /// profile capture.  Nested fork-join workloads must opt out: a worker
   /// blocked in task_group::wait helps with whatever task is available,

@@ -55,15 +55,6 @@ std::string to_string(verdict v) {
   return "unknown";
 }
 
-double loglog_slope(const std::vector<std::pair<double, double>>& points) {
-  std::vector<std::pair<double, double>> logs;
-  logs.reserve(points.size());
-  for (const auto& [n, y] : points)
-    logs.emplace_back(std::log(std::max(n, kEps)),
-                      std::log(std::max(y, kEps)));
-  return fit_xy(logs).slope;
-}
-
 fit_result fit_against(const std::vector<std::pair<double, double>>& points,
                        const core::big_o& bound, double tolerance,
                        const std::string& var) {

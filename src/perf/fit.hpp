@@ -1,14 +1,12 @@
 // Empirical complexity fitting: does a measured n-sweep grow like the
-// algorithm's declared core::big_o bound?
-//
-// Same statistical machinery as telemetry::complexity_check — a
-// least-squares fit of log(y / bound(n)) against log(n), whose slope is
-// the growth the bound failed to explain — but packaged for the
-// observatory: a three-way verdict (consistent / violated /
-// inconclusive) instead of a boolean, the raw fitted log-log slope of y
-// itself alongside the excess, and an R² so a report reader can tell a
-// clean fit from a shrug.  Wall-clock sweeps are noisier than op counts,
-// so the default excess tolerance is looser than complexity_check's.
+// algorithm's declared core::big_o bound?  This is the library's one
+// performance-concept check (paper §2): a least-squares fit of
+// log(y / bound(n)) against log(n), whose slope is the growth the bound
+// failed to explain.  The result is a three-way verdict (consistent /
+// violated / inconclusive), the raw fitted log-log slope of y itself
+// alongside the excess, and an R² so a report reader can tell a clean fit
+// from a shrug.  Operation counts are deterministic and earn a tight
+// tolerance; wall-clock sweeps are noisier and get extra slack.
 #pragma once
 
 #include <string>
@@ -39,21 +37,21 @@ struct fit_result {
   std::string detail;    ///< human-readable one-liner
 };
 
-/// Default excess-exponent tolerance for wall-time fits.  complexity_check
-/// uses 0.35 for deterministic op counts; timing data earns extra slack.
-inline constexpr double kDefaultExcessTolerance = 0.5;
-
-/// Least-squares slope of log(y) vs log(n) over `points` (n, y) pairs.
-/// Non-positive coordinates are clamped to a tiny epsilon.
-[[nodiscard]] double loglog_slope(
-    const std::vector<std::pair<double, double>>& points);
+/// Excess-exponent tolerance for deterministic operation counts.  0.35 is
+/// far above measurement noise for doubling-n sweeps (conforming
+/// algorithms fit within +-0.15) and far below the +1 excess of the
+/// classic O(n^2)-passed-off-as-O(n log n) failure.
+inline constexpr double kCounterExcessTolerance = 0.35;
+/// Excess-exponent tolerance for wall-time fits: timing data earns slack.
+inline constexpr double kTimeExcessTolerance = 0.5;
 
 /// Fits `points` (n, y) against `bound` and renders the verdict.
-/// Inconclusive when fewer than 3 points or max(n) < 4·min(n) — the same
-/// refusal thresholds as telemetry::complexity_check.
+/// Inconclusive when fewer than 3 points or max(n) < 4·min(n): an
+/// unverifiable claim is never reported as consistent.  Non-positive
+/// coordinates are clamped to a tiny epsilon.
 [[nodiscard]] fit_result fit_against(
     const std::vector<std::pair<double, double>>& points,
-    const core::big_o& bound, double tolerance = kDefaultExcessTolerance,
+    const core::big_o& bound, double tolerance = kTimeExcessTolerance,
     const std::string& var = "n");
 
 }  // namespace cgp::perf

@@ -54,10 +54,13 @@ void compare_benchmark(const std::string& name, const json_value& base,
                        std::vector<regression>& out) {
   const std::string bwhere = "baseline '" + name + "'";
   const std::string cwhere = "current '" + name + "'";
+  // Only a consistent fit passes: an inconclusive one is an unverified
+  // claim, and a performance concept must not gate as verified unchecked.
   std::string verdict, detail;
   if (const json_value* fit = check.obj_field(cur, "fit", cwhere);
       fit != nullptr && check.str_field(*fit, "verdict", cwhere, verdict) &&
-      verdict == "violated" && check.str_field(*fit, "detail", cwhere, detail))
+      verdict != "consistent" &&
+      check.str_field(*fit, "detail", cwhere, detail))
     out.push_back({name, "fit", detail});
 
   const json_value* bsweep = check.arr_field(base, "sweep", bwhere);

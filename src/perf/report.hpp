@@ -49,10 +49,11 @@ struct regression {
 /// Compares a current report document against a baseline document (both
 /// as parsed JSON, so the baseline can come straight off disk).  Every
 /// benchmark present in the baseline must be present in the current
-/// report (a vanished benchmark is a coverage regression, not a pass).
-/// Both documents must carry the kSchema tag, and a malformed field (a
-/// required one absent, or any of the wrong kind) is a "schema"
-/// regression, never read as 0.
+/// report (a vanished benchmark is a coverage regression, not a pass),
+/// and its fit must be consistent (violated and inconclusive are both
+/// "fit" regressions).  Both documents must carry the kSchema tag, and a
+/// malformed field (a required one absent, or any of the wrong kind) is a
+/// "schema" regression, never read as 0.
 [[nodiscard]] std::vector<regression> compare_reports(
     const telemetry::json_value& current, const telemetry::json_value& baseline,
     const gate_options& opts = {});

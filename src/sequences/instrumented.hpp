@@ -6,8 +6,8 @@
 // Section 2's ComplexityO guarantees for comparison sorts are stated.
 // Each wrapper reports to the telemetry registry under
 // `sequences.<algorithm>.*` and returns the observed comparison count so
-// callers (tests, benches, telemetry::check_scaling) can feed it straight
-// into an empirical complexity check.
+// callers (tests, benches) can feed it straight into the empirical
+// complexity fit, perf::fit_against.
 #pragma once
 
 #include <cstdint>

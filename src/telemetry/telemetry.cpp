@@ -22,18 +22,6 @@ std::size_t shard_index() noexcept {
 
 }  // namespace detail
 
-// --- check_report -----------------------------------------------------------
-
-std::string check_report::to_string() const {
-  std::ostringstream os;
-  os << "check " << name << " "
-     << (ok ? "ok" : (inconclusive ? "INCONCLUSIVE" : "VIOLATED"))
-     << " bound=" << bound << " slope=" << growth_slope
-     << " max_ratio=" << max_ratio << " samples=" << samples;
-  if (!detail.empty()) os << " (" << detail << ")";
-  return os.str();
-}
-
 // --- registry ---------------------------------------------------------------
 
 registry& registry::global() {
@@ -60,11 +48,6 @@ histogram& registry::get_histogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<histogram>();
   return *slot;
-}
-
-void registry::record_check(check_report report) {
-  const std::lock_guard lock(mu_);
-  checks_.push_back(std::move(report));
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> registry::counter_values()
@@ -111,11 +94,6 @@ std::vector<registry::histogram_view> registry::histogram_views() const {
   return out;
 }
 
-std::vector<check_report> registry::check_reports() const {
-  const std::lock_guard lock(mu_);
-  return checks_;
-}
-
 std::uint64_t registry::counter_sum(const std::string& prefix) const {
   const std::lock_guard lock(mu_);
   std::uint64_t total = 0;
@@ -131,7 +109,6 @@ void registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  checks_.clear();
 }
 
 std::string registry::export_text() const {
@@ -154,7 +131,6 @@ std::string registry::export_text() const {
     }
     os << " max=" << h->max() << "\n";
   }
-  for (const check_report& r : checks_) os << r.to_string() << "\n";
   return os.str();
 }
 
@@ -203,22 +179,7 @@ std::string registry::export_json() const {
     }
     os << "]}";
   }
-  os << "},\"checks\":[";
-  first = true;
-  for (const check_report& r : checks_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":" << json_quote(r.name)
-       << ",\"bound\":" << json_quote(r.bound)
-       << ",\"ok\":" << (r.ok ? "true" : "false")
-       << ",\"inconclusive\":" << (r.inconclusive ? "true" : "false")
-       << ",\"growth_slope\":" << json_number_text(r.growth_slope)
-       << ",\"max_ratio\":" << json_number_text(r.max_ratio)
-       << ",\"tolerance\":" << json_number_text(r.tolerance)
-       << ",\"samples\":" << r.samples
-       << ",\"detail\":" << json_quote(r.detail) << "}";
-  }
-  os << "]}";
+  os << "}}";
   return os.str();
 }
 

@@ -6,8 +6,9 @@
 // *measured* message counts, rounds, and local computation.  This module is
 // the measurement substrate both need: every subsystem reports through the
 // same named-metric registry, so one exporter (text or JSON) shows the
-// whole system, and complexity_check.hpp can turn a declared big-O bound
-// into a runtime-checkable assertion over observed operation counts.
+// whole system, and the performance observatory (perf/fit.hpp) can fit the
+// operation counts it attributes to a benchmark against the declared big-O
+// bound, turning that bound into a runtime-checkable assertion.
 //
 // Cost discipline: counters are sharded per-thread-slot atomics (no
 // contended cache line on the hot path), histograms bucket by bit-width
@@ -211,29 +212,6 @@ class histogram {
 };
 
 // ---------------------------------------------------------------------------
-// check_report: the result of an empirical performance-concept check
-// (produced by complexity_check.hpp, stored here so exporters see it)
-// ---------------------------------------------------------------------------
-
-struct check_report {
-  std::string name;     ///< metric name, `subsystem.object.event` style
-  std::string bound;    ///< the declared bound, e.g. "O(n log n)"
-  bool ok = false;      ///< observed ops stayed within the bound
-  /// True when the sample set could not support a fit at all (too few
-  /// samples or too narrow an n-range): the check is INCONCLUSIVE, which
-  /// is still not a pass (ok stays false) — an unverifiable performance
-  /// concept must not gate as verified.
-  bool inconclusive = false;
-  double growth_slope = 0.0;  ///< fitted excess growth exponent (log-log)
-  double max_ratio = 0.0;     ///< max over samples of ops / bound(n)
-  double tolerance = 0.0;     ///< slope above this rejects
-  std::size_t samples = 0;
-  std::string detail;   ///< human-readable explanation
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-// ---------------------------------------------------------------------------
 // registry: the process-wide name -> metric table
 // ---------------------------------------------------------------------------
 
@@ -252,8 +230,6 @@ class registry {
   [[nodiscard]] counter& get_counter(const std::string& name);
   [[nodiscard]] gauge& get_gauge(const std::string& name);
   [[nodiscard]] histogram& get_histogram(const std::string& name);
-
-  void record_check(check_report report);
 
   /// Snapshots (stable name order) for exporters and tests.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
@@ -276,7 +252,6 @@ class registry {
   };
   /// Every registered histogram with its buckets, name-sorted.
   [[nodiscard]] std::vector<histogram_view> histogram_views() const;
-  [[nodiscard]] std::vector<check_report> check_reports() const;
 
   /// Sum of all counters whose name starts with `prefix` (test helper:
   /// "did subsystem X report anything?").
@@ -284,11 +259,11 @@ class registry {
 
   /// One line per metric, human-readable.
   [[nodiscard]] std::string export_text() const;
-  /// One JSON object with "counters", "gauges", "histograms", "checks".
+  /// One JSON object with "counters", "gauges", "histograms".
   [[nodiscard]] std::string export_json() const;
 
-  /// Zeroes every metric and drops check reports (metric objects stay
-  /// registered so cached references remain valid).  Test isolation only.
+  /// Zeroes every metric (metric objects stay registered so cached
+  /// references remain valid).  Test isolation only.
   void reset();
 
  private:
@@ -297,7 +272,6 @@ class registry {
   std::map<std::string, std::unique_ptr<counter>> counters_;
   std::map<std::string, std::unique_ptr<gauge>> gauges_;
   std::map<std::string, std::unique_ptr<histogram>> histograms_;
-  std::vector<check_report> checks_;
 };
 
 // ---------------------------------------------------------------------------

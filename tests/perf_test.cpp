@@ -1,9 +1,14 @@
 // Tests for the performance observatory (src/perf): outlier-robust
-// statistics, the adaptive timer, the empirical complexity fit, the
+// statistics, the adaptive timer, the empirical complexity fit (and the
+// library algorithms' performance concepts checked through it), the
 // benchmark runner's counter attribution, the BENCH_perf.json schema,
 // and the baseline regression gate.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -12,12 +17,14 @@
 #include "check/gtest_support.hpp"
 #include "check/property.hpp"
 #include "core/complexity.hpp"
+#include "graph/instrumented.hpp"
 #include "perf/benchmark.hpp"
 #include "perf/env_info.hpp"
 #include "perf/fit.hpp"
 #include "perf/report.hpp"
 #include "perf/stats.hpp"
 #include "perf/timer.hpp"
+#include "sequences/instrumented.hpp"
 #include "telemetry/telemetry.hpp"
 
 CGP_REGISTER_SEED_BANNER();
@@ -202,6 +209,13 @@ TEST(PerfFit, NLogNDataConsistentWithNLogNBound) {
   const auto r = perf::fit_against(pts, core::big_o::power("n", 1, 1));
   EXPECT_EQ(r.v, perf::verdict::consistent);
   EXPECT_NEAR(r.excess, 0.0, 0.05);
+  // The same bound rejects a quadratic at the counter tolerance.
+  const auto quad = perf::fit_against(
+      sweep({64, 128, 256, 512, 1024, 2048, 4096, 8192},
+            +[](double n) { return 0.25 * n * n; }),
+      core::big_o::power("n", 1, 1), perf::kCounterExcessTolerance);
+  EXPECT_EQ(quad.v, perf::verdict::violated) << quad.detail;
+  EXPECT_GT(quad.excess, 0.5);
 }
 
 TEST(PerfFit, ConstantSeriesConsistentWithConstantBound) {
@@ -212,6 +226,13 @@ TEST(PerfFit, ConstantSeriesConsistentWithConstantBound) {
   EXPECT_NEAR(r.exponent, 0.0, 1e-9);
   // A flat series is a perfect zero-slope fit, not a degenerate one.
   EXPECT_DOUBLE_EQ(r.r2, 1.0);
+  // O(n) over-declares a constant series; the fit bounds growth from
+  // above, so it accepts with a negative excess instead of reporting a
+  // violation.
+  const auto vs_n =
+      perf::fit_against(pts, core::big_o::n(), perf::kCounterExcessTolerance);
+  EXPECT_EQ(vs_n.v, perf::verdict::consistent) << vs_n.detail;
+  EXPECT_LT(vs_n.excess, 0.0);
 }
 
 TEST(PerfFit, TooFewPointsIsInconclusive) {
@@ -242,12 +263,101 @@ TEST(PerfFit, SeededNoiseNearBoundaryIsStable) {
   const auto r = perf::fit_against(pts, core::big_o::n(), 0.5);
   EXPECT_EQ(r.v, perf::verdict::consistent);
   EXPECT_NEAR(r.excess, 0.2, 0.15);
+  // The same points always yield the same fit.
+  EXPECT_DOUBLE_EQ(perf::fit_against(pts, core::big_o::n(), 0.5).excess,
+                   r.excess);
 }
 
 TEST(PerfFit, LoglogSlopeRecoversExponent) {
   const auto pts =
       sweep({16, 64, 256, 1024}, +[](double n) { return 3.0 * n * n * n; });
-  EXPECT_NEAR(perf::loglog_slope(pts), 3.0, 1e-6);
+  EXPECT_NEAR(perf::fit_against(pts, core::big_o::n()).exponent, 3.0, 1e-6);
+}
+
+// --- performance concepts of the library algorithms -------------------------
+//
+// Paper §2 attaches complexity guarantees to concepts.  These cases fit the
+// operation counts of the instrumented algorithms against their declared
+// bounds at the deterministic counter tolerance.
+
+std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> dist(0, 1 << 30);
+  std::vector<int> v(n);
+  for (int& x : v) x = dist(rng);
+  return v;
+}
+
+// A deliberately-quadratic "sort" (selection sort) whose comparisons are
+// counted — the classic violation of a ComplexityO(n log n) performance
+// concept.
+template <class I, class Cmp = std::less<>>
+std::uint64_t selection_sort_counting(I first, I last, Cmp cmp = {}) {
+  std::uint64_t comparisons = 0;
+  for (I i = first; i != last; ++i) {
+    I best = i;
+    for (I j = std::next(i); j != last; ++j) {
+      ++comparisons;
+      if (cmp(*j, *best)) best = j;
+    }
+    std::iter_swap(i, best);
+  }
+  return comparisons;
+}
+
+/// Counts `count_ops(n)` at every size and fits the counts against `bound`.
+template <class CountFn>
+perf::fit_result fit_counted_ops(const std::vector<std::size_t>& sizes,
+                                 const core::big_o& bound, CountFn count_ops) {
+  std::vector<std::pair<double, double>> pts;
+  for (const std::size_t n : sizes)
+    pts.emplace_back(static_cast<double>(n),
+                     static_cast<double>(count_ops(n)));
+  return perf::fit_against(pts, bound, perf::kCounterExcessTolerance);
+}
+
+TEST(ComplexityCheck, LibrarySortMeetsItsPerformanceConceptQuadraticDoesNot) {
+  const core::big_o nlogn = core::big_o::power("n", 1, 1);
+  const std::vector<std::size_t> sizes = {256, 512, 1024, 2048, 4096, 8192};
+
+  // The library's concept-dispatched sort stays within c * n log n ...
+  const auto real = fit_counted_ops(sizes, nlogn, [](std::size_t n) {
+    auto v = random_ints(n, static_cast<std::uint32_t>(n));
+    return sequences::instrumented::sort(v.begin(), v.end());
+  });
+  EXPECT_EQ(real.v, perf::verdict::consistent) << real.detail;
+
+  // ... while the deliberately-quadratic sort is flagged as violating the
+  // same declared bound.
+  const auto quad = fit_counted_ops(sizes, nlogn, [](std::size_t n) {
+    auto v = random_ints(n, static_cast<std::uint32_t>(n) + 1);
+    return selection_sort_counting(v.begin(), v.end());
+  });
+  EXPECT_EQ(quad.v, perf::verdict::violated) << quad.detail;
+  EXPECT_GT(quad.excess, 0.5);
+}
+
+TEST(ComplexityCheck, BinarySearchIsLogarithmic) {
+  const auto r = fit_counted_ops(
+      {1024, 4096, 16384, 65536, 262144}, core::big_o::log_n(),
+      [](std::size_t n) {
+        std::vector<int> v(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i);
+        return sequences::instrumented::lower_bound_count(
+            v.begin(), v.end(), static_cast<int>(n / 3));
+      });
+  EXPECT_EQ(r.v, perf::verdict::consistent) << r.detail;
+}
+
+TEST(ComplexityCheck, GraphBfsIsLinearInEdges) {
+  // Ring graphs: E = V, so BFS ops should scale linearly with V.
+  const auto r = fit_counted_ops(
+      {128, 256, 512, 1024, 2048}, core::big_o::n(), [](std::size_t n) {
+        graph::adjacency_list<double> g(n);
+        for (std::size_t i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n, 1.0);
+        return graph::instrumented::bfs_distances(g, 0).second;
+      });
+  EXPECT_EQ(r.v, perf::verdict::consistent) << r.detail;
 }
 
 // --- benchmark runner -------------------------------------------------------
@@ -306,6 +416,31 @@ TEST(PerfBenchmark, FallsBackToTimeWithoutCounters) {
   const auto r = perf::run_benchmark(def, opts, 42);
   EXPECT_EQ(r.fitted_on, "time_ns");
   ASSERT_EQ(r.sweep.size(), 3u);
+}
+
+TEST(PerfBenchmark, CountedQuadraticSortViolatesNLogNOnCounters) {
+  auto& comparisons =
+      telemetry::registry::global().get_counter("perftest.selection.compares");
+  perf::benchmark_def def;
+  def.name = "perftest.selection";
+  def.subsystem = "perftest";
+  def.declared = core::big_o::power("n", 1, 1);
+  def.sizes = {64, 128, 256, 512};
+  def.counter_prefix = "perftest.selection.";
+  def.setup = [&comparisons](std::size_t n) -> std::function<void()> {
+    return [&comparisons, n] {
+      auto v = random_ints(n, static_cast<std::uint32_t>(n));
+      comparisons.add(selection_sort_counting(v.begin(), v.end()));
+    };
+  };
+  perf::timing_options opts;
+  opts.min_sample_ns = 20'000;
+  opts.repeats = 3;
+  const auto r = perf::run_benchmark(def, opts, 42);
+  EXPECT_EQ(r.fitted_on, "counters");
+  EXPECT_EQ(r.fit.v, perf::verdict::violated) << r.fit.detail;
+  // Counter fits run at the deterministic tolerance, not the wall-time one.
+  EXPECT_NE(r.fit.detail.find("> 0.35)"), std::string::npos) << r.fit.detail;
 }
 
 TEST(PerfBenchmark, RegistryFindsByName) {
@@ -447,6 +582,21 @@ TEST(PerfReport, ViolatedFitIsARegression) {
   const auto regs = perf::compare_reports(cur, base);
   ASSERT_FALSE(regs.empty());
   EXPECT_EQ(regs[0].what, "fit");
+}
+
+
+TEST(PerfReport, InconclusiveFitIsARegression) {
+  // An unverifiable complexity claim must not pass the gate.
+  const auto env = perf::env_info("t0");
+  auto unfit = toy_result("perftest.a", 1.0, 10.0);
+  unfit.fit.v = perf::verdict::inconclusive;
+  unfit.fit.detail = "inconclusive: need at least 3 sweep points to fit";
+  const auto base = perf::report_json({toy_result("perftest.a", 1.0, 10.0)}, env);
+  const auto cur = perf::report_json({unfit}, env);
+  const auto regs = perf::compare_reports(cur, base);
+  ASSERT_EQ(regs.size(), 1u);
+  EXPECT_EQ(regs[0].what, "fit");
+  EXPECT_EQ(regs[0].detail, unfit.fit.detail);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the unified telemetry layer: counter exactness under
 // contention, histogram bucketing, span nesting, exporter round-trips,
-// empirical performance-concept checking, and the end-to-end guarantee
-// that all five instrumented subsystems report through one registry.
+// and the end-to-end guarantee that all five instrumented subsystems
+// report through one registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/property.hpp"
 #include "distributed/algorithms.hpp"
 #include "distributed/network.hpp"
 #include "graph/instrumented.hpp"
@@ -18,7 +17,6 @@
 #include "rewrite/parser.hpp"
 #include "sequences/instrumented.hpp"
 #include "stllint/stllint.hpp"
-#include "telemetry/complexity_check.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -210,14 +208,6 @@ TEST(TelemetryExport, JsonRoundTripsThroughParse) {
   telemetry::histogram& h = reg.get_histogram("round.trip.hist");
   h.record(3);
   h.record(300);
-  reg.record_check({.name = "round.trip.check",
-                    .bound = "O(n log n)",
-                    .ok = true,
-                    .growth_slope = 0.01,
-                    .max_ratio = 2.5,
-                    .tolerance = 0.35,
-                    .samples = 6,
-                    .detail = "quoted \"detail\" with\nnewline"});
 
   const std::string json = reg.export_json();
   const telemetry::json_value doc = telemetry::parse_json(json);
@@ -230,24 +220,15 @@ TEST(TelemetryExport, JsonRoundTripsThroughParse) {
   EXPECT_EQ(hist.at("max").num, 300.0);
   ASSERT_EQ(hist.at("buckets").arr.size(), 2u);  // sparse: only hit buckets
   EXPECT_EQ(hist.at("buckets").arr[0].at("count").num, 1.0);
-  const auto& checks = doc.at("checks");
-  ASSERT_EQ(checks.arr.size(), 1u);
-  EXPECT_EQ(checks.arr[0].at("name").str, "round.trip.check");
-  EXPECT_EQ(checks.arr[0].at("bound").str, "O(n log n)");
-  EXPECT_TRUE(checks.arr[0].at("ok").b);
-  EXPECT_EQ(checks.arr[0].at("detail").str, "quoted \"detail\" with\nnewline");
 
   // Doubles keep every digit: no stream precision rounds them.
   telemetry::registry digits;
   telemetry::histogram& wide = digits.get_histogram("digits.hist");
   wide.record(500001);
   wide.record(500002);
-  digits.record_check({.name = "digits.check", .growth_slope = 0.0123456789});
   const auto reread = telemetry::parse_json(digits.export_json());
   EXPECT_EQ(reread.at("histograms").at("digits.hist").at("mean").num,
             500001.5);
-  EXPECT_EQ(reread.at("checks").arr.at(0).at("growth_slope").num,
-            0.0123456789);
 }
 
 TEST(TelemetryExport, TextIsOneLinePerMetric) {
@@ -469,120 +450,8 @@ TEST(TelemetryExport, GlobalRegistryExportRoundTripsThroughDump) {
 }
 
 // ---------------------------------------------------------------------------
-// complexity_check: empirical performance concepts
+// end-to-end: all five instrumented subsystems report into one registry
 // ---------------------------------------------------------------------------
-
-TEST(ComplexityCheck, AcceptsConformingAndRejectsQuadraticSynthetic) {
-  std::vector<telemetry::sample> nlogn, quadratic;
-  for (double n = 64; n <= 8192; n *= 2) {
-    nlogn.push_back({n, 2.2 * n * std::log2(n)});
-    quadratic.push_back({n, 0.25 * n * n});
-  }
-  const core::big_o bound = core::big_o::power("n", 1, 1);  // O(n log n)
-
-  const auto good = telemetry::complexity_check("synthetic.nlogn", nlogn, bound);
-  EXPECT_TRUE(good.ok) << good.detail;
-  EXPECT_LT(std::abs(good.growth_slope), 0.15);
-
-  const auto bad =
-      telemetry::complexity_check("synthetic.quadratic", quadratic, bound);
-  EXPECT_FALSE(bad.ok) << bad.detail;
-  EXPECT_GT(bad.growth_slope, 0.5);
-}
-
-TEST(ComplexityCheck, RefusesMeaninglessSampleSets) {
-  const core::big_o bound = core::big_o::n();
-  EXPECT_FALSE(telemetry::complexity_check("too.few", {{10, 10}, {20, 20}},
-                                           bound)
-                   .ok);
-  EXPECT_FALSE(telemetry::complexity_check(
-                   "too.narrow", {{10, 10}, {20, 20}, {30, 30}}, bound)
-                   .ok);
-}
-
-TEST(ComplexityCheck, UnfittableSweepsReportInconclusiveNotViolated) {
-  const core::big_o bound = core::big_o::n();
-  // Too few samples to fit a slope.
-  const auto few =
-      telemetry::complexity_check("too.few", {{10, 10}, {4000, 4000}}, bound);
-  EXPECT_FALSE(few.ok);
-  EXPECT_TRUE(few.inconclusive);
-  EXPECT_NE(few.detail.find("inconclusive"), std::string::npos);
-  EXPECT_NE(few.to_string().find("INCONCLUSIVE"), std::string::npos);
-  // Enough samples but max(n) < 4·min(n).
-  const auto narrow = telemetry::complexity_check(
-      "too.narrow", {{10, 10}, {20, 20}, {30, 30}}, bound);
-  EXPECT_FALSE(narrow.ok);
-  EXPECT_TRUE(narrow.inconclusive);
-  // A fittable sweep that fails is VIOLATED, not inconclusive.
-  std::vector<telemetry::sample> quad;
-  for (double n = 64; n <= 4096; n *= 2) quad.push_back({n, n * n});
-  const auto violated =
-      telemetry::complexity_check("synthetic.quadratic", quad, bound);
-  EXPECT_FALSE(violated.ok);
-  EXPECT_FALSE(violated.inconclusive);
-  EXPECT_NE(violated.to_string().find("VIOLATED"), std::string::npos);
-  // The JSON export distinguishes the two failure kinds.
-  telemetry::registry reg;
-  reg.record_check(few);
-  reg.record_check(violated);
-  const auto doc = telemetry::parse_json(reg.export_json());
-  ASSERT_EQ(doc.at("checks").arr.size(), 2u);
-  EXPECT_TRUE(doc.at("checks").arr[0].at("inconclusive").b);
-  EXPECT_FALSE(doc.at("checks").arr[1].at("inconclusive").b);
-}
-
-TEST(ComplexityCheck, ConstantTimeSeriesPassesConstantAndLinearBounds) {
-  std::vector<telemetry::sample> flat;
-  for (double n = 64; n <= 8192; n *= 2) flat.push_back({n, 12.0});
-  const auto vs_one =
-      telemetry::complexity_check("flat.vs.one", flat, core::big_o::one());
-  EXPECT_TRUE(vs_one.ok) << vs_one.detail;
-  EXPECT_FALSE(vs_one.inconclusive);
-  EXPECT_NEAR(vs_one.growth_slope, 0.0, 1e-9);
-  // O(n) over-declares a constant series; the check accepts (it bounds
-  // growth from above) rather than reporting a violation.
-  const auto vs_n =
-      telemetry::complexity_check("flat.vs.n", flat, core::big_o::n());
-  EXPECT_TRUE(vs_n.ok) << vs_n.detail;
-  EXPECT_LT(vs_n.growth_slope, 0.0);
-}
-
-TEST(ComplexityCheck, NoisyLinearSeriesNearBoundaryIsDeterministic) {
-  // Multiplicative noise on a linear series, drawn from the session seed:
-  // bounded ±10% noise cannot push the excess past the 0.35 tolerance, so
-  // the verdict must be ok for every seed — and identical on replay.
-  cgp::check::random_source rs(cgp::check::default_seed());
-  auto noise = [&rs] {
-    return 0.9 + 0.2 * (static_cast<double>(rs.bits() % 1000) / 1000.0);
-  };
-  std::vector<telemetry::sample> noisy;
-  for (double n = 64; n <= 8192; n *= 2) noisy.push_back({n, 3.0 * n * noise()});
-  const auto first =
-      telemetry::complexity_check("noisy.linear", noisy, core::big_o::n());
-  EXPECT_TRUE(first.ok) << first.detail;
-  EXPECT_FALSE(first.inconclusive);
-  const auto replay =
-      telemetry::complexity_check("noisy.linear", noisy, core::big_o::n());
-  EXPECT_DOUBLE_EQ(first.growth_slope, replay.growth_slope);
-}
-
-// A deliberately-quadratic "sort" (selection sort) whose comparisons are
-// counted — the classic violation of a ComplexityO(n log n) performance
-// concept.
-template <class I, class Cmp = std::less<>>
-std::uint64_t selection_sort_counting(I first, I last, Cmp cmp = {}) {
-  std::uint64_t comparisons = 0;
-  for (I i = first; i != last; ++i) {
-    I best = i;
-    for (I j = std::next(i); j != last; ++j) {
-      ++comparisons;
-      if (cmp(*j, *best)) best = j;
-    }
-    std::iter_swap(i, best);
-  }
-  return comparisons;
-}
 
 std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -591,72 +460,6 @@ std::vector<int> random_ints(std::size_t n, std::uint32_t seed) {
   for (int& x : v) x = dist(rng);
   return v;
 }
-
-TEST(ComplexityCheck, LibrarySortMeetsItsPerformanceConceptQuadraticDoesNot) {
-  const core::big_o nlogn = core::big_o::power("n", 1, 1);
-  const std::vector<std::size_t> sizes = {256, 512, 1024, 2048, 4096, 8192};
-  telemetry::registry reg;
-
-  // The library's concept-dispatched sort stays within c * n log n ...
-  const auto real = telemetry::check_scaling(
-      "sequences.sort.comparisons", sizes, nlogn,
-      [](std::size_t n) {
-        auto v = random_ints(n, static_cast<std::uint32_t>(n));
-        return sequences::instrumented::sort(v.begin(), v.end());
-      },
-      reg);
-  EXPECT_TRUE(real.ok) << real.detail;
-
-  // ... while the deliberately-quadratic sort is flagged as violating the
-  // same declared bound.
-  const auto quad = telemetry::check_scaling(
-      "test.selection_sort.comparisons", sizes, nlogn,
-      [](std::size_t n) {
-        auto v = random_ints(n, static_cast<std::uint32_t>(n) + 1);
-        return selection_sort_counting(v.begin(), v.end());
-      },
-      reg);
-  EXPECT_FALSE(quad.ok) << quad.detail;
-  EXPECT_GT(quad.growth_slope, 0.5);
-
-  // Both verdicts are recorded and exported for bench/ consumers.
-  const auto reports = reg.check_reports();
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].ok);
-  EXPECT_FALSE(reports[1].ok);
-  const auto doc = telemetry::parse_json(reg.export_json());
-  EXPECT_EQ(doc.at("checks").arr.size(), 2u);
-}
-
-TEST(ComplexityCheck, BinarySearchIsLogarithmic) {
-  const core::big_o logn = core::big_o::log_n();
-  const auto report = telemetry::check_scaling(
-      "sequences.lower_bound.comparisons",
-      {1024, 4096, 16384, 65536, 262144}, logn, [](std::size_t n) {
-        std::vector<int> v(n);
-        for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i);
-        return sequences::instrumented::lower_bound_count(
-            v.begin(), v.end(), static_cast<int>(n / 3));
-      });
-  EXPECT_TRUE(report.ok) << report.detail;
-}
-
-TEST(ComplexityCheck, GraphBfsIsLinearInEdges) {
-  // Ring graphs: E = V, so BFS ops should scale linearly with V.
-  const auto report = telemetry::check_scaling(
-      "graph.bfs.operations", {128, 256, 512, 1024, 2048}, core::big_o::n(),
-      [](std::size_t n) {
-        graph::adjacency_list<double> g(n);
-        for (std::size_t i = 0; i < n; ++i)
-          g.add_edge(i, (i + 1) % n, 1.0);
-        return graph::instrumented::bfs_distances(g, 0).second;
-      });
-  EXPECT_TRUE(report.ok) << report.detail;
-}
-
-// ---------------------------------------------------------------------------
-// end-to-end: all five instrumented subsystems report into one registry
-// ---------------------------------------------------------------------------
 
 TEST(TelemetryIntegration, AllFiveSubsystemsExportNonZeroMetrics) {
   auto& reg = telemetry::registry::global();
