@@ -7,6 +7,7 @@
 #include "core/mix64.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/profile.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/watchdog.hpp"
@@ -486,9 +487,14 @@ void net_base::run_synchronous(std::size_t max_rounds) {
     pending_count_ = fold_sends();
     live_routed_counter().add(pending_count_);
     in_flight_gauge().set(static_cast<std::int64_t>(pending_count_));
-    if (run_heartbeat_) run_heartbeat_->beat();
-    if (health_)
-      health_->end_round(round_, phase_trace_id_, phase_parent_span_);
+    // One clock reading stamps the heartbeat and times the health barrier.
+    if constexpr (telemetry::kEnabled) {
+      const std::uint64_t now_ns = telemetry::live::steady_now_ns();
+      if (run_heartbeat_) run_heartbeat_->beat_at(now_ns / 1'000'000);
+      if (health_)
+        health_->end_round(round_, now_ns, phase_trace_id_,
+                           phase_parent_span_);
+    }
     if (all_down()) break;
     if (!any_due && pending_count_ == 0) break;  // quiescent
   }
@@ -553,7 +559,9 @@ void net_base::run_start_phase() {
     pending_count_ = fold_sends();
     // Round 0 = the start phase; the round loop continues from 1, so
     // every backend reports identical round indices to the observatory.
-    if (health_) health_->end_round(0, phase_trace_id_, phase_parent_span_);
+    if (health_)
+      health_->end_round(0, telemetry::live::steady_now_ns(), phase_trace_id_,
+                         phase_parent_span_);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "telemetry/health.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "core/mix64.hpp"
@@ -182,7 +181,8 @@ void backend_track::begin_run(std::size_t nodes) {
   last_round_ns_ = 0;
 }
 
-void backend_track::end_round(std::size_t round, std::uint64_t trace_id,
+void backend_track::end_round(std::size_t round, std::uint64_t now_ns,
+                              std::uint64_t trace_id,
                               std::uint64_t parent_span) {
   if constexpr (!kEnabled) return;
   // Admissions become trace instants, so only a traced run collects them:
@@ -192,10 +192,7 @@ void backend_track::end_round(std::size_t round, std::uint64_t trace_id,
   {
     const std::lock_guard lock(mu_);
     std::uint64_t wall_us = 0;
-    if (!opts_.manual_clock) {
-      const auto now = std::chrono::steady_clock::now().time_since_epoch();
-      const std::uint64_t now_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
+    if (!opts_.manual_clock && now_ns != 0) {
       if (last_round_ns_ != 0 && now_ns > last_round_ns_)
         wall_us = (now_ns - last_round_ns_) / 1000;
       last_round_ns_ = now_ns;

@@ -194,11 +194,15 @@ class backend_track {
 
   /// Round barrier: folds the round's per-shard deltas into the depth and
   /// latency histograms, advances activity tracking, and offers active
-  /// shard-rounds to the reservoirs.  `trace_id`/`parent_span` (the
+  /// shard-rounds to the reservoirs.  `now_ns` is the caller's reading of
+  /// live::steady_now_ns() at the barrier, so an engine that already reads
+  /// the clock for its heartbeat does not read it twice; wall-clock
+  /// superstep latency is the time between two barriers of a run (ignored
+  /// under manual_clock; 0 = no reading).  `trace_id`/`parent_span` (the
   /// engine's phase context) let exemplar instants join the run's causal
   /// tree when the barrier thread has no active trace scope of its own.
-  void end_round(std::size_t round, std::uint64_t trace_id = 0,
-                 std::uint64_t parent_span = 0);
+  void end_round(std::size_t round, std::uint64_t now_ns,
+                 std::uint64_t trace_id = 0, std::uint64_t parent_span = 0);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t shards_used() const noexcept {
@@ -251,7 +255,7 @@ class backend_track {
   mutable std::mutex mu_;
   std::vector<round_row> rows_;  ///< fixed at opts_.shards
   std::uint64_t rounds_ = 0;
-  std::uint64_t last_round_ns_ = 0;  ///< steady-clock latency baseline
+  std::uint64_t last_round_ns_ = 0;  ///< latency baseline (0 = none yet)
 };
 
 // ---------------------------------------------------------------------------

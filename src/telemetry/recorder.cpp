@@ -4,13 +4,15 @@
 
 namespace cgp::telemetry::live {
 
-std::uint64_t steady_now_ms() noexcept {
+std::uint64_t steady_now_ns() noexcept {
   static const auto epoch = std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch)
           .count());
 }
+
+std::uint64_t steady_now_ms() noexcept { return steady_now_ns() / 1'000'000; }
 
 const char* to_string(flight_entry::kind k) noexcept {
   switch (k) {

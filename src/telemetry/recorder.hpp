@@ -30,6 +30,10 @@ namespace cgp::telemetry::live {
 /// call from any live component).  One shared monotonic timeline for the
 /// sampler, the watchdog, and the recorder.
 [[nodiscard]] std::uint64_t steady_now_ms() noexcept;
+/// The same timeline in nanoseconds: `steady_now_ns() / 1'000'000` is
+/// `steady_now_ms()`, so one reading can stamp a heartbeat and time a
+/// round barrier.
+[[nodiscard]] std::uint64_t steady_now_ns() noexcept;
 
 /// One recorded ring entry.
 struct flight_entry {

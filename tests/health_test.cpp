@@ -153,13 +153,13 @@ TEST(HealthTrackTest, ActivityFollowsSendsNotDeliveries) {
   t->fold(t->shard_of(2), 1, 0, 0, 0);
   t->fold(t->shard_of(1), 0, 0, 0, 1);
   t->fold(t->shard_of(3), 0, 0, 0, 1);
-  t->end_round(0);
+  t->end_round(0, 0);
   // Rounds 1..2: shard 0 keeps sending; shard 1 only RECEIVES (the
   // crashed-node shape: neighbors keep gossiping at it).
   for (std::size_t r = 1; r <= 2; ++r) {
     t->fold(t->shard_of(0), 1, 0, 0, 0);
     t->fold(t->shard_of(3), 0, 0, 0, 1);
-    t->end_round(r);
+    t->end_round(r, 0);
   }
   const health::backend_snapshot snap = t->snapshot();
   ASSERT_EQ(snap.shards.size(), 4u);
@@ -203,7 +203,7 @@ TEST(HealthReservoirTest, SeededSamplingIsDeterministicAndBounded) {
     for (std::size_t r = 0; r < kRounds; ++r) {
       t->fold(t->shard_of(0), 1, 0, 0, 0);  // shard 0
       t->fold(t->shard_of(7), 1, 0, 0, 0);  // shard 3
-      t->end_round(r);
+      t->end_round(r, 0);
     }
     return t->snapshot();
   };
@@ -259,7 +259,7 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   for (std::size_t r = 0; r <= 5; ++r) {
     t->fold(t->shard_of(0), 1, 0, 0, 0);
     if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
-    t->end_round(r);
+    t->end_round(r, 0);
   }
   EXPECT_EQ(obs.tick(1000), 1u);
   // Still violated at the next tick: the episode is already flagged, so
@@ -288,12 +288,12 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   // The condition clears (shard 1 routes again) — the episode re-arms...
   t->fold(t->shard_of(0), 1, 0, 0, 0);
   t->fold(t->shard_of(2), 1, 0, 0, 0);
-  t->end_round(6);
+  t->end_round(6, 0);
   EXPECT_EQ(obs.tick(3000), 0u);
   // ...and a FRESH stall of the same shard is a fresh verdict.
   for (std::size_t r = 7; r <= 9; ++r) {
     t->fold(t->shard_of(0), 1, 0, 0, 0);
-    t->end_round(r);
+    t->end_round(r, 0);
   }
   EXPECT_EQ(obs.tick(4000), 1u);
   EXPECT_EQ(obs.verdicts().size(), 2u);
@@ -317,7 +317,7 @@ std::string synthetic_export() {
       t->fold(t->shard_of(0), 1, r == 3, r == 4, 0);  // one drop, one duplicate
       if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
       t->fold(t->shard_of(1), 0, 0, 0, 1);
-      t->end_round(r);
+      t->end_round(r, 0);
     }
   }
   obs.tick(1000);
@@ -506,7 +506,7 @@ TEST(HealthScaleTest, TrackStateIsOShardsNotONodes) {
   }
   EXPECT_EQ(g_alloc_bytes.load(std::memory_order_relaxed), hooks_before);
   // Round barrier + snapshot + a tick stay O(shards) too.
-  t->end_round(0);
+  t->end_round(0, 0);
   const health::backend_snapshot snap = t->snapshot();
   EXPECT_EQ(snap.nodes, 1'000'000u);
   EXPECT_EQ(snap.shards.size(), 16u);
