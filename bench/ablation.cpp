@@ -4,8 +4,8 @@
 //      abstract iterations (the first pass discovers the invalidation, the
 //      second observes the stale use); more passes cost time without
 //      finding more.
-//  A2. Rewrite-rule instantiation cache — memoizing (rule, type, operator)
-//      instantiations vs re-deriving per node.
+//  A2. Rewrite-rule instantiation cache — memoizing every concept rule's
+//      instantiation per (type, operator) shape vs re-deriving per node.
 //  A3. Constant folding on top of concept rules — extra rewrites vs cost.
 #include <benchmark/benchmark.h>
 

@@ -22,6 +22,7 @@ void concept_registry::define(concept_descriptor d) {
                                   "' refines unknown concept '" + base + "'");
   }
   concepts_[d.name] = std::move(d);
+  ++gen_;
 }
 
 bool concept_registry::contains(const std::string& name) const {
@@ -113,6 +114,7 @@ void concept_registry::declare_model(model_declaration m) {
     throw std::invalid_argument("model declared for unknown concept '" +
                                 m.concept_name + "'");
   models_.push_back(std::move(m));
+  ++gen_;
 }
 
 bool concept_registry::models(const std::string& concept_name,

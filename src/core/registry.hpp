@@ -13,6 +13,7 @@
 // its refinement lattice.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -144,10 +145,13 @@ class concept_registry {
 
   /// Renders a concept as a requirements table in the style of Figs. 1-3.
   [[nodiscard]] std::string describe(const std::string& name) const;
+  /// Bumped by every `define` and `declare_model`: caches key on it.
+  [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
 
  private:
   std::map<std::string, concept_descriptor> concepts_;
   std::vector<model_declaration> models_;
+  std::uint64_t gen_ = 0;
 };
 
 /// Registers the paper's built-in concept hierarchy and models into `r`.

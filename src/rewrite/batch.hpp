@@ -1,11 +1,7 @@
 // Data-parallel batch rewriting: simplify a workload of expressions over
 // any Executor, sharing ONE simplifier — and therefore one instantiation
-// memo.  This is the concurrent_map payoff: the per-(rule, type, operator)
-// axiom instantiations are computed once by whichever worker gets there
-// first and read lock-cheaply (one shard mutex) by everyone else, so a
-// batch touching the same algebraic shapes pays the registry lookup +
-// pattern construction once, not once per thread.
-//
+// memo.  Each (type, operator) shape is instantiated once by whichever
+// worker gets there first and read by everyone else with one shard mutex.
 // `simplify` is const and the memo is insert-only, so the fan-out needs no
 // coordination beyond the barrier `parallel_for` already provides.  Rule
 // registration (add_concept_rule) clears the memo and must happen before

@@ -1,35 +1,40 @@
 #include "rewrite/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <string_view>
 
+#include "core/mix64.hpp"
 #include "rewrite/eval.hpp"
-#include "telemetry/profile.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace cgp::rewrite {
 namespace {
 
-// Resolved once; thereafter increments are lock-free (rule-hit counters are
-// looked up per fire, which is rare next to the expr rebuilding a fire does).
-telemetry::counter& cache_hit_counter() {
-  static telemetry::counter& c = telemetry::registry::global().get_counter(
-      "rewrite.simplifier.instantiation_cache_hits");
-  return c;
+simplifier::rule_site make_site(std::string name, std::string provenance) {
+  telemetry::counter& hits = telemetry::registry::global().get_counter(
+      "rewrite.simplifier.rule." + name);
+  const auto frame = telemetry::profile::intern("rewrite.rule." + name);
+  return {std::move(name), std::move(provenance), &hits, frame};
 }
 
-telemetry::counter& cache_miss_counter() {
-  static telemetry::counter& c = telemetry::registry::global().get_counter(
-      "rewrite.simplifier.instantiation_cache_misses");
-  return c;
+// The one fire path of every rule: `make()` builds the rewritten node
+// inside the rule's profiler frame, then the hit is counted and traced.
+template <class Make>
+expr fire(const simplifier::rule_site& site, const expr& e, Make make,
+          std::vector<rewrite_step>* trace) {
+  telemetry::profile::probe rule_probe(site.frame);
+  expr out = make();
+  site.hits->add();
+  if (trace)
+    trace->push_back({site.name, site.provenance, e.to_string(),
+                      out.to_string()});
+  return out;
 }
 
-void count_rule_hit(const std::string& rule_name) {
-  telemetry::registry::global()
-      .get_counter("rewrite.simplifier.rule." + rule_name)
-      .add();
+// Callers keep the reference in a static and then count lock-free.
+telemetry::counter& engine_counter(const std::string& name) {
+  return telemetry::registry::global().get_counter("rewrite.simplifier." +
+                                                   name);
 }
 
 bool is_binary_op_symbol(std::string_view s) {
@@ -74,6 +79,20 @@ expr pattern_from_term(const core::term& t, const std::string& type) {
   return expr::constant("<bad-term>", type);
 }
 
+void simplifier::add_concept_rule(concept_rule r) {
+  std::string name = r.concept_name + "::" + r.axiom_name;
+  concept_rules_.emplace_back(std::move(r),
+                              make_site(std::move(name), r.concept_name));
+  if (instantiation_cache_)
+    instantiation_cache_->clear();
+  else  // moved from
+    instantiation_cache_ = std::make_unique<memo>();
+}
+
+void simplifier::add_expr_rule(expr_rule r) {
+  expr_rules_.emplace_back(std::move(r), make_site(r.name, r.provenance));
+}
+
 void simplifier::add_default_concept_rules() {
   // The two rules of Fig. 5 ...
   add_concept_rule({.concept_name = "Monoid", .axiom_name = "right_identity"});
@@ -83,144 +102,111 @@ void simplifier::add_default_concept_rules() {
   add_concept_rule({.concept_name = "Group", .axiom_name = "left_inverse"});
 }
 
+std::size_t simplifier::shape_hash::operator()(
+    const shape_key& k) const noexcept {
+  const std::hash<std::string> h;
+  const auto& [type, op, generation] = k;
+  return core::mix64(h(type) ^ core::mix64(h(op) ^ generation));
+}
+
+const simplifier::instantiations& simplifier::instantiate(
+    const expr& e) const {
+  static telemetry::counter& hits = engine_counter("instantiation_cache_hits");
+  static telemetry::counter& misses =
+      engine_counter("instantiation_cache_misses");
+  shape_key key{e.type(), e.symbol(), registry_->generation()};
+  if (const instantiations* hit = instantiation_cache_->find(key)) {
+    hits.add();
+    return *hit;
+  }
+  misses.add();
+  instantiations insts;
+  for (const auto& [r, site] : concept_rules_) {
+    std::optional<std::pair<expr, expr>>& inst = insts.emplace_back();
+    const auto model =
+        registry_->find_model(r.concept_name, {e.type(), e.symbol()});
+    if (!model) continue;
+    const auto axioms = registry_->all_axioms(r.concept_name);
+    const auto ax = std::ranges::find(axioms, r.axiom_name, &core::axiom::name);
+    if (ax == axioms.end()) continue;
+    // Instantiate the abstract axiom through the symbol binding.
+    const auto& rename = model->symbol_binding;
+    expr pattern = pattern_from_term(ax->lhs.rename_symbols(rename), e.type());
+    expr replacement =
+        pattern_from_term(ax->rhs.rename_symbols(rename), e.type());
+    if (!r.require_shrink || replacement.size() < pattern.size())
+      inst = std::pair{std::move(pattern), std::move(replacement)};
+  }
+  // Racing simplify() calls may both instantiate the shape; the insert-only
+  // map keeps the winner and everyone shares its stable address (losers
+  // computed equal values — instantiation is pure).
+  return instantiation_cache_->try_emplace(std::move(key), std::move(insts))
+      .first->second;
+}
+
 std::optional<expr> simplifier::rewrite_at_root(
     const expr& e, std::vector<rewrite_step>* trace) const {
   // Library-specific expression rules take priority (Section 3.2: user
   // extensions often specialize general expressions to faster calls).
-  for (const expr_rule& r : expr_rules_) {
+  for (const auto& [r, site] : expr_rules_) {
     auto binding = e.match(r.pattern);
     if (!binding) continue;
     if (r.guard && !r.guard(*binding)) continue;
-    telemetry::profile::probe rule_probe(
-        std::string_view("rewrite.rule." + r.name));
-    expr out = r.replacement.substitute(*binding);
-    count_rule_hit(r.name);
-    if (trace)
-      trace->push_back({r.name, r.provenance, e.to_string(), out.to_string()});
-    return out;
+    return fire(site, e, [&] { return r.replacement.substitute(*binding); },
+                trace);
   }
 
-  // Generic concept-guarded rules.
-  if (!e.is(expr::kind::unary) && !e.is(expr::kind::binary) &&
-      !e.is(expr::kind::call)) {
-    return std::nullopt;
-  }
-  for (std::size_t ri = 0; ri < concept_rules_.size(); ++ri) {
-    const concept_rule& r = concept_rules_[ri];
-    // Memoized instantiation of the rule for this (type, operator) shape.
-    const std::string key = std::to_string(ri) + "\x1f" + e.type() + "\x1f" +
-                            e.symbol();
-    const auto* cached = instantiation_cache_.find(key);
-    if (cached != nullptr) {
-      cache_hit_counter().add();
-    } else {
-      cache_miss_counter().add();
+  // Generic concept-guarded rules, instantiated for this node's shape.
+  if (!concept_rules_.empty() &&
+      (e.is(expr::kind::unary) || e.is(expr::kind::binary) ||
+       e.is(expr::kind::call))) {
+    const instantiations& insts = instantiate(e);
+    for (std::size_t ri = 0; ri < insts.size(); ++ri) {
+      if (!insts[ri]) continue;
+      const auto& [pattern, replacement] = *insts[ri];
+      auto binding = e.match(pattern);
+      if (!binding) continue;
+      return fire(concept_rules_[ri].second, e,
+                  [&] { return replacement.substitute(*binding); }, trace);
     }
-    if (cached == nullptr) {
-      std::optional<std::pair<expr, expr>> inst;
-      if (const auto model =
-              registry_->find_model(r.concept_name, {e.type(), e.symbol()})) {
-        const auto axioms = registry_->all_axioms(r.concept_name);
-        const auto ax = std::find_if(
-            axioms.begin(), axioms.end(),
-            [&](const core::axiom& a) { return a.name == r.axiom_name; });
-        if (ax != axioms.end()) {
-          // Instantiate the abstract axiom through the symbol binding.
-          const std::map<std::string, std::string> rename(
-              model->symbol_binding.begin(), model->symbol_binding.end());
-          expr pattern =
-              pattern_from_term(ax->lhs.rename_symbols(rename), e.type());
-          expr replacement =
-              pattern_from_term(ax->rhs.rename_symbols(rename), e.type());
-          if (!r.require_shrink || replacement.size() < pattern.size())
-            inst = std::pair{std::move(pattern), std::move(replacement)};
-        }
-      } else {
-        // No model (yet): do NOT cache — declaring one later must take
-        // effect immediately (the "for free" extensibility of Section 3.2).
-        continue;
-      }
-      // Racing simplify() calls may both compute the instantiation; the
-      // insert-only map keeps the winner and everyone shares its stable
-      // address (losers recomputed equal values — instantiation is pure).
-      cached = &instantiation_cache_.try_emplace(key, std::move(inst))
-                    .first->second;
-    }
-    if (!cached->has_value()) continue;
-    const auto& [pattern, replacement] = **cached;
-
-    auto binding = e.match(pattern);
-    if (!binding) continue;
-    telemetry::profile::probe rule_probe(std::string_view(
-        "rewrite.rule." + r.concept_name + "::" + r.axiom_name));
-    expr out = replacement.substitute(*binding);
-    count_rule_hit(r.concept_name + "::" + r.axiom_name);
-    if (trace)
-      trace->push_back({r.concept_name + "::" + r.axiom_name, r.concept_name,
-                        e.to_string(), out.to_string()});
-    return out;
   }
 
   // Constant folding: all-literal operands evaluate at rewrite time.
-  if (fold_constants_ && !e.children().empty()) {
-    const bool all_literal = std::all_of(
-        e.children().begin(), e.children().end(),
-        [](const expr& c) { return c.is(expr::kind::literal); });
-    if (all_literal) {
-      try {
-        const value v = evaluate(e, {});
-        expr out = expr::lit(v, e.type());
-        if (!(out == e)) {
-          static const auto kFoldFrame =
-              telemetry::profile::intern("rewrite.rule.constant-fold");
-          telemetry::profile::probe rule_probe(kFoldFrame);
-          count_rule_hit("constant-fold");
-          if (trace)
-            trace->push_back(
-                {"constant-fold", "evaluator", e.to_string(),
-                 out.to_string()});
-          return out;
-        }
-      } catch (const eval_error&) {
-        // Not evaluable (division by zero, unknown call): leave it alone.
-      }
+  if (fold_constants_ && !e.children().empty() &&
+      std::all_of(e.children().begin(), e.children().end(),
+                  [](const expr& c) { return c.is(expr::kind::literal); })) {
+    try {
+      expr out = expr::lit(evaluate(e, {}), e.type());
+      static const rule_site kFold = make_site("constant-fold", "evaluator");
+      return fire(kFold, e, [&] { return std::move(out); }, trace);
+    } catch (const eval_error&) {
+      // Not evaluable (division by zero, unknown call): leave it alone.
     }
   }
   return std::nullopt;
 }
 
-expr simplifier::simplify_once(const expr& e, bool& changed,
-                               std::vector<rewrite_step>* trace) const {
-  // Bottom-up: simplify children first so identities cascade outward.
-  expr cur = e;
-  switch (e.node_kind()) {
-    case expr::kind::unary:
-      cur = expr::unary_op(e.symbol(),
-                           simplify_once(e.children()[0], changed, trace),
-                           e.type());
-      break;
-    case expr::kind::binary:
-      cur = expr::binary_op(e.symbol(),
-                            simplify_once(e.children()[0], changed, trace),
-                            simplify_once(e.children()[1], changed, trace),
-                            e.type());
-      break;
-    case expr::kind::call: {
-      std::vector<expr> args;
-      args.reserve(e.children().size());
-      for (const expr& c : e.children())
-        args.push_back(simplify_once(c, changed, trace));
-      cur = expr::call_fn(e.symbol(), std::move(args), e.type());
-      break;
-    }
-    default:
-      break;
+std::optional<expr> simplifier::simplify_once(
+    const expr& e, std::vector<rewrite_step>* trace) const {
+  // Bottom-up: simplify children first so identities cascade outward.  A
+  // node is rebuilt only when a child changed; otherwise it is shared.  A
+  // binary node visits its right operand first: the step order traces
+  // have always recorded.
+  const std::vector<expr>& kids = e.children();
+  const bool right_first = e.is(expr::kind::binary);
+  std::vector<expr> next;  // a copy of `kids` once some child changed
+  for (std::size_t k = 0; k < kids.size(); ++k) {
+    const std::size_t i = right_first ? kids.size() - 1 - k : k;
+    std::optional<expr> c = simplify_once(kids[i], trace);
+    if (!c) continue;
+    if (next.empty()) next = kids;
+    next[i] = std::move(*c);
   }
-  if (auto rewritten = rewrite_at_root(cur, trace)) {
-    changed = true;
-    return *rewritten;
-  }
-  return cur;
+  std::optional<expr> rebuilt;
+  if (!next.empty()) rebuilt = e.with_children(std::move(next));
+  if (auto rewritten = rewrite_at_root(rebuilt ? *rebuilt : e, trace))
+    return rewritten;
+  return rebuilt;
 }
 
 expr simplifier::simplify(const expr& e,
@@ -236,30 +222,25 @@ expr simplifier::simplify(const expr& e,
   std::vector<rewrite_step>* steps =
       trace != nullptr ? trace : (traced ? &local_steps : nullptr);
   const std::size_t first_step = steps != nullptr ? steps->size() : 0;
-  expr cur = e;
-  auto& reg = telemetry::registry::global();
-  reg.get_counter("rewrite.simplifier.simplify_calls").add();
+  static telemetry::counter& calls = engine_counter("simplify_calls");
+  static telemetry::counter& pass_count = engine_counter("passes");
+  static telemetry::histogram& passes_per_call =
+      telemetry::registry::global().get_histogram(
+          "rewrite.simplifier.passes_per_call");
+  calls.add();
   // Node count strictly decreases on every effective pass for the shipped
   // shrink-checked rules, but user rules may grow terms; cap passes.
   constexpr int kMaxPasses = 64;
+  expr cur = e;
   int passes = 0;
-  for (int pass = 0; pass < kMaxPasses; ++pass) {
+  while (passes < kMaxPasses) {
     ++passes;
-    bool changed = false;
-    cur = simplify_once(cur, changed, steps);
-    if (!changed) break;
+    std::optional<expr> next = simplify_once(cur, steps);
+    if (!next) break;
+    cur = std::move(*next);
   }
-  reg.get_counter("rewrite.simplifier.passes").add(static_cast<std::uint64_t>(passes));
-  reg.get_histogram("rewrite.simplifier.passes_per_call")
-      .record(static_cast<std::uint64_t>(passes));
-  // Live cache hit-rate series: the sampler snapshots this gauge (ppm,
-  // avoiding float gauges) so a warming/thrashing instantiation cache is
-  // visible while a long analysis run is still going.
-  const std::uint64_t hits = cache_hit_counter().value();
-  const std::uint64_t misses = cache_miss_counter().value();
-  if (hits + misses != 0)
-    reg.get_gauge("rewrite.simplifier.cache_hit_rate_ppm")
-        .set(static_cast<std::int64_t>(hits * 1000000 / (hits + misses)));
+  pass_count.add(static_cast<std::uint64_t>(passes));
+  passes_per_call.record(static_cast<std::uint64_t>(passes));
   if (traced && steps != nullptr) {
     // The full derivation chain, one instant per applied rule, in order.
     for (std::size_t i = first_step; i < steps->size(); ++i) {

@@ -8,14 +8,19 @@
 // a library can override the generic algebra with a faster call.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "parallel/concurrent_map.hpp"
 #include "rewrite/rules.hpp"
+#include "telemetry/profile.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cgp::rewrite {
 
@@ -26,32 +31,10 @@ class simplifier {
                           core::concept_registry::global())
       : registry_(&reg) {}
 
-  /// Movable (factory functions return simplifiers by value); the
-  /// instantiation memo is not carried across — it is a pure cache, and
-  /// the concurrent map pins its shards in place, so the moved-to
-  /// simplifier simply rewarms.  Moving a simplifier other threads are
-  /// using is a bug with or without the memo.
-  simplifier(simplifier&& other) noexcept
-      : registry_(other.registry_),
-        concept_rules_(std::move(other.concept_rules_)),
-        expr_rules_(std::move(other.expr_rules_)),
-        fold_constants_(other.fold_constants_) {}
-  simplifier& operator=(simplifier&& other) noexcept {
-    registry_ = other.registry_;
-    concept_rules_ = std::move(other.concept_rules_);
-    expr_rules_ = std::move(other.expr_rules_);
-    fold_constants_ = other.fold_constants_;
-    instantiation_cache_.clear();
-    return *this;
-  }
-
   /// Registers a generic concept-guarded rule.
-  void add_concept_rule(concept_rule r) {
-    concept_rules_.push_back(std::move(r));
-    instantiation_cache_.clear();
-  }
+  void add_concept_rule(concept_rule r);
   /// Registers a concrete expression rule (user extension point).
-  void add_expr_rule(expr_rule r) { expr_rules_.push_back(std::move(r)); }
+  void add_expr_rule(expr_rule r);
 
   /// Folds operator applications whose operands are all literals by running
   /// the evaluator at compile^H^H^H rewrite time (e.g. `2 * 3 -> 6`).
@@ -79,24 +62,45 @@ class simplifier {
   [[nodiscard]] std::optional<expr> rewrite_at_root(
       const expr& e, std::vector<rewrite_step>* trace = nullptr) const;
 
+  /// What a rule fire reports, resolved once when the rule is added: the
+  /// name and provenance of its steps, its hit counter, its profiler frame.
+  struct rule_site {
+    std::string name;
+    std::string provenance;
+    telemetry::counter* hits;
+    telemetry::profile::frame_id frame;
+  };
+
  private:
-  [[nodiscard]] expr simplify_once(const expr& e, bool& changed,
-                                   std::vector<rewrite_step>* trace) const;
+  /// Every concept rule instantiated for one shape, in rule order; nullopt
+  /// where the shape has no model or the rule would not shrink it.
+  using instantiations = std::vector<std::optional<std::pair<expr, expr>>>;
+  /// (type, operator, registry generation when instantiated).
+  using shape_key = std::tuple<std::string, std::string, std::uint64_t>;
+  struct shape_hash {
+    std::size_t operator()(const shape_key& k) const noexcept;
+  };
+
+  /// The root of `e` rewritten, or `e` with rewritten children; nullopt
+  /// when no rule fired anywhere in `e`, which then stays shared.
+  [[nodiscard]] std::optional<expr> simplify_once(
+      const expr& e, std::vector<rewrite_step>* trace) const;
+  [[nodiscard]] const instantiations& instantiate(const expr& e) const;
 
   const core::concept_registry* registry_;
-  std::vector<concept_rule> concept_rules_;
-  std::vector<expr_rule> expr_rules_;
+  std::vector<std::pair<concept_rule, rule_site>> concept_rules_;
+  std::vector<std::pair<expr_rule, rule_site>> expr_rules_;
   bool fold_constants_ = false;
-  /// Memoizes axiom instantiation per (rule index, type, operator): the
-  /// registry lookup + term renaming + pattern construction happen once per
-  /// concrete shape instead of at every node visit.  A striped insert-only
-  /// concurrent map, so `simplify` (const) is safe to call from many
-  /// threads at once — `simplify_batch` (batch.hpp) fans a workload over
-  /// one shared simplifier and all threads share the memo.  Mutation of
-  /// the rule set (add_concept_rule) clears it and must be quiescent.
-  mutable parallel::concurrent_map<std::string,
-                                   std::optional<std::pair<expr, expr>>>
-      instantiation_cache_;
+  /// Memoizes axiom instantiation per (type, operator) shape, modelled or
+  /// not: one lookup per operator node, and the key's registry generation
+  /// makes a later model take effect.  A striped insert-only concurrent
+  /// map, so `simplify` (const) is safe to call from many threads at once
+  /// and `simplify_batch` (batch.hpp) workers share one memo.  Mutation of
+  /// the rule set (add_concept_rule) clears it and must be quiescent.  It
+  /// pins its shards in place, so it sits behind a pointer: the simplifier
+  /// moves (factory functions return it by value) and keeps its memo.
+  using memo = parallel::concurrent_map<shape_key, instantiations, shape_hash>;
+  std::unique_ptr<memo> instantiation_cache_ = std::make_unique<memo>();
 };
 
 /// Rules licensed by machine-checked theorems rather than raw axioms

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace cgp::rewrite {
 
@@ -24,14 +23,15 @@ std::string value_to_string(const value& v) {
           return "\"" + x + "\"";
         } else if constexpr (std::is_same_v<
                                  X, std::shared_ptr<const matrix_value>>) {
-          std::ostringstream out;
-          out << "matrix[" << (x ? x->rows : 0) << "x" << (x ? x->cols : 0)
-              << "]";
-          return out.str();
+          return "matrix[" + std::to_string(x ? x->rows : 0) + "x" +
+                 std::to_string(x ? x->cols : 0) + "]";
+        } else if constexpr (std::is_same_v<X, double>) {
+          char buf[32];  // %g at precision 6, as a default std::ostream
+          return {buf, std::to_chars(buf, buf + 32, x,
+                                     std::chars_format::general, 6).ptr};
         } else {
-          std::ostringstream out;
-          out << x;
-          return out.str();
+          char buf[32];
+          return {buf, std::to_chars(buf, buf + 32, x).ptr};
         }
       },
       v);
@@ -124,13 +124,18 @@ std::string expr::to_string() const {
 
 namespace {
 
+/// Metavariable bindings of one match attempt, in binding order.
+using flat_binding = std::vector<std::pair<const std::string*, const expr*>>;
+
 bool match_impl(const expr& subject, const expr& pattern,
-                std::map<std::string, expr>& binding) {
+                flat_binding& binding) {
   if (pattern.is(expr::kind::metavariable)) {
     if (!pattern.type().empty() && pattern.type() != subject.type())
       return false;
-    auto [it, inserted] = binding.emplace(pattern.symbol(), subject);
-    return inserted || it->second == subject;
+    for (const auto& [name, bound] : binding)
+      if (*name == pattern.symbol()) return *bound == subject;
+    binding.emplace_back(&pattern.symbol(), &subject);
+    return true;
   }
   if (pattern.node_kind() != subject.node_kind() ||
       pattern.symbol() != subject.symbol() ||
@@ -151,34 +156,34 @@ bool match_impl(const expr& subject, const expr& pattern,
 
 std::optional<std::map<std::string, expr>> expr::match(
     const expr& pattern) const {
+  // A per-thread buffer that keeps its capacity, so a failed match
+  // allocates nothing; the public map is built only on success.
+  thread_local flat_binding flat;
+  flat.clear();
+  if (!match_impl(*this, pattern, flat)) return std::nullopt;
   std::map<std::string, expr> binding;
-  if (match_impl(*this, pattern, binding)) return binding;
-  return std::nullopt;
+  for (const auto& [name, bound] : flat) binding.emplace(*name, *bound);
+  return binding;
 }
 
 expr expr::substitute(const std::map<std::string, expr>& b) const {
-  switch (node_kind()) {
-    case kind::metavariable: {
-      auto it = b.find(symbol());
-      return it == b.end() ? *this : it->second;
-    }
-    case kind::variable:
-    case kind::literal:
-    case kind::named_const:
-      return *this;
-    case kind::unary:
-      return unary_op(symbol(), children()[0].substitute(b), type());
-    case kind::binary:
-      return binary_op(symbol(), children()[0].substitute(b),
-                       children()[1].substitute(b), type());
-    case kind::call: {
-      std::vector<expr> args;
-      args.reserve(children().size());
-      for (const expr& c : children()) args.push_back(c.substitute(b));
-      return call_fn(symbol(), std::move(args), type());
-    }
+  if (is(kind::metavariable)) {
+    auto it = b.find(symbol());
+    return it == b.end() ? *this : it->second;
   }
-  return *this;
+  if (children().empty()) return *this;
+  std::vector<expr> args;
+  args.reserve(children().size());
+  for (const expr& c : children()) args.push_back(c.substitute(b));
+  return with_children(std::move(args));
+}
+
+expr expr::with_children(std::vector<expr> children) const {
+  std::string t = type().empty() && !children.empty() && !is(kind::call)
+                      ? children[0].type()
+                      : type();
+  return make({node_kind(), symbol(), std::move(t), literal_value(),
+               std::move(children)});
 }
 
 std::optional<expr> parse_literal(const std::string& s,

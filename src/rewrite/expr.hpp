@@ -111,6 +111,9 @@ class expr {
 
   /// Replaces metavariables by their bindings.
   [[nodiscard]] expr substitute(const std::map<std::string, expr>& b) const;
+  /// The same operator node over new operands.  An untyped unary or binary
+  /// node takes its first operand's type, as `unary_op` and `binary_op` do.
+  [[nodiscard]] expr with_children(std::vector<expr> children) const;
 
  private:
   struct node {

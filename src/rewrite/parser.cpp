@@ -116,6 +116,13 @@ class parser {
     return false;
   }
 
+  /// Enters one level of nesting; past kMaxParseDepth the parse fails.
+  void enter() {
+    if (++depth_ > kMaxParseDepth)
+      throw parse_error("expression nests deeper than " +
+                        std::to_string(kMaxParseDepth) + " levels");
+  }
+
   std::string type_of(const std::string& name, const char* what) const {
     auto it = types_.find(name);
     if (it == types_.end())
@@ -154,7 +161,10 @@ class parser {
     for (const char* op : {"-", "!", "~"}) {
       if (peek().k == rtoken::kind::punct && peek().text == op) {
         (void)take();
-        return expr::unary_op(op, parse_unary());
+        enter();
+        expr operand = parse_unary();
+        --depth_;
+        return expr::unary_op(op, std::move(operand));
       }
     }
     return parse_primary();
@@ -186,6 +196,7 @@ class parser {
         if (t.text == "true") return expr::bool_lit(true);
         if (t.text == "false") return expr::bool_lit(false);
         if (accept("(")) {
+          enter();
           std::vector<expr> args;
           if (!accept(")")) {
             do {
@@ -193,6 +204,7 @@ class parser {
             } while (accept(","));
             if (!accept(")")) throw parse_error("expected ')' in call");
           }
+          --depth_;
           std::string type;
           if (auto it = types_.find(t.text); it != types_.end())
             type = it->second;
@@ -210,8 +222,10 @@ class parser {
       }
       case rtoken::kind::punct:
         if (t.text == "(") {
+          enter();
           expr inner = parse_or();
           if (!accept(")")) throw parse_error("expected ')'");
+          --depth_;
           return inner;
         }
         throw parse_error("unexpected token '" + t.text + "'");
@@ -224,6 +238,7 @@ class parser {
   std::vector<rtoken> toks_;
   const std::map<std::string, std::string>& types_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -354,6 +354,45 @@ TEST(CallSites, SimplifyBatchMatchesSerialAndSharesMemo) {
     EXPECT_EQ(out[i].to_string(), serial[i]) << "batch index " << i;
 }
 
+TEST(CallSites, ColdMemoBatchRacesModelledAndUnmodelledShapes) {
+  // Every worker starts on a cold memo, so the first visits of each shape
+  // race to insert it: modelled shapes (int +, int *, unsigned |) and
+  // shapes without a model (int -, double /, unsigned -), whose "no model"
+  // entries are memoized as well.  Under TSan this is the race check.
+  using E = cgp::rewrite::expr;
+  const E x = E::var("x", "int");
+  const E f = E::var("f", "double");
+  const E u = E::var("u", "unsigned");
+  const std::vector<E> shapes = {
+      E::binary_op("+", x, E::int_lit(0), "int"),
+      E::binary_op("-", x, E::int_lit(0), "int"),
+      E::binary_op("*", E::binary_op("-", x, x, "int"), E::int_lit(1), "int"),
+      E::binary_op("/", f, E::double_lit(2.0), "double"),
+      E::binary_op("|", u, E::uint_lit(0), "unsigned"),
+      E::binary_op("-", u, E::uint_lit(0), "unsigned"),
+  };
+  std::vector<E> batch;
+  for (int rep = 0; rep < 64; ++rep)
+    for (const E& e : shapes) batch.push_back(e);
+
+  cgp::rewrite::simplifier serial_simp;
+  serial_simp.add_default_concept_rules();
+  std::vector<std::string> serial;
+  for (const E& e : batch)
+    serial.push_back(serial_simp.simplify(e).to_string());
+
+  par::work_stealing_pool pool({.workers = 3});
+  for (int round = 0; round < 4; ++round) {
+    cgp::rewrite::simplifier s;  // cold memo every round
+    s.add_default_concept_rules();
+    const std::vector<E> out =
+        cgp::rewrite::simplify_batch(s, batch, pool, /*grain=*/1);
+    ASSERT_EQ(out.size(), batch.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i].to_string(), serial[i]) << "batch index " << i;
+  }
+}
+
 TEST(CallSites, LintServiceCachesByContent) {
   const std::uint64_t hits_before = counter_value("stllint.service.cache_hits");
   const std::uint64_t misses_before =

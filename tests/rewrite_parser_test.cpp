@@ -75,6 +75,52 @@ TEST(Parser, Errors) {
   EXPECT_THROW((void)parse_expr("i j", kIntEnv), parse_error);
 }
 
+std::string nested(int depth, const std::string& open,
+                   const std::string& close) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += "i";
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+TEST(Parser, AcceptsNestingAtTheDepthLimit) {
+  const int n = kMaxParseDepth;
+  EXPECT_EQ(parse_expr(nested(n, "(", ")"), kIntEnv), E::var("i", "int"));
+  const expr negations = parse_expr(nested(n, "-", ""), kIntEnv);
+  EXPECT_EQ(negations.size(), static_cast<std::size_t>(n) + 1);
+  const expr calls = parse_expr(nested(n, "f(", ")"), kIntEnv);
+  EXPECT_EQ(calls.size(), static_cast<std::size_t>(n) + 1);
+  // The three kinds share one budget: two levels per "-f(" or "(-".
+  EXPECT_NO_THROW((void)parse_expr(nested(n / 2, "-f(", ")"), kIntEnv));
+  EXPECT_NO_THROW((void)parse_expr(nested(n / 2, "(-", ")"), kIntEnv));
+}
+
+TEST(Parser, RejectsNestingPastTheDepthLimit) {
+  const int over = kMaxParseDepth + 1;
+  EXPECT_THROW((void)parse_expr(nested(over, "(", ")"), kIntEnv),
+               parse_error);
+  EXPECT_THROW((void)parse_expr(nested(over, "-", ""), kIntEnv), parse_error);
+  EXPECT_THROW((void)parse_expr(nested(over, "f(", ")"), kIntEnv),
+               parse_error);
+  EXPECT_THROW(
+      (void)parse_expr("(" + nested(over / 2, "-f(", ")") + ")", kIntEnv),
+      parse_error);
+  // 2,000 parentheses (a 4 KB string) used to overflow the stack.
+  EXPECT_THROW((void)parse_expr(nested(2000, "(", ")"), kIntEnv),
+               parse_error);
+  EXPECT_THROW((void)parse_rule("deep", nested(over, "(", ")"), "i",
+                                kIntEnv),
+               parse_error);
+  try {
+    (void)parse_expr(nested(over, "(", ")"), kIntEnv);
+  } catch (const parse_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nests deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Parser, UnmappedIdentifierBecomesNamedConstant) {
   const expr e = parse_expr("matmul(A, I)", {{"A", "matrix"}});
   EXPECT_EQ(e.children()[1].node_kind(), expr::kind::named_const);

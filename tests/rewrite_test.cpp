@@ -5,9 +5,11 @@
 #include <limits>
 #include <ostream>
 #include <random>
+#include <sstream>
 
 #include "rewrite/engine.hpp"
 #include "rewrite/eval.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cgp::rewrite {
 namespace {
@@ -66,6 +68,37 @@ TEST(Expr, ParseLiteralPerType) {
   EXPECT_EQ(parse_literal("I", "matrix").value(),
             E::constant("I", "matrix"));
   EXPECT_FALSE(parse_literal("zz", "int").has_value());
+}
+
+TEST(Expr, LiteralSpellingMatchesDefaultOstream) {
+  const auto ostream_spelling = [](const auto& x) {
+    std::ostringstream out;
+    out << x;
+    return out.str();
+  };
+  const std::int64_t ints[] = {0, -1, 42,
+                               std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max()};
+  for (const std::int64_t i : ints)
+    EXPECT_EQ(value_to_string(i), ostream_spelling(i));
+  const std::uint64_t uints[] = {0, 0xFFFFFFFFull,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t u : uints)
+    EXPECT_EQ(value_to_string(u), ostream_spelling(u));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {0.1, 1e-7, 1e21, 123456789.0, -0.0, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            0.0, 1.0, -2.5, 1e-5, 1e-4, 123456.0, 1234567.0,
+                            0.333333333, 1e300, 5e-324};
+  for (const double d : doubles)
+    EXPECT_EQ(value_to_string(d), ostream_spelling(d)) << "double " << d;
+  // Constant folding spells the literals it creates the same way.
+  simplifier s;
+  s.enable_constant_folding();
+  const expr folded = s.simplify(
+      E::binary_op("*", E::double_lit(123456.0), E::double_lit(10.0)));
+  EXPECT_EQ(folded.symbol(), ostream_spelling(1234560.0));
+  EXPECT_EQ(folded.to_string(), "1.23456e+06");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +240,37 @@ TEST(Guard, RegistryExtensionEnablesRewrite) {
   reg.declare_model({"Monoid", {"quaternion", "+"},
                      {{"op", "+"}, {"e", "0"}}});
   EXPECT_EQ(s.simplify(e), E::var("q", "quaternion"));
+}
+
+TEST(Guard, UnmodelledShapeIsMemoizedToo) {
+  // (int, -) has no model; the memo stores that answer like any other, so
+  // a second visit of the shape is a hit, not another registry scan.
+  const simplifier s = default_simplifier();
+  const expr e = E::binary_op("-", E::var("i", "int"), E::int_lit(0));
+  auto& misses = telemetry::registry::global().get_counter(
+      "rewrite.simplifier.instantiation_cache_misses");
+  auto& hits = telemetry::registry::global().get_counter(
+      "rewrite.simplifier.instantiation_cache_hits");
+  EXPECT_EQ(s.simplify(e), e);
+  const std::uint64_t misses_before = misses.value();
+  const std::uint64_t hits_before = hits.value();
+  EXPECT_EQ(s.simplify(e), e);
+  EXPECT_EQ(misses.value(), misses_before);
+  EXPECT_EQ(hits.value(), hits_before + 1);  // one lookup per operator node
+}
+
+TEST(Guard, MovedSimplifierKeepsItsMemoAndTheSourceIsReusable) {
+  simplifier a = default_simplifier();
+  const expr e = E::binary_op("+", E::var("i", "int"), E::int_lit(0));
+  EXPECT_EQ(a.simplify(e), E::var("i", "int"));
+  auto& misses = telemetry::registry::global().get_counter(
+      "rewrite.simplifier.instantiation_cache_misses");
+  const std::uint64_t misses_before = misses.value();
+  simplifier b = std::move(a);
+  EXPECT_EQ(b.simplify(e), E::var("i", "int"));
+  EXPECT_EQ(misses.value(), misses_before);  // the memo moved along
+  a.add_default_concept_rules();  // a moved-from simplifier gets a new memo
+  EXPECT_EQ(a.simplify(e), E::var("i", "int"));
 }
 
 // ---------------------------------------------------------------------------
