@@ -64,6 +64,7 @@
 #include "telemetry/health.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/recorder.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/watchdog.hpp"
 
@@ -188,7 +189,9 @@ class pagerank_process : public distributed::process {
 /// context, so every run joins the caller's causal tree; under the
 /// sampler, each backend streams its own `distributed.network.runs.<b>`.
 void drive_pagerank(std::size_t rounds) {
-  trace::child_span span("bench.pagerank", "bench");
+  static const telemetry::scope_site kPhase(
+      {.trace = "bench.pagerank", .cat = "bench"});
+  telemetry::scope span(kPhase);
   const auto factory = [rounds](int) {
     return std::make_unique<pagerank_process>(rounds);
   };
@@ -225,7 +228,9 @@ class mixed_load {
 
   void run() {
     {
-      trace::child_span span("bench.stllint", "bench");
+      static const telemetry::scope_site kPhase(
+          {.trace = "bench.stllint", .cat = "bench"});
+      const telemetry::scope span(kPhase);
       (void)stllint::lint_source(R"(
 void f(vector<int>& v) {
   vector<int>::iterator it = v.begin();
@@ -236,7 +241,9 @@ void f(vector<int>& v) {
     }
     trace::sample_registry_counters("stllint.analyzer.");
     {
-      trace::child_span span("bench.rewrite", "bench");
+      static const telemetry::scope_site kPhase(
+          {.trace = "bench.rewrite", .cat = "bench"});
+      const telemetry::scope span(kPhase);
       const std::map<std::string, std::string> types = {{"x", "int"},
                                                         {"y", "double"}};
       for (const char* src : {"(x + 0) * 1", "x + (-x)", "(y * 1.0) + 0.0",
@@ -245,7 +252,9 @@ void f(vector<int>& v) {
     }
     trace::sample_registry_counters("rewrite.simplifier.");
     {
-      trace::child_span span("bench.pool_fanout", "bench");
+      static const telemetry::scope_site kPhase(
+          {.trace = "bench.pool_fanout", .cat = "bench"});
+      const telemetry::scope span(kPhase);
       // Two tasks that rendezvous at a latch must run on distinct
       // workers, so a traced run shows task spans on at least two tids.
       std::latch rendezvous(2);

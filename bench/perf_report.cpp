@@ -66,6 +66,7 @@
 #include "telemetry/health.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/profile.hpp"
+#include "telemetry/scope.hpp"
 
 namespace {
 
@@ -573,8 +574,8 @@ profile_capture capture_profile(const perf::bench_registry& registry) {
     // Nested fork-join sweeps opt out: helping makes their manual-clock
     // attribution scheduling-dependent (see benchmark_def).
     if (!def.deterministic_profile) continue;
-    telemetry::profile::probe bench_probe(
-        std::string_view("bench." + def.name));
+    const telemetry::scope_site bench_site({.frame = "bench." + def.name});
+    const telemetry::scope bench_scope(bench_site);
     for (const std::size_t n : def.sizes) {
       auto workload = def.setup(n);
       for (int rep = 0; rep < 2; ++rep) workload();

@@ -4,7 +4,7 @@
 // guaranteeing the reassociation is meaning-preserving.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <numeric>
 #include <random>
@@ -12,6 +12,7 @@
 #include "parallel/algorithms.hpp"
 #include "parallel/task_group.hpp"
 #include "parallel/work_stealing_pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -115,11 +116,9 @@ void report() {
 
   const auto v = workload(1 << 23);
   const auto time_of = [&](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t t0 = cgp::telemetry::steady_now_ns();
     fn();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return static_cast<double>(cgp::telemetry::steady_now_ns() - t0) * 1e-9;
   };
   double serial = 0.0;
   const double t_serial = time_of([&] {

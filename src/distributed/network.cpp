@@ -272,7 +272,7 @@ void net_base::do_send(int from, int to, std::string_view tag,
   const fault_options& f = opts_.faults;
   const fault_draw d = draw_faults(src, seq);
   if (d.drop) {
-    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    const telemetry::scope fault(fault_site_);
     ++stats_.messages_dropped;
     live_faults_counter().add();
     return;
@@ -283,7 +283,7 @@ void net_base::do_send(int from, int to, std::string_view tag,
     return delay(async_fault_rng_);
   };
   if (d.dup) {
-    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    const telemetry::scope fault(fault_site_);
     ++stats_.messages_duplicated;
     live_faults_counter().add();
     schedule_async(message(m), extra());
@@ -315,7 +315,7 @@ void net_base::enqueue_sync(std::size_t src, std::uint64_t seq, message&& m) {
     t.duplicated += dup;
   }
   if (d.drop) {
-    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    const telemetry::scope fault(fault_site_);
     ++out.dropped;
     ++out.faults;
     return;
@@ -324,7 +324,7 @@ void net_base::enqueue_sync(std::size_t src, std::uint64_t seq, message&& m) {
   if (health_) tally(dst).delivered += 1 + dup;
   auto& bucket = out.buckets[round_ & 1][shard_of(dst)];
   if (dup) {
-    telemetry::profile::probe fault_probe(prof_fault_frame_);
+    const telemetry::scope fault(fault_site_);
     ++out.duplicated;
     ++out.faults;
     bucket.push_back(m);  // the copy is delivered BEFORE the original
@@ -398,25 +398,19 @@ void net_base::decide_node(int node, const std::string& key, long value) {
 void net_base::node_superstep(std::size_t i,
                               std::span<const message* const> inbox) {
   if (crashed_[i] || churn_down_[i] != 0) return;  // mail rots undelivered
-  // When this task runs on a worker thread it has no ambient trace
-  // context; adopt the enclosing round span's so the node's spans stay in
-  // the run's causal tree.  On the coordinator (sim backend) the context
-  // is already current and no adoption happens, preserving scope links.
+  // The node's spans stay in the run's causal tree under the round span.
   std::optional<telemetry::trace::context_scope> adopt;
-  if constexpr (telemetry::kEnabled) {
-    const telemetry::trace::span_context phase{phase_trace_id_,
-                                               phase_parent_span_};
-    if (phase.active() && !(telemetry::trace::current_context() == phase))
-      adopt.emplace(phase);
-  }
+  if (adopts_phase()) adopt.emplace(phase_);
   telemetry::trace::rank_scope rank(static_cast<int>(i));
-  telemetry::profile::probe superstep_probe(prof_superstep_frame_);
+  const telemetry::scope superstep(superstep_site_);
   if (!inbox.empty()) {
-    telemetry::profile::probe deliver_probe(prof_deliver_frame_);
+    const telemetry::scope deliver(deliver_site_);
     for (const message* m : inbox) deliver_to(i, *m);
   }
   context ctx(*this, static_cast<int>(i));
-  telemetry::trace::child_span span("on_round", "distributed");
+  static const telemetry::scope_site kOnRound(
+      {.trace = "on_round", .cat = "distributed"});
+  const telemetry::scope on_round(kOnRound);
   procs_[i]->on_round(ctx);
 }
 
@@ -435,7 +429,7 @@ void net_base::shard_superstep(std::size_t s) {
   // is in sender order, so every node's span IS its canonical mailbox.
   auto& inbox = inbox_[s];
   {
-    telemetry::profile::probe route_probe(prof_route_frame_);
+    const telemetry::scope route(route_site_);
     for (std::size_t i = lo; i < hi; ++i) inbox_end_[i] = 0;
     for (const shard_sends& from : sends_)
       for (const message& m : from.buckets[parity][s])
@@ -472,11 +466,11 @@ void net_base::shard_superstep(std::size_t s) {
 
 void net_base::run_synchronous(std::size_t max_rounds) {
   for (round_ = 1; round_ <= max_rounds; ++round_) {
-    telemetry::trace::child_span round_span("round", "distributed");
-    round_span.arg("round", std::to_string(round_));
-    const auto round_ctx = round_span.context();
-    phase_trace_id_ = round_ctx.trace_id;
-    phase_parent_span_ = round_ctx.span_id;
+    static const telemetry::scope_site kRound(
+        {.trace = "round", .cat = "distributed"});
+    telemetry::scope round_scope(kRound);
+    round_scope.arg("round", std::to_string(round_));
+    phase_ = round_scope.context();
     // Crash-stop nodes whose time has come; draw this round's churn.
     apply_round_faults();
     // Synchronous mode has no delay faults, so every pending message is
@@ -489,11 +483,10 @@ void net_base::run_synchronous(std::size_t max_rounds) {
     in_flight_gauge().set(static_cast<std::int64_t>(pending_count_));
     // One clock reading stamps the heartbeat and times the health barrier.
     if constexpr (telemetry::kEnabled) {
-      const std::uint64_t now_ns = telemetry::live::steady_now_ns();
+      const std::uint64_t now_ns = telemetry::steady_now_ns();
       if (run_heartbeat_) run_heartbeat_->beat_at(now_ns / 1'000'000);
       if (health_)
-        health_->end_round(round_, now_ns, phase_trace_id_,
-                           phase_parent_span_);
+        health_->end_round(round_, now_ns, phase_.trace_id, phase_.span_id);
     }
     if (all_down()) break;
     if (!any_due && pending_count_ == 0) break;  // quiescent
@@ -517,7 +510,7 @@ void net_base::run_asynchronous(std::size_t max_rounds) {
         }
     }
     {
-      telemetry::profile::probe deliver_probe(prof_deliver_frame_);
+      const telemetry::scope deliver(deliver_site_);
       deliver_to(static_cast<std::size_t>(ev.msg.dst), ev.msg);
     }
     ++delivered;
@@ -531,16 +524,13 @@ void net_base::run_asynchronous(std::size_t max_rounds) {
 void net_base::run_node_start(std::size_t i) {
   if (crashed_[i] || churn_down_[i] != 0) return;
   std::optional<telemetry::trace::context_scope> adopt;
-  if constexpr (telemetry::kEnabled) {
-    const telemetry::trace::span_context phase{phase_trace_id_,
-                                               phase_parent_span_};
-    if (phase.active() && !(telemetry::trace::current_context() == phase))
-      adopt.emplace(phase);
-  }
+  if (adopts_phase()) adopt.emplace(phase_);
   ++stats_.local_steps_per_node[i];
   context ctx(*this, static_cast<int>(i));
   telemetry::trace::rank_scope rank(static_cast<int>(i));
-  telemetry::trace::child_span span("start", "distributed");
+  static const telemetry::scope_site kStart(
+      {.trace = "start", .cat = "distributed"});
+  const telemetry::scope start(kStart);
   procs_[i]->start(ctx);
 }
 
@@ -560,8 +550,8 @@ void net_base::run_start_phase() {
     // Round 0 = the start phase; the round loop continues from 1, so
     // every backend reports identical round indices to the observatory.
     if (health_)
-      health_->end_round(0, telemetry::live::steady_now_ns(), phase_trace_id_,
-                         phase_parent_span_);
+      health_->end_round(0, telemetry::steady_now_ns(), phase_.trace_id,
+                         phase_.span_id);
   }
 }
 
@@ -588,27 +578,24 @@ run_stats net_base::run(std::size_t max_rounds) {
         std::string("transport backend '") + backend_name() +
         "' implements only timing::synchronous supersteps; use "
         "sim_transport for timing::asynchronous runs");
-  // When the caller is tracing, the whole run is one span; every handler
-  // invocation below nests (directly or via the message envelope) under
-  // it, forming a single causal tree across all ranks — on every backend.
-  telemetry::trace::child_span run_span("distributed.network.run",
-                                        "distributed");
-  run_span.arg("backend", backend_name());
-  // Resolve this backend's phase frames once per run (backend_name() is
-  // virtual, so this cannot happen in the base constructor) and open the
-  // run-level frame; superstep probes on worker threads re-root under it
-  // via the thread pool's shadow-path propagation.
-  const std::string prof_prefix = std::string("distributed.") + backend_name();
-  if constexpr (telemetry::kEnabled) {
-    prof_superstep_frame_ = telemetry::profile::intern(prof_prefix + ".superstep");
-    prof_route_frame_ = telemetry::profile::intern(prof_prefix + ".route");
-    prof_deliver_frame_ = telemetry::profile::intern(prof_prefix + ".deliver");
-    prof_fault_frame_ = telemetry::profile::intern(prof_prefix + ".fault");
-  }
-  telemetry::profile::probe run_probe(std::string_view(prof_prefix + ".run"));
-  const auto run_ctx = run_span.context();
-  phase_trace_id_ = run_ctx.trace_id;
-  phase_parent_span_ = run_ctx.span_id;
+  // Resolve this backend's phase sites once per run (backend_name() is
+  // virtual, so this cannot happen in the base constructor).  When the
+  // caller is tracing, the whole run is one span; every handler invocation
+  // below nests (directly or via the message envelope) under it, forming a
+  // single causal tree across all ranks — on every backend.  Its profiler
+  // frame is per backend; superstep frames on worker threads re-root under
+  // it via the thread pool's shadow-path propagation.
+  const std::string prefix = std::string("distributed.") + backend_name();
+  superstep_site_ = telemetry::scope_site({.frame = prefix + ".superstep"});
+  route_site_ = telemetry::scope_site({.frame = prefix + ".route"});
+  deliver_site_ = telemetry::scope_site({.frame = prefix + ".deliver"});
+  fault_site_ = telemetry::scope_site({.frame = prefix + ".fault"});
+  const telemetry::scope_site run_site({.trace = "distributed.network.run",
+                                        .cat = "distributed",
+                                        .frame = prefix + ".run"});
+  telemetry::scope run_scope(run_site);
+  run_scope.arg("backend", backend_name());
+  phase_ = run_scope.context();
   // Liveness: the run is one busy watchdog participant, beaten once per
   // superstep/event, so a transport wedged mid-run (e.g. a deadlocked
   // worker barrier) shows up as a stall instead of a silent hang.

@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "distributed/topology.hpp"
+#include "telemetry/scope.hpp"
 
 namespace cgp::telemetry::live {
 class heartbeat;
@@ -481,19 +482,21 @@ class net_base {
 
   // Trace context of the current phase span (start phase / round span),
   // captured on the coordinator so worker-thread tasks can adopt it and
-  // keep the whole superstep in one causal tree.  Raw ids so this header
-  // stays independent of telemetry/trace.hpp.
-  std::uint64_t phase_trace_id_ = 0;
-  std::uint64_t phase_parent_span_ = 0;
+  // keep the whole superstep in one causal tree.
+  telemetry::trace::span_context phase_{};
+  /// True off the coordinator, where phase_ is not already current (a
+  /// worker thread has no ambient context to parent the node's spans).
+  [[nodiscard]] bool adopts_phase() const noexcept {
+    return phase_.active() && !(telemetry::trace::current_context() == phase_);
+  }
 
-  // Interned profiler frame ids for this backend's phase probes
-  // (distributed.<backend>.{superstep,route,deliver,fault}), resolved at
-  // run() entry where backend_name() dispatches virtually.  Raw ids keep
-  // this header independent of telemetry/profile.hpp.
-  std::uint32_t prof_superstep_frame_ = 0xffff'ffffu;
-  std::uint32_t prof_route_frame_ = 0xffff'ffffu;
-  std::uint32_t prof_deliver_frame_ = 0xffff'ffffu;
-  std::uint32_t prof_fault_frame_ = 0xffff'ffffu;
+  // This backend's phase scopes (profiler frames
+  // distributed.<backend>.{superstep,route,deliver,fault}), resolved at
+  // run() entry where backend_name() dispatches virtually.
+  telemetry::scope_site superstep_site_;
+  telemetry::scope_site route_site_;
+  telemetry::scope_site deliver_site_;
+  telemetry::scope_site fault_site_;
 
   // Handler-side entry points (called from per-node tasks; thread-safe by
   // node-locality, see for_each_shard).

@@ -16,7 +16,7 @@
 #include "graph/algorithms.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/executor.hpp"
-#include "telemetry/profile.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgp::graph::instrumented {
@@ -60,8 +60,8 @@ struct counting_bfs_visitor {
 template <core::VertexListGraph G>
 std::pair<std::vector<long>, std::uint64_t> bfs_distances(
     const G& g, core::vertex_t<G> start) {
-  static const auto kBfsFrame = telemetry::profile::intern("graph.bfs");
-  telemetry::profile::probe bfs_probe(kBfsFrame);
+  static const telemetry::scope_site kBfs({.frame = "graph.bfs"});
+  const telemetry::scope bfs_scope(kBfs);
   std::uint64_t ops = 0;
   auto dist =
       breadth_first_search(g, start, detail::counting_bfs_visitor<G>{&ops});
@@ -120,9 +120,8 @@ template <class P>
 std::pair<std::vector<double>, std::uint64_t> pagerank(
     const adjacency_list<P>& g, std::size_t iterations = 20,
     double damping = 0.85) {
-  static const auto kPagerankFrame =
-      telemetry::profile::intern("graph.pagerank");
-  telemetry::profile::probe pagerank_probe(kPagerankFrame);
+  static const telemetry::scope_site kPagerank({.frame = "graph.pagerank"});
+  const telemetry::scope pagerank_scope(kPagerank);
   const std::size_t n = g.vertex_count();
   std::uint64_t ops = 0;
   if (n == 0) {
@@ -132,9 +131,9 @@ std::pair<std::vector<double>, std::uint64_t> pagerank(
   std::vector<double> rank(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n, 0.0);
   for (std::size_t it = 0; it < iterations; ++it) {
-    static const auto kIterFrame =
-        telemetry::profile::intern("graph.pagerank.iteration");
-    telemetry::profile::probe iter_probe(kIterFrame);
+    static const telemetry::scope_site kIter(
+        {.frame = "graph.pagerank.iteration"});
+    const telemetry::scope iter_scope(kIter);
     double dangling = 0.0;
     std::fill(next.begin(), next.end(), 0.0);
     for (std::size_t v = 0; v < n; ++v) {
@@ -178,8 +177,8 @@ std::pair<std::vector<long>, std::uint64_t> bfs_distances_parallel(
     const adjacency_list<P>& g, std::size_t start,
     E& exec = parallel::work_stealing_pool::default_pool(),
     std::size_t grain = 128) {
-  static const auto kFrame = telemetry::profile::intern("graph.bfs_parallel");
-  telemetry::profile::probe bfs_probe(kFrame);
+  static const telemetry::scope_site kBfs({.frame = "graph.bfs_parallel"});
+  const telemetry::scope bfs_scope(kBfs);
   const std::size_t n = g.vertex_count();
   std::uint64_t ops = 0;
   if (n == 0 || start >= n) {
@@ -247,9 +246,9 @@ std::pair<std::vector<double>, std::uint64_t> pagerank_parallel(
     const adjacency_list<P>& g, E& exec = parallel::work_stealing_pool::default_pool(),
     std::size_t iterations = 20, double damping = 0.85,
     std::size_t grain = 64) {
-  static const auto kFrame =
-      telemetry::profile::intern("graph.pagerank_parallel");
-  telemetry::profile::probe pagerank_probe(kFrame);
+  static const telemetry::scope_site kPagerank(
+      {.frame = "graph.pagerank_parallel"});
+  const telemetry::scope pagerank_scope(kPagerank);
   const std::size_t n = g.vertex_count();
   std::uint64_t ops = 0;
   if (n == 0) {
@@ -270,9 +269,9 @@ std::pair<std::vector<double>, std::uint64_t> pagerank_parallel(
   std::vector<std::uint64_t> ops_local(chunks, 0);
   std::vector<double> next(n, 0.0);
   for (std::size_t it = 0; it < iterations; ++it) {
-    static const auto kIterFrame =
-        telemetry::profile::intern("graph.pagerank_parallel.iteration");
-    telemetry::profile::probe iter_probe(kIterFrame);
+    static const telemetry::scope_site kIter(
+        {.frame = "graph.pagerank_parallel.iteration"});
+    const telemetry::scope iter_scope(kIter);
     // Scatter phase: chunk c writes only local[c] — zero sharing.
     parallel::detail::run_chunks_on(exec, chunks, [&, size =
                                                           size](std::size_t c) {

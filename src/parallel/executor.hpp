@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -118,7 +117,8 @@ struct task_item {
 };
 
 /// Captures the submitting thread's trace context + shadow-stack path into
-/// `item` and opens the flow arrow.  `flow_name` is the span both ends of
+/// `item` and opens the flow arrow; the executing worker adopts both
+/// (work_stealing_pool::execute).  `flow_name` is the span both ends of
 /// the arrow carry (e.g. "parallel.work_stealing.task").
 inline void capture_task_meta(task_item& item, const char* flow_name) {
   if constexpr (telemetry::kEnabled) {
@@ -127,30 +127,6 @@ inline void capture_task_meta(task_item& item, const char* flow_name) {
       item.flow = telemetry::trace::flow_begin(flow_name, "parallel");
     item.path = telemetry::profile::current_path();
   }
-}
-
-/// Runs a queued task under the submitter's adopted causal identity: the
-/// worker-side half of capture_task_meta.  `frame` is the interned probe
-/// frame for this executor's task scope.
-inline void run_task_item(task_item& item, const char* flow_name,
-                          telemetry::profile::frame_id frame) {
-  if constexpr (telemetry::kEnabled) {
-    const bool traced = item.ctx.active();
-    if (traced || telemetry::profile::profiler::global().enabled()) {
-      std::optional<telemetry::trace::context_scope> adopt;
-      std::optional<telemetry::trace::trace_span> span;
-      if (traced) {
-        adopt.emplace(item.ctx);
-        span.emplace(flow_name, "parallel");
-        telemetry::trace::flow_end(item.flow, flow_name, "parallel");
-      }
-      telemetry::profile::adopt_scope padopt(item.path);
-      telemetry::profile::probe probe(frame);
-      item.fn();
-      return;
-    }
-  }
-  item.fn();
 }
 
 }  // namespace detail

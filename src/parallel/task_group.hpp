@@ -95,6 +95,8 @@ class task_group {
       const std::lock_guard lock(m_);
       if (!error_) error_ = std::current_exception();
     }
+    // Liveness-tracking executors end the worker's busy span first.
+    if constexpr (requires(E& e) { e.end_busy(); }) exec_->end_busy();
     // The decrement and the wake form ONE critical section.  A waiter may
     // only conclude "done" from a pending_==0 it observed either under
     // this mutex or by locking it afterwards (wait_impl), so by the time

@@ -1,24 +1,17 @@
 #include "parallel/work_stealing_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <string>
 
 #include "parallel/task_group.hpp"
-#include "telemetry/profile.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/watchdog.hpp"
 
 namespace cgp::parallel {
 
 namespace {
 
-using clock = std::chrono::steady_clock;
-
-std::uint64_t us_between(clock::time_point a, clock::time_point b) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
-}
+constexpr const char* kTaskName = "parallel.work_stealing.task";
 
 unsigned next_pool_id() {
   static std::atomic<unsigned> id{0};
@@ -31,6 +24,9 @@ unsigned next_pool_id() {
 // run_chunks only wait, never execute).
 thread_local const work_stealing_pool* tls_ws_pool = nullptr;
 thread_local unsigned tls_ws_index = 0;
+// Tasks open on this worker: 1 inside a task the worker claimed, more
+// while that task helps (try_help) run others.
+thread_local unsigned tls_ws_depth = 0;
 
 // Cheap per-thread xorshift for victim probing.  Deterministically seeded
 // from the worker index — probe SEQUENCES differ across workers, which is
@@ -178,19 +174,35 @@ bool work_stealing_pool::next_task(unsigned self, detail::task_item& out) {
   return false;
 }
 
+// Runs a task under its submitter's trace context (inactive when the
+// submitter was untraced) and shadow stack.  The task's scope opens and
+// closes on the two readings the pool takes for busy_us / task_us.
 void work_stealing_pool::execute(detail::task_item& item) {
-  static const auto kTaskFrame =
-      telemetry::profile::intern("parallel.work_stealing.task");
+  ++tls_ws_depth;
   if constexpr (telemetry::kEnabled) {
-    const auto run_start = clock::now();
-    detail::run_task_item(item, "parallel.work_stealing.task", kTaskFrame);
-    const std::uint64_t us = us_between(run_start, clock::now());
+    static const telemetry::scope_site kTask(
+        {.trace = kTaskName, .cat = "parallel", .frame = kTaskName});
+    const std::uint64_t start = telemetry::steady_now_ns();
+    const telemetry::trace::context_scope adopt(item.ctx);
+    const telemetry::profile::adopt_scope padopt(item.path);
+    telemetry::scope task(kTask, start);
+    telemetry::trace::flow_end(item.flow, kTaskName, "parallel");
+    item.fn();
+    const std::uint64_t end = telemetry::steady_now_ns();
+    task.close(end);
+    const std::uint64_t us = (end - start) / 1000;
     busy_us_.add(us);
     task_us_.record(us);
   } else {
-    detail::run_task_item(item, "parallel.work_stealing.task", kTaskFrame);
+    item.fn();
   }
+  --tls_ws_depth;
   tasks_completed_.add();
+}
+
+void work_stealing_pool::end_busy() noexcept {
+  if (tls_ws_pool == this && tls_ws_depth == 1)
+    heartbeats_[tls_ws_index]->end_work();
 }
 
 bool work_stealing_pool::can_help() const noexcept {
@@ -243,13 +255,13 @@ void work_stealing_pool::worker_loop(unsigned idx) {
 void work_stealing_pool::run_chunks(
     std::size_t chunks, const std::function<void(std::size_t)>& chunk_fn) {
   if (chunks == 0) return;
-  telemetry::span span("parallel.work_stealing.run_chunks");
-  span.charge(chunks);
-  telemetry::trace::child_span tspan("parallel.work_stealing.run_chunks",
-                                     "parallel");
-  static const auto kChunksFrame =
-      telemetry::profile::intern("parallel.work_stealing.run_chunks");
-  telemetry::profile::probe pprobe(kChunksFrame);
+  static const telemetry::scope_site kSite(
+      {.metrics = "parallel.work_stealing.run_chunks",
+       .trace = "parallel.work_stealing.run_chunks",
+       .cat = "parallel",
+       .frame = "parallel.work_stealing.run_chunks"});
+  telemetry::scope chunks_scope(kSite);
+  chunks_scope.charge(chunks);
   if (chunks == 1) {
     chunk_fn(0);
     return;

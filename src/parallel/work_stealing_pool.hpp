@@ -95,6 +95,10 @@ class work_stealing_pool {
   /// to park external waiters untimed instead of poll-rescanning.
   [[nodiscard]] bool can_help() const noexcept;
 
+  /// task_group's hook before a task publishes its completion: ends the
+  /// worker's busy heartbeat, unless the task ran nested while helping.
+  void end_busy() noexcept;
+
   /// Process-wide default pool: the executor the concept-bounded
   /// algorithms and call sites use when the caller passes none.
   [[nodiscard]] static work_stealing_pool& default_pool();

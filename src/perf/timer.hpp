@@ -14,10 +14,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace cgp::perf {
+#include "telemetry/telemetry.hpp"
 
-/// Monotonic nanoseconds (std::chrono::steady_clock under the hood).
-[[nodiscard]] std::uint64_t steady_now_ns() noexcept;
+namespace cgp::perf {
 
 struct timing_options {
   /// Target wall time per measured batch; the calibration loop scales the
@@ -56,9 +55,9 @@ template <class Fn>
   // headroom) instead of doubling all the way up.
   std::size_t iters = 1;
   for (;;) {
-    const std::uint64_t t0 = steady_now_ns();
+    const std::uint64_t t0 = telemetry::steady_now_ns();
     for (std::size_t i = 0; i < iters; ++i) fn();
-    const std::uint64_t dt = steady_now_ns() - t0;
+    const std::uint64_t dt = telemetry::steady_now_ns() - t0;
     r.invocations += iters;
     if (dt >= opts.min_sample_ns || iters >= opts.max_iterations) break;
     std::uint64_t next = iters * 2;
@@ -77,9 +76,9 @@ template <class Fn>
   r.iterations = iters;
   r.ns_per_iteration.reserve(opts.repeats);
   for (std::size_t s = 0; s < opts.repeats; ++s) {
-    const std::uint64_t t0 = steady_now_ns();
+    const std::uint64_t t0 = telemetry::steady_now_ns();
     for (std::size_t i = 0; i < iters; ++i) fn();
-    const std::uint64_t dt = steady_now_ns() - t0;
+    const std::uint64_t dt = telemetry::steady_now_ns() - t0;
     r.invocations += iters;
     r.ns_per_iteration.push_back(static_cast<double>(dt) /
                                  static_cast<double>(iters));

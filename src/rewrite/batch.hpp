@@ -15,7 +15,7 @@
 #include "parallel/executor.hpp"
 #include "parallel/work_stealing_pool.hpp"
 #include "rewrite/engine.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/scope.hpp"
 
 namespace cgp::rewrite {
 
@@ -27,8 +27,10 @@ template <parallel::Executor E = parallel::work_stealing_pool>
 [[nodiscard]] std::vector<expr> simplify_batch(
     const simplifier& s, const std::vector<expr>& batch,
     E& exec = parallel::work_stealing_pool::default_pool(), std::size_t grain = 8) {
-  telemetry::span span("rewrite.simplify_batch");
-  span.charge(batch.size());
+  static const telemetry::scope_site kSite(
+      {.metrics = "rewrite.simplify_batch"});
+  telemetry::scope batch_scope(kSite);
+  batch_scope.charge(batch.size());
   // expr has no default constructor (factory-only); seed the output with
   // the inputs (cheap shared-node copies) and overwrite slot by slot.
   std::vector<expr> out(batch);

@@ -13,8 +13,8 @@ namespace {
 simplifier::rule_site make_site(std::string name, std::string provenance) {
   telemetry::counter& hits = telemetry::registry::global().get_counter(
       "rewrite.simplifier.rule." + name);
-  const auto frame = telemetry::profile::intern("rewrite.rule." + name);
-  return {std::move(name), std::move(provenance), &hits, frame};
+  telemetry::scope_site frame({.frame = "rewrite.rule." + name});
+  return {std::move(name), std::move(provenance), &hits, std::move(frame)};
 }
 
 // The one fire path of every rule: `make()` builds the rewritten node
@@ -22,7 +22,7 @@ simplifier::rule_site make_site(std::string name, std::string provenance) {
 template <class Make>
 expr fire(const simplifier::rule_site& site, const expr& e, Make make,
           std::vector<rewrite_step>* trace) {
-  telemetry::profile::probe rule_probe(site.frame);
+  const telemetry::scope rule_scope(site.frame);
   expr out = make();
   site.hits->add();
   if (trace)
@@ -211,10 +211,11 @@ std::optional<expr> simplifier::simplify_once(
 
 expr simplifier::simplify(const expr& e,
                           std::vector<rewrite_step>* trace) const {
-  telemetry::trace::child_span tspan("rewrite.simplifier.simplify", "rewrite");
-  static const auto kSimplifyFrame =
-      telemetry::profile::intern("rewrite.simplifier.simplify");
-  telemetry::profile::probe simplify_probe(kSimplifyFrame);
+  static const telemetry::scope_site kSimplify(
+      {.trace = "rewrite.simplifier.simplify",
+       .cat = "rewrite",
+       .frame = "rewrite.simplifier.simplify"});
+  telemetry::scope simplify_scope(kSimplify);
   // When the caller is tracing causally but did not ask for a step vector,
   // record into a local one so the derivation chain still reaches the trace.
   std::vector<rewrite_step> local_steps;
@@ -251,9 +252,9 @@ expr simplifier::simplify(const expr& e,
                                  {"before", s.before},
                                  {"after", s.after}});
     }
-    tspan.arg("input", e.to_string());
-    tspan.arg("output", cur.to_string());
-    tspan.arg("steps", std::to_string(steps->size() - first_step));
+    simplify_scope.arg("input", e.to_string());
+    simplify_scope.arg("output", cur.to_string());
+    simplify_scope.arg("steps", std::to_string(steps->size() - first_step));
   }
   return cur;
 }

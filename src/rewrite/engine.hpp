@@ -19,7 +19,7 @@
 #include "core/registry.hpp"
 #include "parallel/concurrent_map.hpp"
 #include "rewrite/rules.hpp"
-#include "telemetry/profile.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgp::rewrite {
@@ -68,7 +68,7 @@ class simplifier {
     std::string name;
     std::string provenance;
     telemetry::counter* hits;
-    telemetry::profile::frame_id frame;
+    telemetry::scope_site frame;
   };
 
  private:

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
-#include "telemetry/profile.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -1158,14 +1158,16 @@ class exec_impl {
         if (s.e1) (void)eval(*s.e1, st);
         return;
       case ast_stmt::kind::if_stmt: {
-        const abstract_value cond = eval(*s.e1, st);
+        // A condition that failed to parse is unknown: both arms run.
+        const abstract_value cond =
+            s.e1 ? eval(*s.e1, st) : abstract_value::unknown_value();
         scratch then_state(*this, st);
-        refine(*then_state, *s.e1, true);
+        if (s.e1) refine(*then_state, *s.e1, true);
         if (cond.truth == std::optional<bool>(false))
           then_state->reachable = false;
         if (s.s1) exec(*s.s1, *then_state);
         scratch else_state(*this, st);
-        refine(*else_state, *s.e1, false);
+        if (s.e1) refine(*else_state, *s.e1, false);
         if (cond.truth == std::optional<bool>(true))
           else_state->reachable = false;
         if (s.s2) exec(*s.s2, *else_state);
@@ -1250,9 +1252,9 @@ class exec_impl {
     int passes_used = 0;
     const int loop_line = cond != nullptr ? cond->line : 0;
     for (int pass = 0; pass < a_.opt_.max_loop_passes; ++pass) {
-      static const auto kPassFrame =
-          telemetry::profile::intern("stllint.analyzer.pass");
-      telemetry::profile::probe pass_probe(kPassFrame);
+      static const telemetry::scope_site kPass(
+          {.frame = "stllint.analyzer.pass"});
+      const telemetry::scope pass_scope(kPass);
       ++a_.stats_.loop_passes;
       ++passes_used;
       note({.w = what::loop_pass, .line = loop_line,
@@ -1301,10 +1303,10 @@ class exec_impl {
 
 void analyzer::run(const ast_program& program,
                    const std::vector<std::string>& source) {
-  telemetry::trace::child_span tspan("stllint.analyzer.run", "stllint");
-  static const auto kRunFrame =
-      telemetry::profile::intern("stllint.analyzer.run");
-  telemetry::profile::probe run_probe(kRunFrame);
+  static const telemetry::scope_site kRun({.trace = "stllint.analyzer.run",
+                                           .cat = "stllint",
+                                           .frame = "stllint.analyzer.run"});
+  const telemetry::scope run_scope(kRun);
   static telemetry::counter& runs = analyzer_counter("runs");
   static telemetry::counter& functions = analyzer_counter("functions");
   static telemetry::counter& statements = analyzer_counter("statements");

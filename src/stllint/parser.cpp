@@ -50,8 +50,29 @@ class parser {
     if (!accept(o)) error("expected '" + std::string(op_table[o]) + "'");
   }
   void error(const std::string& msg) {
+    if (stopped_) return;
     diags_.push_back({severity::error, peek().line, peek().column,
                       msg + " (got '" + std::string(peek().text) + "')", ""});
+  }
+
+  /// Restores the nesting depth when the construct it guards ends.
+  struct depth_scope {
+    parser& p;
+    int saved = p.depth_;
+    ~depth_scope() { p.depth_ = saved; }
+  };
+
+  /// One more nesting level until the enclosing depth_scope ends.  Past
+  /// kMaxParseDepth: one error, then end of input, so the parse unwinds
+  /// with what it has.  False once stopped.
+  [[nodiscard]] bool deepen() {
+    if (++depth_ > kMaxParseDepth && !stopped_) {
+      error("nesting deeper than " + std::to_string(kMaxParseDepth) +
+            " levels");
+      stopped_ = true;
+      pos_ = toks_.size() - 1;
+    }
+    return !stopped_;
   }
   core::symbol intern(const token& t) { return prog_.symbols.intern(t.text); }
   void sync_to_statement_end() {
@@ -82,6 +103,8 @@ class parser {
   }
 
   std::optional<mini_type> parse_type() {
+    const depth_scope scope{*this};
+    if (!deepen()) return std::nullopt;
     const token& t = peek();
     if (is_scalar_type(t.op)) {
       advance();
@@ -126,6 +149,8 @@ class parser {
   expr_ptr parse_expression() { return parse_assignment(); }
 
   expr_ptr parse_assignment() {
+    const depth_scope scope{*this};
+    if (!deepen()) return nullptr;
     expr_ptr lhs = parse_logical_or();
     if (lhs == nullptr) return nullptr;
     for (const op_id op : {op_of("="), op_of("+="), op_of("-=")}) {
@@ -154,10 +179,13 @@ class parser {
     if (level >= static_cast<int>(ops.size())) return parse_unary();
     expr_ptr lhs = parse_binary_level(level + 1);
     if (lhs == nullptr) return nullptr;
+    // Each operator of a chain deepens its left spine by one level.
+    const depth_scope scope{*this};
     for (;;) {
       bool matched = false;
       for (const op_id op : ops[level]) {
         if (peek().is(op)) {
+          if (!deepen()) return nullptr;
           const token& t = advance();
           expr_ptr rhs = parse_binary_level(level + 1);
           if (rhs == nullptr) return nullptr;
@@ -181,6 +209,8 @@ class parser {
          {op_of("++"), op_of("--"), op_of("!"), op_of("-"), op_of("*")}) {
       if (t.is(op)) {
         advance();
+        const depth_scope scope{*this};
+        if (!deepen()) return nullptr;
         expr_ptr operand = parse_unary();
         if (operand == nullptr) return nullptr;
         auto e = make_expr(ast_expr::kind::unary, t);
@@ -194,9 +224,12 @@ class parser {
   expr_ptr parse_postfix() {
     expr_ptr e = parse_primary();
     if (e == nullptr) return nullptr;
+    // Like binary chains, each postfix operator deepens the tree.
+    const depth_scope scope{*this};
     for (;;) {
       const token& t = peek();
       if (t.is(op_of("++")) || t.is(op_of("--"))) {
+        if (!deepen()) return nullptr;
         advance();
         auto p = make_expr(ast_expr::kind::postfix, t);
         p->children.push_back(std::move(e));
@@ -204,6 +237,7 @@ class parser {
         continue;
       }
       if (t.is(op_of("."))) {
+        if (!deepen()) return nullptr;
         advance();
         const token& name = peek();
         if (!name.is(token_kind::identifier) &&
@@ -283,6 +317,8 @@ class parser {
   }
 
   stmt_ptr parse_statement() {
+    const depth_scope scope{*this};
+    if (!deepen()) return nullptr;
     const token& t = peek();
     if (t.is(op_of("{"))) return parse_block();
     if (t.is(op_of("if")) || t.is(op_of("while"))) return parse_if_or_while();
@@ -442,6 +478,8 @@ class parser {
   const std::vector<token>& toks_;
   diagnostics& diags_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool stopped_ = false;  ///< nesting limit hit: input ends here
   ast_program prog_;
 };
 

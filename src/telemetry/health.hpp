@@ -195,7 +195,7 @@ class backend_track {
   /// Round barrier: folds the round's per-shard deltas into the depth and
   /// latency histograms, advances activity tracking, and offers active
   /// shard-rounds to the reservoirs.  `now_ns` is the caller's reading of
-  /// live::steady_now_ns() at the barrier, so an engine that already reads
+  /// telemetry::steady_now_ns() at the barrier, so an engine that already reads
   /// the clock for its heartbeat does not read it twice; wall-clock
   /// superstep latency is the time between two barriers of a run (ignored
   /// under manual_clock; 0 = no reading).  `trace_id`/`parent_span` (the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -19,13 +18,6 @@ namespace cgp::telemetry::profile {
 namespace {
 
 constexpr std::uint32_t kNoNode = 0xffff'ffffu;
-
-[[nodiscard]] std::uint64_t wall_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // ---------------------------------------------------------------------------
 // Frame interning: one process-wide table; ids are first-come (and thus
@@ -132,10 +124,12 @@ thread_state& tls() {
   return *st;
 }
 
-[[nodiscard]] std::uint64_t clock_now(thread_state& st) noexcept {
+/// The frame clock: the caller's wall reading, or the next manual tick.
+[[nodiscard]] std::uint64_t clock_now(thread_state& st,
+                                      std::uint64_t now_ns) noexcept {
   if (g().manual.load(std::memory_order_relaxed))
     return st.ticks.fetch_add(1, std::memory_order_relaxed) + 1;
-  return wall_now_ns();
+  return now_ns;
 }
 
 std::uint32_t find_or_create(thread_state& st, std::uint32_t parent,
@@ -158,7 +152,7 @@ std::uint32_t find_or_create(thread_state& st, std::uint32_t parent,
 
 namespace detail {
 
-void probe_enter(probe_rec& r, frame_id f) noexcept {
+void probe_enter(probe_rec& r, frame_id f, std::uint64_t now_ns) noexcept {
   if (f == kNoFrame) return;  // un-resolved frame id: record nothing
   if (!g().enabled.load(std::memory_order_relaxed)) return;
   thread_state& st = tls();
@@ -166,13 +160,13 @@ void probe_enter(probe_rec& r, frame_id f) noexcept {
   r.prev = st.cur;
   r.node = find_or_create(st, st.cur, f);
   st.cur = r.node;
-  r.t0 = clock_now(st);
+  r.t0 = clock_now(st, now_ns);
 }
 
-void probe_exit(probe_rec& r) noexcept {
+void probe_exit(probe_rec& r, std::uint64_t now_ns) noexcept {
   if (r.node == kNoNode) return;
   thread_state& st = *r.st;
-  const std::uint64_t t1 = clock_now(st);
+  const std::uint64_t t1 = clock_now(st, now_ns);
   const std::uint64_t d = t1 >= r.t0 ? t1 - r.t0 : 0;
   graph_node& n = st.nodes[r.node];
   n.count.fetch_add(1, std::memory_order_relaxed);
@@ -181,28 +175,6 @@ void probe_exit(probe_rec& r) noexcept {
   if (r.prev != kNoNode)
     st.nodes[r.prev].child_incl.fetch_add(d, std::memory_order_relaxed);
   st.cur = r.prev;
-}
-
-call_path capture_path() noexcept {
-  call_path p;
-  if (!g().enabled.load(std::memory_order_relaxed)) return p;
-  thread_state& st = tls();
-  // Two walks: depth first, then write frames root-first in place.  A
-  // stack deeper than kMaxDepth keeps its root-side frames (truncated
-  // attribution beats misparented attribution).
-  std::size_t depth = 0;
-  for (std::uint32_t i = st.cur; i != kNoNode; i = st.nodes[i].parent) ++depth;
-  if (depth == 0) return p;
-  p.depth = static_cast<std::uint8_t>(
-      depth < call_path::kMaxDepth ? depth : call_path::kMaxDepth);
-  p.truncated = depth > call_path::kMaxDepth;
-  std::size_t root_pos = depth;
-  for (std::uint32_t i = st.cur; i != kNoNode; i = st.nodes[i].parent) {
-    --root_pos;
-    if (root_pos < call_path::kMaxDepth)
-      p.frames[root_pos] = st.nodes[i].frame;
-  }
-  return p;
 }
 
 thread_state* adopt_enter(const call_path& p, std::uint32_t& prev) noexcept {
@@ -227,6 +199,28 @@ void adopt_exit(thread_state* st, std::uint32_t prev) noexcept {
 }
 
 }  // namespace detail
+
+call_path current_path() noexcept {
+  call_path p;
+  if (!kEnabled || !g().enabled.load(std::memory_order_relaxed)) return p;
+  thread_state& st = tls();
+  // Two walks: depth first, then write frames root-first in place.  A
+  // stack deeper than kMaxDepth keeps its root-side frames (truncated
+  // attribution beats misparented attribution).
+  std::size_t depth = 0;
+  for (std::uint32_t i = st.cur; i != kNoNode; i = st.nodes[i].parent) ++depth;
+  if (depth == 0) return p;
+  p.depth = static_cast<std::uint8_t>(
+      depth < call_path::kMaxDepth ? depth : call_path::kMaxDepth);
+  p.truncated = depth > call_path::kMaxDepth;
+  std::size_t root_pos = depth;
+  for (std::uint32_t i = st.cur; i != kNoNode; i = st.nodes[i].parent) {
+    --root_pos;
+    if (root_pos < call_path::kMaxDepth)
+      p.frames[root_pos] = st.nodes[i].frame;
+  }
+  return p;
+}
 
 // ---------------------------------------------------------------------------
 // profiler

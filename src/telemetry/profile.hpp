@@ -1,15 +1,17 @@
 // Span-attributed deterministic profiler: per-thread shadow call stacks
-// fed by RAII probes, aggregated into an interned call graph.
+// fed by instrumented scopes, aggregated into an interned call graph.
 //
 // The observatory (DESIGN.md §9) can say *that* a benchmark regressed;
-// this layer says *where*.  Every `probe` pushes one frame onto the
-// calling thread's shadow stack; on destruction it charges the elapsed
-// time to the call-graph node keyed by (parent node, frame), so the
-// aggregate is a tree of call *paths* — gprof-style attribution without
-// compiler instrumentation.  Frames reuse span identity from trace.hpp:
-// a probe captures `trace::current_context()` at entry, and each node
-// counts how many of its invocations ran under an active trace, tying
-// profile hot paths back to the causal trees PR 2 records.
+// this layer says *where*.  Every telemetry::scope (scope.hpp) whose site
+// names a profiler frame pushes that frame onto the calling thread's
+// shadow stack; on close it charges the elapsed time to the call-graph
+// node keyed by (parent node, frame), so the aggregate is a tree of call
+// *paths* — gprof-style attribution without compiler instrumentation.
+// Wall time is the scope's one telemetry::steady_now_ns() reading at each
+// end, shared with its registry and trace sinks.  Frames reuse span
+// identity from trace.hpp: each node counts how many of its invocations
+// ran under an active trace context, tying profile hot paths back to the
+// causal trees the trace layer records.
 //
 // Concurrency model (the reason this is TSan-clean at ~no cost):
 //   - each thread owns a `thread_state`; only the owner pushes/pops the
@@ -18,30 +20,31 @@
 //   - node accumulators are relaxed atomics written only by the owner
 //     and read by snapshotting threads;
 //   - a per-state mutex is taken only on node *creation* and during
-//     `snapshot()`, never on the probe fast path;
+//     `snapshot()`, never on the frame fast path;
 //   - states are `shared_ptr`s held by both the thread_local handle and
 //     a global registry, so data survives thread exit (worker pools are
 //     torn down before their profiles are exported).
 //
 // Determinism contract (what makes `cgp.prof.v1` byte-identical): in
 // manual-clock mode each thread advances a *thread-local* tick counter
-// on every clock read, so elapsed "time" is a pure function of the
-// probes executed on that thread.  Aggregation is keyed by call path
+// on every frame entry and exit instead of using the wall reading, so
+// elapsed "time" is a pure function of the frames executed on that
+// thread.  Aggregation is keyed by call path
 // (frame names), not by thread or intern id, so merging per-thread trees
-// erases scheduling nondeterminism: as long as the same set of probe
+// erases scheduling nondeterminism: as long as the same set of frame
 // activations happens — on whichever worker — the merged tree, and
 // therefore the sorted-key JSON from dump_json, is byte-identical.
 //
 // Cross-thread attribution: `current_path()` captures the submitting
 // thread's stack as interned frame ids and `adopt_scope` re-roots a
-// worker's probes under that path (work_stealing_pool::submit does this
+// worker's frames under that path (work_stealing_pool::submit does this
 // the same way it propagates trace contexts), so a flamegraph shows pool
 // tasks under the benchmark that submitted them.  Adopted waypoint
 // frames have no timed invocations of their own; export reconstitutes
 // their inclusive time bottom-up (excl + Σ children incl), which is the
 // invariant validate_profile checks.
 //
-// CGP_TELEMETRY_DISABLED compiles probes, adoption, and path capture
+// CGP_TELEMETRY_DISABLED compiles frames, adoption, and path capture
 // down to no-ops (dead branches on a constexpr false).
 #pragma once
 
@@ -69,8 +72,8 @@ using frame_id = std::uint32_t;
 
 inline constexpr frame_id kNoFrame = 0xffff'ffffu;
 
-/// Interns `name`, returning a stable id (idempotent per name).  Hot call
-/// sites should intern once: `static const auto f = intern("...");`.
+/// Interns `name`, returning a stable id (idempotent per name).  Call
+/// sites intern once, through a telemetry::scope_site.
 [[nodiscard]] frame_id intern(std::string_view name);
 
 /// The interned name for `id`; throws std::out_of_range on a bad id.
@@ -93,12 +96,6 @@ struct call_path {
   [[nodiscard]] std::size_t size() const noexcept { return depth; }
   [[nodiscard]] frame_id operator[](std::size_t i) const noexcept {
     return frames[i];
-  }
-  void push(frame_id f) noexcept {
-    if (depth < kMaxDepth)
-      frames[depth++] = f;
-    else
-      truncated = true;
   }
   [[nodiscard]] friend bool operator==(const call_path& a,
                                        const call_path& b) noexcept {
@@ -139,26 +136,27 @@ class profiler {
   /// The process-wide profiler all probes feed.
   [[nodiscard]] static profiler& global();
 
-  /// Starts collection.  Probes constructed while disabled record
-  /// nothing for their whole lifetime (enable/disable mid-probe is safe).
+  /// Starts collection.  Scopes opened while disabled record no frame
+  /// for their whole lifetime (enable/disable mid-scope is safe).
   void enable() noexcept;
   void disable() noexcept;
   [[nodiscard]] bool enabled() const noexcept;
 
-  /// Manual-clock mode: every clock read advances a thread-local tick
-  /// counter instead of reading steady_clock, making exports a pure
-  /// function of the probe sequence (byte-identical across runs).  Only
+  /// Manual-clock mode: every frame entry and exit advances a
+  /// thread-local tick counter instead of taking the wall reading, making
+  /// exports a pure function of the frame sequence (byte-identical across
+  /// runs).  Only
   /// meaningful to change while disabled and quiescent.
   void set_manual_clock(bool manual) noexcept;
   [[nodiscard]] bool manual_clock() const noexcept;
 
   /// Zeroes every accumulator while keeping interned frames and node
   /// storage (so cached ids stay valid).  Like registry::reset, callers
-  /// must be quiescent: no probe may be open anywhere.
+  /// must be quiescent: no frame may be open anywhere.
   void reset() noexcept;
 
   /// Merges all per-thread trees into one name-keyed snapshot.  Safe to
-  /// call while probes run (totals for open probes are approximate); for
+  /// call while frames are open (their totals are approximate); for
   /// deterministic exports, snapshot when quiescent.
   [[nodiscard]] profile_snapshot snapshot() const;
 
@@ -167,81 +165,36 @@ class profiler {
 };
 
 // ---------------------------------------------------------------------------
-// Probes and cross-thread adoption
+// Cross-thread adoption
 // ---------------------------------------------------------------------------
 
 namespace detail {
+/// One open frame on a shadow stack (the profiler sink of
+/// telemetry::scope, scope.hpp).
 struct probe_rec {
   thread_state* st = nullptr;
   std::uint32_t node = 0xffff'ffffu;  ///< kNoNode ⇒ this probe records nothing
   std::uint32_t prev = 0xffff'ffffu;
   std::uint64_t t0 = 0;
   bool traced = false;
+  [[nodiscard]] bool recording() const noexcept { return node != 0xffff'ffffu; }
 };
-void probe_enter(probe_rec& r, frame_id f) noexcept;
-void probe_exit(probe_rec& r) noexcept;
-[[nodiscard]] call_path capture_path() noexcept;
+/// Pushes frame `f` when the profiler is enabled.  `now_ns` is the
+/// caller's telemetry::steady_now_ns() reading; in manual-clock mode the
+/// thread's tick counter advances instead.
+void probe_enter(probe_rec& r, frame_id f, std::uint64_t now_ns) noexcept;
+void probe_exit(probe_rec& r, std::uint64_t now_ns) noexcept;
 [[nodiscard]] thread_state* adopt_enter(const call_path& p,
                                         std::uint32_t& prev) noexcept;
 void adopt_exit(thread_state* st, std::uint32_t prev) noexcept;
 }  // namespace detail
 
-/// RAII shadow-stack frame.  Cheap when the profiler is disabled (one
-/// relaxed atomic load); a no-op type when CGP_TELEMETRY_DISABLED.
-class probe {
- public:
-  /// Hot-path form: intern once at the call site, pass the id.
-  explicit probe(frame_id f) noexcept {
-    if constexpr (kEnabled) {
-      detail::probe_enter(rec_, f);
-      if (recording()) {
-        ctx_ = trace::current_context();
-        rec_.traced = ctx_.active();
-      }
-    }
-  }
-  /// Convenience form for dynamic names (per-rule, per-bench); interns on
-  /// every recording construction — fine off the hot path.
-  explicit probe(std::string_view name) {
-    if constexpr (kEnabled) {
-      if (profiler::global().enabled()) {
-        detail::probe_enter(rec_, intern(name));
-        if (recording()) {
-          ctx_ = trace::current_context();
-          rec_.traced = ctx_.active();
-        }
-      }
-    }
-  }
-  ~probe() {
-    if constexpr (kEnabled) detail::probe_exit(rec_);
-  }
-
-  probe(const probe&) = delete;
-  probe& operator=(const probe&) = delete;
-
-  /// True when this probe is actually accumulating.
-  [[nodiscard]] bool recording() const noexcept {
-    return rec_.node != 0xffff'ffffu;
-  }
-  /// The enclosing trace context captured at entry ({0,0} when untraced
-  /// or not recording).
-  [[nodiscard]] trace::span_context context() const noexcept { return ctx_; }
-
- private:
-  detail::probe_rec rec_{};
-  trace::span_context ctx_{};
-};
-
 /// The calling thread's current shadow-stack path (empty when the
-/// profiler is disabled or no probe is open).  Capture this at a
+/// profiler is disabled or no frame is open).  Capture this at a
 /// work-submission site and hand it to adopt_scope on the far side.
-[[nodiscard]] inline call_path current_path() noexcept {
-  if constexpr (kEnabled) return detail::capture_path();
-  return {};
-}
+[[nodiscard]] call_path current_path() noexcept;
 
-/// Re-roots the calling thread's probes under `path` for the scope's
+/// Re-roots the calling thread's frames under `path` for the scope's
 /// lifetime — the profile analogue of trace::context_scope.  Waypoint
 /// frames created this way carry structure, not time.
 class adopt_scope {

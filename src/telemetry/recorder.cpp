@@ -1,18 +1,6 @@
 #include "telemetry/recorder.hpp"
 
-#include <chrono>
-
 namespace cgp::telemetry::live {
-
-std::uint64_t steady_now_ns() noexcept {
-  static const auto epoch = std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch)
-          .count());
-}
-
-std::uint64_t steady_now_ms() noexcept { return steady_now_ns() / 1'000'000; }
 
 const char* to_string(flight_entry::kind k) noexcept {
   switch (k) {
@@ -36,14 +24,6 @@ flight_recorder::flight_recorder(std::size_t capacity)
 flight_recorder& flight_recorder::global() {
   static flight_recorder r;
   return r;
-}
-
-void flight_recorder::set_capacity(std::size_t capacity) {
-  const std::lock_guard lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(capacity_);
-  head_ = 0;
 }
 
 std::size_t flight_recorder::capacity() const {

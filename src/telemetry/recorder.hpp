@@ -1,5 +1,5 @@
 // Flight recorder: a bounded, always-on ring of recent runtime events —
-// finished spans, counter movements, watchdog verdicts, free-form markers
+// finished metrics scopes, counter movements, watchdog verdicts, markers
 // — that can be dumped on demand or from a fault path.
 //
 // The trace sink (trace.hpp) keeps a *truncated head*: once max_events is
@@ -26,19 +26,17 @@
 
 namespace cgp::telemetry::live {
 
-/// Milliseconds since the process's live-observability epoch (the first
-/// call from any live component).  One shared monotonic timeline for the
-/// sampler, the watchdog, and the recorder.
-[[nodiscard]] std::uint64_t steady_now_ms() noexcept;
-/// The same timeline in nanoseconds: `steady_now_ns() / 1'000'000` is
-/// `steady_now_ms()`, so one reading can stamp a heartbeat and time a
-/// round barrier.
-[[nodiscard]] std::uint64_t steady_now_ns() noexcept;
+/// telemetry::steady_now_ns() in milliseconds: the sampler, the watchdog
+/// and the recorder share the one telemetry timeline, so one nanosecond
+/// reading can stamp a heartbeat (`/ 1'000'000`) and time a round barrier.
+[[nodiscard]] inline std::uint64_t steady_now_ms() noexcept {
+  return steady_now_ns() / 1'000'000;
+}
 
 /// One recorded ring entry.
 struct flight_entry {
   enum class kind : char {
-    span = 's',      ///< a telemetry::span finished (value = duration us)
+    span = 's',      ///< a metrics scope finished (value = duration us)
     counter = 'c',   ///< a registry counter moved (value = sampled delta)
     watchdog = 'w',  ///< a stall verdict (detail = participant, silent ms)
     marker = 'm',    ///< free-form driver annotation
@@ -69,8 +67,6 @@ class flight_recorder {
 
   [[nodiscard]] static flight_recorder& global();
 
-  /// Resizes the ring (drops current contents; test/driver setup only).
-  void set_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t capacity() const;
 
   /// Appends one entry, overwriting the oldest when full.  The timestamp

@@ -1,13 +1,21 @@
 #include "telemetry/telemetry.hpp"
 
+#include <chrono>
 #include <functional>
 #include <sstream>
 #include <thread>
 
 #include "telemetry/export.hpp"
-#include "telemetry/recorder.hpp"
 
 namespace cgp::telemetry {
+
+std::uint64_t steady_now_ns() noexcept {
+  const auto reading = [] { return std::chrono::steady_clock::now(); };
+  static const auto epoch = reading();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(reading() - epoch)
+          .count());
+}
 
 namespace detail {
 
@@ -206,45 +214,5 @@ std::uint64_t counter_snapshot::delta_sum(const std::string& prefix) const {
     if (name.compare(0, prefix.size(), prefix) == 0) total += d;
   return total;
 }
-
-// --- span -------------------------------------------------------------------
-
-namespace {
-thread_local span* current_span = nullptr;
-thread_local int span_depth = 0;
-}  // namespace
-
-span::span(std::string name, registry& reg)
-    : reg_(&reg), name_(std::move(name)) {
-  if constexpr (kEnabled) {
-    start_ = std::chrono::steady_clock::now();
-    parent_ = current_span;
-    current_span = this;
-    ++span_depth;
-  }
-}
-
-span::~span() {
-  if constexpr (kEnabled) {
-    current_span = parent_;
-    --span_depth;
-    const std::uint64_t us = elapsed_us();
-    reg_->get_counter(name_ + ".calls").add();
-    reg_->get_histogram(name_ + ".duration_us").record(us);
-    if (ops_ != 0) reg_->get_counter(name_ + ".ops").add(ops_);
-    live::flight_recorder::global().note(live::flight_entry::kind::span,
-                                         name_, static_cast<double>(us));
-  }
-}
-
-std::uint64_t span::elapsed_us() const noexcept {
-  if constexpr (!kEnabled) return 0;
-  const auto dt = std::chrono::steady_clock::now() - start_;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(dt).count());
-}
-
-int span::depth() noexcept { return span_depth; }
-span* span::current() noexcept { return current_span; }
 
 }  // namespace cgp::telemetry

@@ -1,5 +1,6 @@
-// Unified telemetry: process-wide counters, gauges, log-scale histograms,
-// and RAII scoped spans, behind one thread-safe registry.
+// Unified telemetry: process-wide counters, gauges and log-scale
+// histograms behind one thread-safe registry, and the one monotonic clock
+// every observability layer reads.
 //
 // Section 2's "performance concepts" attach complexity guarantees to
 // concepts; Section 4 argues taxonomies should organize algorithms by
@@ -14,14 +15,14 @@
 // contended cache line on the hot path), histograms bucket by bit-width
 // (one shift, one relaxed fetch_add), and metric objects are looked up by
 // name ONCE (the returned reference is stable for the registry's lifetime)
-// so instrumented loops never touch the registry mutex.  Defining
+// so instrumented loops never touch the registry mutex.  Timed call sites
+// feed these metrics through telemetry::scope (scope.hpp).  Defining
 // CGP_TELEMETRY_DISABLED compiles every mutation hook down to a no-op.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,6 +39,12 @@ inline constexpr bool kEnabled = false;
 #else
 inline constexpr bool kEnabled = true;
 #endif
+
+/// Nanoseconds on the process's one monotonic timeline (steady clock,
+/// counted from the first reading).  Every layer stamps from here: scope
+/// timings, trace events (offset by the sink's epoch), profiler wall time,
+/// heartbeats and the live sampler, and perf::measure.
+[[nodiscard]] std::uint64_t steady_now_ns() noexcept;
 
 namespace detail {
 /// Stable per-thread shard slot (hashed thread id, cached thread_local).
@@ -297,49 +304,6 @@ class counter_snapshot {
  private:
   registry* reg_;
   std::map<std::string, std::uint64_t> base_;
-};
-
-// ---------------------------------------------------------------------------
-// span: RAII scoped measurement (nestable)
-// ---------------------------------------------------------------------------
-
-/// On destruction records, under its name:
-///   <name>.calls        counter   (one per span)
-///   <name>.duration_us  histogram (wall time, microseconds)
-///   <name>.ops          counter   (user-charged operation count, if any)
-/// Spans nest per thread; depth() reports the current nesting level and a
-/// child's charges do NOT propagate to the parent (each span owns its own
-/// operation count, mirroring how the network simulator charges local
-/// steps per node).
-class span {
- public:
-  explicit span(std::string name, registry& reg = registry::global());
-  ~span();
-
-  span(const span&) = delete;
-  span& operator=(const span&) = delete;
-
-  /// Charges `n` operations to this span ("local computation" in Section
-  /// 4's sense).
-  void charge(std::uint64_t n) noexcept {
-    if constexpr (kEnabled) ops_ += n;
-  }
-
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::uint64_t charged() const noexcept { return ops_; }
-  [[nodiscard]] std::uint64_t elapsed_us() const noexcept;
-
-  /// Nesting depth of the calling thread's innermost open span (0 = none).
-  [[nodiscard]] static int depth() noexcept;
-  /// Innermost open span of the calling thread, or nullptr.
-  [[nodiscard]] static span* current() noexcept;
-
- private:
-  registry* reg_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_{};
-  std::uint64_t ops_ = 0;
-  span* parent_ = nullptr;
 };
 
 }  // namespace cgp::telemetry

@@ -63,11 +63,6 @@ span_context current_context() noexcept {
   return tls.ctx;
 }
 
-int current_rank() noexcept {
-  if constexpr (!kEnabled) return 0;
-  return tls.rank;
-}
-
 // --- rank_scope -------------------------------------------------------------
 
 rank_scope::rank_scope(int rank) noexcept {
@@ -101,8 +96,6 @@ context_scope::~context_scope() {
 
 // --- sink -------------------------------------------------------------------
 
-sink::sink() : epoch_(std::chrono::steady_clock::now()) {}
-
 sink& sink::global() {
   static sink s;
   return s;
@@ -117,13 +110,6 @@ void sink::set_max_events(std::size_t max_events) noexcept {
 
 std::size_t sink::max_events() const noexcept {
   return max_events_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t sink::now_ns() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
 }
 
 void sink::record(event e) {
@@ -220,49 +206,83 @@ std::string sink::export_chrome_trace() const {
   return os.str();
 }
 
-// --- trace_span -------------------------------------------------------------
+// --- spans, instants, flows -------------------------------------------------
 
-trace_span::trace_span(std::string name, std::string cat, sink& s)
-    : sink_(&s), name_(std::move(name)), cat_(std::move(cat)) {
-  if constexpr (!kEnabled) return;
-  prev_ = tls.ctx;
-  prev_adopted_ = tls.adopted;
-  ctx_.trace_id = prev_.active() ? prev_.trace_id : next_id();
-  ctx_.span_id = next_id();
+namespace {
+
+/// An event on the calling thread's rank and lane at `now_ns` (a
+/// steady_now_ns() reading), owned by span `self` under `parent`.
+event stamped(event::phase ph, std::string name, std::string cat,
+              std::uint64_t now_ns, span_context self, std::uint64_t parent) {
   event e;
-  e.ph = event::phase::begin;
-  e.link = !prev_.active()
-               ? event::link_kind::root
-               : (prev_adopted_ ? event::link_kind::async
-                                : event::link_kind::scope);
-  e.ts_ns = sink_->now_ns();
+  e.ph = ph;
+  e.ts_ns = sink::global().ts_of(now_ns);
   e.pid = tls.rank;
   e.tid = thread_lane();
-  e.trace_id = ctx_.trace_id;
-  e.span_id = ctx_.span_id;
-  e.parent_span = prev_.active() ? prev_.span_id : 0;
-  e.name = name_;
-  e.cat = cat_;
-  sink_->record(std::move(e));
-  tls.ctx = ctx_;
+  e.trace_id = self.trace_id;
+  e.span_id = self.span_id;
+  e.parent_span = parent;
+  e.name = std::move(name);
+  e.cat = std::move(cat);
+  return e;
+}
+
+/// A point event at the thread's current position in its trace: stamped
+/// now, with a fresh id under the current context.
+event here(event::phase ph, std::string name, std::string cat) {
+  event e = stamped(ph, std::move(name), std::move(cat), steady_now_ns(),
+                    {tls.ctx.trace_id, next_id()}, tls.ctx.span_id);
+  e.link = event::link_kind::scope;
+  return e;
+}
+
+}  // namespace
+
+namespace detail {
+
+open_span begin_span(std::string_view name, std::string_view cat,
+                     std::uint64_t now_ns) {
+  open_span sp;
+  if constexpr (!kEnabled) return sp;
+  sp.prev = tls.ctx;
+  sp.prev_adopted = tls.adopted;
+  sp.ctx.trace_id = sp.prev.active() ? sp.prev.trace_id : next_id();
+  sp.ctx.span_id = next_id();
+  event e = stamped(event::phase::begin, std::string(name), std::string(cat),
+                    now_ns, sp.ctx, sp.prev.active() ? sp.prev.span_id : 0);
+  e.link = !sp.prev.active()
+               ? event::link_kind::root
+               : (sp.prev_adopted ? event::link_kind::async
+                                  : event::link_kind::scope);
+  sink::global().record(std::move(e));
+  tls.ctx = sp.ctx;
   tls.adopted = false;
+  return sp;
+}
+
+void end_span(const open_span& sp, std::string_view name,
+              std::string_view cat, std::uint64_t now_ns,
+              std::vector<std::pair<std::string, std::string>> args) {
+  if constexpr (!kEnabled) return;
+  tls.ctx = sp.prev;
+  tls.adopted = sp.prev_adopted;
+  event e = stamped(event::phase::end, std::string(name), std::string(cat),
+                    now_ns, sp.ctx, 0);
+  e.args = std::move(args);
+  sink::global().record(std::move(e));
+}
+
+}  // namespace detail
+
+trace_span::trace_span(std::string name, std::string cat)
+    : name_(std::move(name)), cat_(std::move(cat)) {
+  if constexpr (kEnabled)
+    span_ = detail::begin_span(name_, cat_, steady_now_ns());
 }
 
 trace_span::~trace_span() {
-  if constexpr (!kEnabled) return;
-  tls.ctx = prev_;
-  tls.adopted = prev_adopted_;
-  event e;
-  e.ph = event::phase::end;
-  e.ts_ns = sink_->now_ns();
-  e.pid = tls.rank;
-  e.tid = thread_lane();
-  e.trace_id = ctx_.trace_id;
-  e.span_id = ctx_.span_id;
-  e.name = name_;
-  e.cat = cat_;
-  e.args = std::move(args_);
-  sink_->record(std::move(e));
+  if constexpr (kEnabled)
+    detail::end_span(span_, name_, cat_, steady_now_ns(), std::move(args_));
 }
 
 void trace_span::arg(std::string key, std::string value) {
@@ -270,77 +290,34 @@ void trace_span::arg(std::string key, std::string value) {
     args_.emplace_back(std::move(key), std::move(value));
 }
 
-// --- child_span -------------------------------------------------------------
-
-child_span::child_span(const char* name, const char* cat) {
-  if constexpr (kEnabled)
-    if (tls.ctx.active()) inner_.emplace(name, cat);
-}
-
-span_context child_span::context() const noexcept {
-  return inner_ ? inner_->context() : current_context();
-}
-
-void child_span::arg(std::string key, std::string value) {
-  if (inner_) inner_->arg(std::move(key), std::move(value));
-}
-
-// --- instant / flow ---------------------------------------------------------
-
 void instant(std::string name, std::string cat,
              std::vector<std::pair<std::string, std::string>> args) {
   if constexpr (!kEnabled) return;
   if (!tls.ctx.active()) return;
-  sink& s = sink::global();
-  event e;
-  e.ph = event::phase::instant;
-  e.link = event::link_kind::scope;
-  e.ts_ns = s.now_ns();
-  e.pid = tls.rank;
-  e.tid = thread_lane();
-  e.trace_id = tls.ctx.trace_id;
-  e.span_id = next_id();
-  e.parent_span = tls.ctx.span_id;
-  e.name = std::move(name);
-  e.cat = std::move(cat);
+  event e = here(event::phase::instant, std::move(name), std::move(cat));
   e.args = std::move(args);
-  s.record(std::move(e));
+  sink::global().record(std::move(e));
 }
 
 void root_instant(std::string name, std::string cat,
                   std::vector<std::pair<std::string, std::string>> args) {
   if constexpr (!kEnabled) return;
-  sink& s = sink::global();
-  event e;
-  e.ph = event::phase::instant;
-  e.link = event::link_kind::root;
-  e.ts_ns = s.now_ns();
-  e.trace_id = next_id();
-  e.span_id = next_id();
-  e.name = std::move(name);
-  e.cat = std::move(cat);
+  // Off every request path: a trace of its own, on no rank's lane.
+  event e = stamped(event::phase::instant, std::move(name), std::move(cat),
+                    steady_now_ns(), {next_id(), next_id()}, 0);
+  e.pid = 0;
+  e.tid = 0;
   e.args = std::move(args);
-  s.record(std::move(e));
+  sink::global().record(std::move(e));
 }
 
 void counter_sample(const std::string& name, double value,
                     const std::string& cat) {
   if constexpr (!kEnabled) return;
   if (!tls.ctx.active()) return;
-  sink& s = sink::global();
-  event e;
-  e.ph = event::phase::counter;
-  e.link = event::link_kind::scope;
-  e.ts_ns = s.now_ns();
-  e.pid = tls.rank;
-  e.tid = thread_lane();
-  e.trace_id = tls.ctx.trace_id;
-  e.span_id = next_id();
-  e.parent_span = tls.ctx.span_id;
+  event e = here(event::phase::counter, name, cat);
   e.value = value;
-  e.name = name;
-  e.cat = cat;
-  s.record(std::move(e));
+  sink::global().record(std::move(e));
 }
 
 void sample_registry_counters(const std::string& prefix, registry& reg) {
@@ -351,45 +328,24 @@ void sample_registry_counters(const std::string& prefix, registry& reg) {
       counter_sample(name, static_cast<double>(v));
 }
 
-std::uint64_t flow_begin(const std::string& name, const std::string& cat) {
+std::uint64_t flow_begin(std::string_view name, std::string_view cat) {
   if constexpr (!kEnabled) return 0;
   if (!tls.ctx.active()) return 0;
-  sink& s = sink::global();
   const std::uint64_t id = next_id();
-  event e;
-  e.ph = event::phase::flow_start;
-  e.link = event::link_kind::scope;
-  e.ts_ns = s.now_ns();
-  e.pid = tls.rank;
-  e.tid = thread_lane();
-  e.trace_id = tls.ctx.trace_id;
-  e.span_id = next_id();
-  e.parent_span = tls.ctx.span_id;
+  event e = here(event::phase::flow_start, std::string(name), std::string(cat));
   e.flow_id = id;
-  e.name = name;
-  e.cat = cat;
-  s.record(std::move(e));
+  sink::global().record(std::move(e));
   return id;
 }
 
-void flow_end(std::uint64_t flow_id, const std::string& name,
-              const std::string& cat) {
+void flow_end(std::uint64_t flow_id, std::string_view name,
+              std::string_view cat) {
   if constexpr (!kEnabled) return;
   if (flow_id == 0 || !tls.ctx.active()) return;
-  sink& s = sink::global();
-  event e;
-  e.ph = event::phase::flow_finish;
-  e.link = event::link_kind::scope;
-  e.ts_ns = s.now_ns();
-  e.pid = tls.rank;
-  e.tid = thread_lane();
-  e.trace_id = tls.ctx.trace_id;
-  e.span_id = next_id();
-  e.parent_span = tls.ctx.span_id;
+  event e =
+      here(event::phase::flow_finish, std::string(name), std::string(cat));
   e.flow_id = flow_id;
-  e.name = name;
-  e.cat = cat;
-  s.record(std::move(e));
+  sink::global().record(std::move(e));
 }
 
 // --- validation -------------------------------------------------------------

@@ -23,19 +23,20 @@
 // balance, orphaned parents, and parent-scope violations — the contract
 // `obs_export trace` and the trace tests gate on.
 //
-// Tracing is opt-in at the root: subsystem instrumentation (child_span,
-// instant, flows) records only when the calling thread already has an
-// active context, so untraced runs pay one thread-local load per hook.
+// Tracing is opt-in at the root: subsystem instrumentation (the trace
+// sink of telemetry::scope, instant, flows) records only when the calling
+// thread already has an active context, so untraced runs pay one
+// thread-local load per hook.  Timestamps come from the one telemetry
+// clock (telemetry::steady_now_ns), offset by the sink's epoch.
 // Defining CGP_TELEMETRY_DISABLED compiles every hook down to a no-op.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,10 +64,6 @@ struct span_context {
 
 /// The calling thread's innermost trace context ({0,0} when none).
 [[nodiscard]] span_context current_context() noexcept;
-
-/// The calling thread's current simulated rank (Perfetto pid lane; 0 =
-/// driver / no rank).
-[[nodiscard]] int current_rank() noexcept;
 
 /// Scoped rank override: the network simulator brackets every per-node
 /// handler invocation so that node's spans land on its own pid lane.
@@ -144,7 +141,7 @@ class sink {
   static constexpr std::size_t kShards = 8;
   static constexpr std::size_t kDefaultMaxEvents = 1 << 16;
 
-  sink();
+  sink() = default;
   sink(const sink&) = delete;
   sink& operator=(const sink&) = delete;
 
@@ -171,8 +168,11 @@ class sink {
   /// Drops all events and zeroes the dropped counter (test isolation).
   void clear();
 
-  /// Timestamp for events recorded now (ns since the sink's epoch).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
+  /// Event timestamp of a telemetry::steady_now_ns() reading: ns since
+  /// the sink's epoch (0 for a reading older than the sink).
+  [[nodiscard]] std::uint64_t ts_of(std::uint64_t steady_ns) const noexcept {
+    return steady_ns > epoch_ns_ ? steady_ns - epoch_ns_ : 0;
+  }
 
  private:
   struct alignas(64) shard {
@@ -183,22 +183,39 @@ class sink {
   std::atomic<std::size_t> max_events_{kDefaultMaxEvents};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> seq_{0};
-  std::chrono::steady_clock::time_point epoch_;
+  std::uint64_t epoch_ns_ = steady_now_ns();  ///< at construction
 };
 
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
 
-/// RAII traced span: records a begin event on construction (parenting
-/// under the thread's current context; starting a NEW trace when there is
-/// none) and an end event on destruction, and makes itself the thread's
-/// current context in between.  Drivers open one of these as the root;
-/// subsystems use child_span so untraced runs stay silent.
+namespace detail {
+/// A span opened by begin_span; an inactive `ctx` recorded nothing.
+struct open_span {
+  span_context ctx{};
+  span_context prev{};  ///< the context it replaced
+  bool prev_adopted = false;
+};
+/// Records a begin event at `now_ns` (a telemetry::steady_now_ns()
+/// reading) under the thread's current context (a new trace when there is
+/// none) and makes the span current.
+[[nodiscard]] open_span begin_span(std::string_view name, std::string_view cat,
+                                   std::uint64_t now_ns);
+/// Restores the replaced context and records the end event at `now_ns`.
+void end_span(const open_span& span, std::string_view name,
+              std::string_view cat, std::uint64_t now_ns,
+              std::vector<std::pair<std::string, std::string>> args);
+}  // namespace detail
+
+/// RAII traced span that always records: a begin event on construction
+/// and an end event on destruction, current context in between.  It is
+/// for drivers opening a root and for spans opened under an adopted
+/// context (message receipt); subsystem call sites use telemetry::scope
+/// (scope.hpp), which records only under an active context.
 class trace_span {
  public:
-  explicit trace_span(std::string name, std::string cat = "span",
-                      sink& s = sink::global());
+  explicit trace_span(std::string name, std::string cat = "span");
   ~trace_span();
   trace_span(const trace_span&) = delete;
   trace_span& operator=(const trace_span&) = delete;
@@ -207,32 +224,13 @@ class trace_span {
   /// viewers merge begin/end args onto the slice).
   void arg(std::string key, std::string value);
 
-  [[nodiscard]] span_context context() const noexcept { return ctx_; }
+  [[nodiscard]] span_context context() const noexcept { return span_.ctx; }
 
  private:
-  sink* sink_ = nullptr;
-  span_context ctx_{};
-  span_context prev_{};
-  bool prev_adopted_ = false;
+  detail::open_span span_{};
   std::string name_;
   std::string cat_;
   std::vector<std::pair<std::string, std::string>> args_;
-};
-
-/// Conditional span for subsystem instrumentation points: records only
-/// when the calling thread already has an active trace context.  One
-/// thread-local load when tracing is off.
-class child_span {
- public:
-  explicit child_span(const char* name, const char* cat = "span");
-
-  /// Context of the underlying span, or the (inactive) current context.
-  [[nodiscard]] span_context context() const noexcept;
-  [[nodiscard]] bool recording() const noexcept { return inner_.has_value(); }
-  void arg(std::string key, std::string value);
-
- private:
-  std::optional<trace_span> inner_;
 };
 
 // ---------------------------------------------------------------------------
@@ -267,13 +265,13 @@ void sample_registry_counters(const std::string& prefix,
 /// Emits a flow-start arrowtail at the current position and returns the
 /// flow id to carry across the boundary (0 when untraced — pass it along
 /// anyway; flow_finish(0, ...) is a no-op).
-[[nodiscard]] std::uint64_t flow_begin(const std::string& name,
-                                       const std::string& cat = "flow");
+[[nodiscard]] std::uint64_t flow_begin(std::string_view name,
+                                       std::string_view cat = "flow");
 
 /// Emits the matching arrowhead at the adopting site.  `name`/`cat` must
 /// equal the flow_begin ones (Chrome matches flows on (name, cat, id)).
-void flow_end(std::uint64_t flow_id, const std::string& name,
-              const std::string& cat = "flow");
+void flow_end(std::uint64_t flow_id, std::string_view name,
+              std::string_view cat = "flow");
 
 // ---------------------------------------------------------------------------
 // Validation (shared by `obs_export trace` and the trace tests)

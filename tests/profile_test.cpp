@@ -21,6 +21,7 @@
 #include "telemetry/live.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/recorder.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -45,6 +46,19 @@ class ProfileTest : public ::testing::Test {
     p.set_manual_clock(false);
     p.reset();
   }
+};
+
+/// A profiler-frame scope over its own site (call sites keep the site in
+/// a static instead).
+struct frame_scope {
+  explicit frame_scope(std::string_view frame)
+      : site({.frame = frame}), scope(site) {}
+  [[nodiscard]] bool recording() const noexcept { return scope.recording(); }
+  [[nodiscard]] telemetry::trace::span_context context() const noexcept {
+    return scope.context();
+  }
+  telemetry::scope_site site;
+  telemetry::scope scope;
 };
 
 const profile::profile_node* find_child(
@@ -75,11 +89,11 @@ TEST_F(ProfileTest, InternIsIdempotentAndNamesRoundTrip) {
 
 TEST_F(ProfileTest, DisabledProbesRecordNothing) {
   {
-    profile::probe p(std::string_view("profile_test.disabled"));
+    frame_scope p("profile_test.disabled");
     EXPECT_FALSE(p.recording());
   }
   {
-    profile::probe p(profile::intern("profile_test.disabled.id"));
+    frame_scope p("profile_test.disabled.id");
     EXPECT_FALSE(p.recording());
   }
   EXPECT_TRUE(profile::current_path().empty());
@@ -92,10 +106,10 @@ TEST_F(ProfileTest, NestedProbesSplitInclusiveAndExclusive) {
   auto& p = profile::profiler::global();
   p.enable();
   {
-    profile::probe outer(std::string_view("profile_test.outer"));
+    frame_scope outer("profile_test.outer");
     EXPECT_TRUE(outer.recording());
     for (int i = 0; i < 2; ++i)
-      profile::probe inner(std::string_view("profile_test.inner"));
+      frame_scope inner("profile_test.inner");
   }
   p.disable();
   const auto snap = p.snapshot();
@@ -116,16 +130,16 @@ TEST_F(ProfileTest, NestedProbesSplitInclusiveAndExclusive) {
 
 TEST_F(ProfileTest, ResetZeroesAccumulatorsButKeepsInternedIds) {
   auto& p = profile::profiler::global();
-  const auto f = profile::intern("profile_test.reset.frame");
+  const telemetry::scope_site f({.frame = "profile_test.reset.frame"});
   p.enable();
-  { profile::probe pr(f); }
+  { const telemetry::scope pr(f); }
   p.disable();
   ASSERT_FALSE(p.snapshot().roots.empty());
   p.reset();
   EXPECT_TRUE(p.snapshot().roots.empty());
   // The cached id survives the reset and records again.
   p.enable();
-  { profile::probe pr(f); }
+  { const telemetry::scope pr(f); }
   p.disable();
   const auto snap = p.snapshot();
   ASSERT_EQ(snap.roots.size(), 1u);
@@ -141,8 +155,8 @@ TEST_F(ProfileTest, SnapshotMergesThreadsByName) {
   auto& p = profile::profiler::global();
   p.enable();
   auto work = [] {
-    profile::probe root(std::string_view("profile_test.shared.root"));
-    profile::probe leaf(std::string_view("profile_test.shared.leaf"));
+    frame_scope root("profile_test.shared.root");
+    frame_scope leaf("profile_test.shared.leaf");
   };
   std::thread t1(work);
   std::thread t2(work);
@@ -166,13 +180,13 @@ TEST_F(ProfileTest, AdoptScopeReRootsWorkerFramesUnderSubmitterPath) {
   p.enable();
   profile::call_path captured;
   {
-    profile::probe submitter(std::string_view("profile_test.adopt.submitter"));
+    frame_scope submitter("profile_test.adopt.submitter");
     captured = profile::current_path();
   }
   ASSERT_EQ(captured.size(), 1u);
   std::thread worker([&captured] {
     profile::adopt_scope adopt(captured);
-    profile::probe leaf(std::string_view("profile_test.adopt.leaf"));
+    frame_scope leaf("profile_test.adopt.leaf");
   });
   worker.join();
   p.disable();
@@ -199,10 +213,10 @@ TEST_F(ProfileTest, ThreadPoolTasksNestUnderSubmittingFrame) {
   auto& p = profile::profiler::global();
   p.enable();
   {
-    profile::probe bench(std::string_view("profile_test.pool.parent"));
+    frame_scope bench("profile_test.pool.parent");
     parallel::work_stealing_pool pool(2);
     pool.run_chunks(4, [](std::size_t) {
-      profile::probe work(std::string_view("profile_test.pool.work"));
+      frame_scope work("profile_test.pool.work");
     });
   }
   p.disable();
@@ -230,11 +244,11 @@ TEST_F(ProfileTest, ProbesCountInvocationsUnderActiveTraces) {
   auto& p = profile::profiler::global();
   p.enable();
   {
-    profile::probe untraced(std::string_view("profile_test.traced.frame"));
+    frame_scope untraced("profile_test.traced.frame");
   }
   {
     telemetry::trace::trace_span span("profile_test.traced.span", "test");
-    profile::probe traced(std::string_view("profile_test.traced.frame"));
+    frame_scope traced("profile_test.traced.frame");
     EXPECT_TRUE(traced.context().active());
     EXPECT_EQ(traced.context().trace_id, span.context().trace_id);
   }
@@ -252,12 +266,12 @@ TEST_F(ProfileTest, ProbesCountInvocationsUnderActiveTraces) {
 
 namespace {
 void run_canned_workload() {
-  profile::probe a(std::string_view("profile_test.det.a"));
+  frame_scope a("profile_test.det.a");
   for (int i = 0; i < 3; ++i) {
-    profile::probe b(std::string_view("profile_test.det.b"));
-    profile::probe c(std::string_view("profile_test.det.c"));
+    frame_scope b("profile_test.det.b");
+    frame_scope c("profile_test.det.c");
   }
-  profile::probe d(std::string_view("profile_test.det.d"));
+  frame_scope d("profile_test.det.d");
 }
 }  // namespace
 
@@ -432,9 +446,9 @@ TEST_F(ProfileTest, ProfileDiffClassifiesGrownShrunkNewVanished) {
   p.reset();
   p.enable();
   {
-    profile::probe a(std::string_view("diff.a"));
-    { profile::probe b(std::string_view("diff.b")); }
-    { profile::probe gone(std::string_view("diff.gone")); }
+    frame_scope a("diff.a");
+    { frame_scope b("diff.b"); }
+    { frame_scope gone("diff.gone"); }
   }
   p.disable();
   const auto before = telemetry::parse_json(profile::export_json(p.snapshot()));
@@ -442,11 +456,11 @@ TEST_F(ProfileTest, ProfileDiffClassifiesGrownShrunkNewVanished) {
   p.reset();
   p.enable();
   {
-    profile::probe a(std::string_view("diff.a"));
+    frame_scope a("diff.a");
     // "diff.b" runs 5× as often (grown); "diff.gone" vanished;
     // "diff.fresh" is new.
-    for (int i = 0; i < 5; ++i) profile::probe b(std::string_view("diff.b"));
-    { profile::probe fresh(std::string_view("diff.fresh")); }
+    for (int i = 0; i < 5; ++i) frame_scope b("diff.b");
+    { frame_scope fresh("diff.fresh"); }
   }
   p.disable();
   const auto after = telemetry::parse_json(profile::export_json(p.snapshot()));
@@ -488,7 +502,7 @@ TEST_F(ProfileTest, ProfileDiffClassifiesGrownShrunkNewVanished) {
 TEST_F(ProfileTest, ProfileDiffRejectsUnitMismatchAndInvalidDocs) {
   auto& p = profile::profiler::global();
   p.enable();
-  { profile::probe a(std::string_view("diff.unit.a")); }
+  { frame_scope a("diff.unit.a"); }
   p.disable();
   const std::string json = profile::export_json(p.snapshot());
   auto ticks_doc = telemetry::parse_json(json);
@@ -510,8 +524,8 @@ TEST_F(ProfileTest, SnapshotWhileProbingIsSafe) {
   p.enable();
   std::thread prober([] {
     for (int i = 0; i < 2000; ++i) {
-      profile::probe outer(std::string_view("profile_test.race.outer"));
-      profile::probe inner(std::string_view("profile_test.race.inner"));
+      frame_scope outer("profile_test.race.outer");
+      frame_scope inner("profile_test.race.inner");
     }
   });
   for (int i = 0; i < 50; ++i) {

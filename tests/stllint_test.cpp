@@ -617,6 +617,75 @@ void f() {
   EXPECT_TRUE(has_diag(r, severity::error, "undeclared variable"));
 }
 
+// ---------------------------------------------------------------------------
+// nesting limit: hostile nesting ends in one diagnostic, never a crash
+// ---------------------------------------------------------------------------
+
+// Each program's nesting depth is its construct count plus a fixed
+// overhead: a declaration statement and its initializer expression (2)
+// around parentheses; the innermost condition or `return;` (1) inside
+// `if`s; nothing around blocks nested in a function body.
+std::string nested_parens(int n) {
+  return "void f() {\n  int x = " + std::string(n, '(') + "1" +
+         std::string(n, ')') + ";\n}\n";
+}
+std::string nested_ifs(int n) {
+  std::string src = "void f(int c) {\n";
+  for (int i = 0; i < n; ++i) src += "if (c) ";
+  return src + "return;\n}\n";
+}
+std::string nested_blocks(int n) {
+  return "void f() {" + std::string(n, '{') + std::string(n, '}') + "}\n";
+}
+std::string nested_if_blocks(int n) {
+  std::string src = "void f(int c) {\n";
+  for (int i = 0; i < n; ++i) src += "if (c) {";
+  return src + std::string(n, '}') + "}\n";
+}
+std::string long_sum(int n) {
+  std::string src = "void f(int c) {\n  c = c";
+  for (int i = 0; i < n; ++i) src += " + c";
+  return src + ";\n}\n";
+}
+
+int errors(const lint_result& r) { return count_diags(r, severity::error, ""); }
+
+TEST(Parser, AcceptsNestingAtTheDepthLimit) {
+  for (const std::string& src :
+       {nested_parens(kMaxParseDepth - 2), nested_ifs(kMaxParseDepth - 1),
+        nested_blocks(kMaxParseDepth)}) {
+    const lint_result r = lint_source(src);
+    EXPECT_EQ(errors(r), 0) << src.substr(0, 80);
+  }
+}
+
+TEST(Parser, RejectsNestingPastTheDepthLimit) {
+  for (const std::string& src :
+       {nested_parens(kMaxParseDepth - 1), nested_ifs(kMaxParseDepth),
+        nested_blocks(kMaxParseDepth + 1)}) {
+    const lint_result r = lint_source(src);
+    EXPECT_EQ(errors(r), 1) << src.substr(0, 80);
+    EXPECT_EQ(count_diags(r, severity::error, "nesting deeper than"), 1);
+  }
+}
+
+// Inputs that overflowed the stack before the parser had a depth limit: a
+// flat chain of operators builds a tree as deep as a nested one.
+TEST(Parser, DeepNestingProbesEndInADiagnostic) {
+  for (const std::string& src :
+       {nested_parens(4000), nested_if_blocks(20000), long_sum(20000)}) {
+    const lint_result r = lint_source(src);
+    EXPECT_EQ(count_diags(r, severity::error, "nesting deeper than"), 1);
+  }
+}
+
+// A partial tree (here an `if` whose condition did not parse, as at the
+// nesting limit) must still analyze.
+TEST(Parser, IfWithoutConditionStillAnalyzes) {
+  const lint_result r = lint_source("void f(int c) { if () c++; }");
+  EXPECT_TRUE(has_diag(r, severity::error, "expected an expression"));
+}
+
 TEST(Stats, CountsWork) {
   const lint_result r = lint_source(kFig4Program);
   EXPECT_EQ(r.stats.functions, 1u);

@@ -1,5 +1,5 @@
 // Tests for the unified telemetry layer: counter exactness under
-// contention, histogram bucketing, span nesting, exporter round-trips,
+// contention, histogram bucketing, scope charges, exporter round-trips,
 // and the end-to-end guarantee that all five instrumented subsystems
 // report through one registry.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "sequences/instrumented.hpp"
 #include "stllint/stllint.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -161,40 +162,24 @@ TEST(TelemetryHistogram, PercentilesInterpolateFromBuckets) {
 
 TEST(TelemetrySpan, NestingDepthAndCharges) {
   telemetry::registry reg;
-  EXPECT_EQ(telemetry::span::depth(), 0);
+  const telemetry::scope_site outer_site({.metrics = "test.outer"}, reg);
+  const telemetry::scope_site inner_site({.metrics = "test.inner"}, reg);
   {
-    telemetry::span outer("test.outer", reg);
+    telemetry::scope outer(outer_site);
     outer.charge(5);
-    EXPECT_EQ(telemetry::span::depth(), 1);
-    EXPECT_EQ(telemetry::span::current(), &outer);
     {
-      telemetry::span inner("test.inner", reg);
+      telemetry::scope inner(inner_site);
       inner.charge(2);
-      EXPECT_EQ(telemetry::span::depth(), 2);
-      EXPECT_EQ(telemetry::span::current(), &inner);
       // Charges are per-span, not inherited.
       EXPECT_EQ(inner.charged(), 2u);
       EXPECT_EQ(outer.charged(), 5u);
     }
-    EXPECT_EQ(telemetry::span::depth(), 1);
-    EXPECT_EQ(telemetry::span::current(), &outer);
   }
-  EXPECT_EQ(telemetry::span::depth(), 0);
-  EXPECT_EQ(telemetry::span::current(), nullptr);
   EXPECT_EQ(reg.get_counter("test.outer.calls").value(), 1u);
   EXPECT_EQ(reg.get_counter("test.inner.calls").value(), 1u);
   EXPECT_EQ(reg.get_counter("test.outer.ops").value(), 5u);
   EXPECT_EQ(reg.get_counter("test.inner.ops").value(), 2u);
   EXPECT_EQ(reg.get_histogram("test.outer.duration_us").count(), 1u);
-}
-
-TEST(TelemetrySpan, DepthIsPerThread) {
-  telemetry::registry reg;
-  telemetry::span outer("test.main_thread", reg);
-  int other_thread_depth = -1;
-  std::thread([&] { other_thread_depth = telemetry::span::depth(); }).join();
-  EXPECT_EQ(other_thread_depth, 0);
-  EXPECT_EQ(telemetry::span::depth(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "rewrite/parser.hpp"
 #include "stllint/stllint.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/scope.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
@@ -87,7 +88,8 @@ TEST_F(TraceTest, NestedSpansLinkAsScopeChildren) {
 }
 
 TEST_F(TraceTest, HooksAreSilentWithoutActiveContext) {
-  trace::child_span silent("never.recorded", "test");
+  const telemetry::scope_site site({.trace = "never.recorded", .cat = "test"});
+  const telemetry::scope silent(site);
   EXPECT_FALSE(silent.recording());
   trace::instant("never.recorded.instant", "test");
   EXPECT_EQ(trace::flow_begin("never.recorded.flow"), 0u);
