@@ -315,8 +315,8 @@ perf::bench_registry build_registry(bool quick) {
            }});
 
   // The same echo wave with the health observatory live: every send pays
-  // its shard-local health tallies and every round their batched fold
-  // plus the O(health shards) end_round.  Same declared bound, same
+  // the node -> health-slot mapping of its tally, and every round the
+  // O(health shards) end_round over the summed slots.  Same declared bound, same
   // deterministic message counters; the health_overhead gate below
   // compares the two sweeps and trips when observation costs more than
   // its budget.

@@ -296,41 +296,25 @@ void net_base::enqueue_sync(std::size_t src, std::uint64_t seq, message&& m) {
   // accumulator and the sender's own slots.  Shard tasks run their nodes
   // in ascending order, so each bucket fills in canonical sender order.
   shard_sends& out = sends_[shard_of(src)];
-  ++out.total;
   ++out.by_tag[m.tag];
   ++stats_.messages_sent_per_node[src];
   const fault_draw d = draw_faults(src, seq);
-  const bool dup = d.dup && !d.drop;
-  const auto tally = [&out, this](std::size_t node) -> health_tally& {
-    const std::size_t h = health_->shard_of(node);
-    health_tally& t = out.health[h];
-    if (t.routed == 0 && t.delivered == 0)
-      out.touched.push_back(static_cast<std::uint32_t>(h));
-    return t;
-  };
-  if (health_) {
-    health_tally& t = tally(src);
-    ++t.routed;
-    t.dropped += d.drop;
-    t.duplicated += dup;
-  }
+  telemetry::health::slot_tally& from = out.tally[slot_of(src)];
+  ++from.routed;
   if (d.drop) {
     const telemetry::scope fault(fault_site_);
-    ++out.dropped;
-    ++out.faults;
+    ++from.dropped;
     return;
   }
   const auto dst = static_cast<std::size_t>(m.dst);
-  if (health_) tally(dst).delivered += 1 + dup;
+  out.tally[slot_of(dst)].delivered += 1 + d.dup;
   auto& bucket = out.buckets[round_ & 1][shard_of(dst)];
-  if (dup) {
+  if (d.dup) {
     const telemetry::scope fault(fault_site_);
-    ++out.duplicated;
-    ++out.faults;
+    ++from.duplicated;
     bucket.push_back(m);  // the copy is delivered BEFORE the original
   }
   bucket.push_back(std::move(m));
-  out.scheduled += 1 + dup;
 }
 
 void net_base::schedule_async(message&& m, std::uint64_t extra_delay) {
@@ -345,20 +329,22 @@ void net_base::schedule_async(message&& m, std::uint64_t extra_delay) {
 }
 
 std::size_t net_base::fold_sends() {
-  std::size_t scheduled = 0;
-  std::size_t faults = 0;
-  for (shard_sends& out : sends_) {
-    scheduled += std::exchange(out.scheduled, 0);
-    faults += std::exchange(out.faults, 0);
-    for (const std::uint32_t h : out.touched) {
-      health_tally& t = out.health[h];
-      health_->fold(h, t.routed, t.dropped, t.duplicated, t.delivered);
-      t = {};
-    }
-    out.touched.clear();
-  }
-  if (faults != 0) live_faults_counter().add(faults);
-  return scheduled;
+  using telemetry::health::slot_tally;
+  // Source shard 0's tallies become the round's; the others add in.
+  round_tally_.swap(sends_.front().tally);
+  for (std::size_t s = 1; s < sends_.size(); ++s)
+    for (std::size_t h = 0; h < round_tally_.size(); ++h)
+      round_tally_[h] += sends_[s].tally[h];
+  for (shard_sends& out : sends_)
+    std::fill(out.tally.begin(), out.tally.end(), slot_tally{});
+  slot_tally all;
+  for (const slot_tally& t : round_tally_) all += t;
+  stats_.messages_total += all.routed;
+  stats_.messages_dropped += all.dropped;
+  stats_.messages_duplicated += all.duplicated;
+  if (const std::uint64_t faults = all.dropped + all.duplicated; faults != 0)
+    live_faults_counter().add(faults);
+  return all.delivered;
 }
 
 // --- delivery ---------------------------------------------------------------
@@ -486,7 +472,8 @@ void net_base::run_synchronous(std::size_t max_rounds) {
       const std::uint64_t now_ns = telemetry::steady_now_ns();
       if (run_heartbeat_) run_heartbeat_->beat_at(now_ns / 1'000'000);
       if (health_)
-        health_->end_round(round_, now_ns, phase_.trace_id, phase_.span_id);
+        health_->end_round(round_, round_tally_, now_ns, phase_.trace_id,
+                           phase_.span_id);
     }
     if (all_down()) break;
     if (!any_due && pending_count_ == 0) break;  // quiescent
@@ -550,17 +537,14 @@ void net_base::run_start_phase() {
     // Round 0 = the start phase; the round loop continues from 1, so
     // every backend reports identical round indices to the observatory.
     if (health_)
-      health_->end_round(0, telemetry::steady_now_ns(), phase_.trace_id,
-                         phase_.span_id);
+      health_->end_round(0, round_tally_, telemetry::steady_now_ns(),
+                         phase_.trace_id, phase_.span_id);
   }
 }
 
 void net_base::finalize_stats() {
-  // The send accumulators fold once per run.
+  // The per-tag counts fold once per run (the totals fold per phase).
   for (shard_sends& out : sends_) {
-    stats_.messages_total += std::exchange(out.total, 0);
-    stats_.messages_dropped += std::exchange(out.dropped, 0);
-    stats_.messages_duplicated += std::exchange(out.duplicated, 0);
     for (const auto& [tag, count] : out.by_tag)
       stats_.messages_by_tag[tag] += count;
     out.by_tag.clear();
@@ -578,6 +562,12 @@ run_stats net_base::run(std::size_t max_rounds) {
         std::string("transport backend '") + backend_name() +
         "' implements only timing::synchronous supersteps; use "
         "sim_transport for timing::asynchronous runs");
+  // stats_ accumulates over runs: the registry gets this run's growth.
+  const run_stats before{.messages_total = stats_.messages_total,
+                         .messages_dropped = stats_.messages_dropped,
+                         .messages_duplicated = stats_.messages_duplicated,
+                         .messages_by_tag = stats_.messages_by_tag,
+                         .local_steps = stats_.local_steps};
   // Resolve this backend's phase sites once per run (backend_name() is
   // virtual, so this cannot happen in the base constructor).  When the
   // caller is tracing, the whole run is one span; every handler invocation
@@ -619,12 +609,9 @@ run_stats net_base::run(std::size_t max_rounds) {
     // observatory is off — every hook below is one pointer test then).
     health_ = telemetry::health::observatory::global().begin_run(
         backend_name(), node_count());
-    const std::size_t health_slots = health_ ? health_->shards_used() : 0;
-    for (shard_sends& out : sends_) {
-      out.health.assign(health_slots, {});
-      out.touched.clear();
-      out.touched.reserve(health_slots);
-    }
+    const std::size_t slots = health_ ? health_->shards_used() : 1;
+    for (shard_sends& out : sends_) out.tally.assign(slots, {});
+    round_tally_.assign(slots, {});
     run_start_phase();
     if (opts_.mode == timing::synchronous)
       run_synchronous(max_rounds);
@@ -639,19 +626,20 @@ run_stats net_base::run(std::size_t max_rounds) {
   reg.get_counter("distributed.network.runs").add();
   reg.get_counter(std::string("distributed.network.runs.") + backend_name())
       .add();
-  reg.get_counter("distributed.network.messages_total")
-      .add(stats_.messages_total);
+  const std::size_t messages = stats_.messages_total - before.messages_total;
+  reg.get_counter("distributed.network.messages_total").add(messages);
   reg.get_counter("distributed.network.messages_dropped")
-      .add(stats_.messages_dropped);
+      .add(stats_.messages_dropped - before.messages_dropped);
   reg.get_counter("distributed.network.messages_duplicated")
-      .add(stats_.messages_duplicated);
+      .add(stats_.messages_duplicated - before.messages_duplicated);
   reg.get_counter("distributed.network.rounds").add(stats_.rounds);
-  reg.get_counter("distributed.network.local_steps").add(stats_.local_steps);
+  reg.get_counter("distributed.network.local_steps")
+      .add(stats_.local_steps - before.local_steps);
   for (const auto& [tag, count] : stats_.messages_by_tag)
-    reg.get_counter("distributed.network.messages." + tag).add(count);
+    reg.get_counter("distributed.network.messages." + tag)
+        .add(count - before.messages_for(tag));
   reg.get_histogram("distributed.network.run_rounds").record(stats_.rounds);
-  reg.get_histogram("distributed.network.run_messages")
-      .record(stats_.messages_total);
+  reg.get_histogram("distributed.network.run_messages").record(messages);
   return stats_;
 }
 

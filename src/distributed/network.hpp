@@ -45,8 +45,8 @@
 // fixed seed.
 //
 // Scale notes (the §13 batching protocol): a send appends straight into
-// `bucket[src shard][dst shard]`, tallying stats, tags and health in the
-// source shard's accumulator.  Next superstep, each destination shard
+// `bucket[src shard][dst shard]`, tallying it once, per health slot, in
+// the source shard's accumulator.  Next superstep, each destination shard
 // gathers its S buckets in source-shard order (= canonical sender order)
 // by a stable counting sort of pointers into its inbox arena.  Buckets
 // alternate by round parity, so one barrier per round suffices.  All
@@ -75,15 +75,12 @@
 #include <vector>
 
 #include "distributed/topology.hpp"
+#include "telemetry/health.hpp"
 #include "telemetry/scope.hpp"
 
 namespace cgp::telemetry::live {
 class heartbeat;
 }  // namespace cgp::telemetry::live
-
-namespace cgp::telemetry::health {
-class backend_track;
-}  // namespace cgp::telemetry::health
 
 namespace cgp::distributed {
 
@@ -333,8 +330,10 @@ class net_base {
   /// use stats() for allocation-free post-run queries).
   run_stats run(std::size_t max_rounds = 100000);
 
-  /// The statistics of the (latest) run, without copying the per-node
-  /// arrays.
+  /// The statistics of every run on this transport so far, without
+  /// copying the per-node arrays: the message totals, `messages_by_tag`,
+  /// `local_steps` and the per-node arrays accumulate over runs, while
+  /// `rounds` is the latest run's.
   [[nodiscard]] const run_stats& stats() const noexcept { return stats_; }
 
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -410,9 +409,9 @@ class net_base {
                                        std::uint64_t seq) const noexcept;
 
   /// Synchronous send sink for a validated, corrupted, trace-stamped
-  /// message: draws the hash fault plan, tallies the send in the sender
-  /// shard's accumulator and appends the survivors (duplicate copy first)
-  /// to the sender shard's bucket for the destination shard — all
+  /// message: draws the hash fault plan, tallies the send once in the
+  /// sender shard's slot tallies and appends the survivors (duplicate copy
+  /// first) to the sender shard's bucket for the destination shard — all
   /// shard-local, on the sending shard's task.
   void enqueue_sync(std::size_t src, std::uint64_t seq, message&& m);
 
@@ -430,6 +429,11 @@ class net_base {
 
   [[nodiscard]] std::size_t shard_of(std::size_t node) const noexcept {
     return node / shard_width_;
+  }
+  /// The slot a node's traffic is tallied in: its health shard when the
+  /// observatory is on, else the one slot.
+  [[nodiscard]] std::size_t slot_of(std::size_t node) const noexcept {
+    return health_ ? health_->shard_of(node) : 0;
   }
   /// The contiguous [begin, end) node range of shard `s`.
   [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
@@ -475,9 +479,9 @@ class net_base {
 
   // Health-observatory track for the current run (telemetry/health.hpp):
   // nullptr unless the observatory is enabled, acquired at run() entry.
-  // Each send is tallied in its shard accumulator and the touched health
-  // slots fold once per round; end_round fires once per synchronous round
-  // on the coordinator, with identical round indices on every backend.
+  // It sets the slot mapping of the send tallies and receives the round's
+  // per-slot sums in end_round, once per synchronous round on the
+  // coordinator, with identical round indices on every backend.
   telemetry::health::backend_track* health_ = nullptr;
 
   // Trace context of the current phase span (start phase / round span),
@@ -512,9 +516,10 @@ class net_base {
   // the previous round bucketed for this shard (stable counting sort by
   // destination), then run every node's superstep over its span.
   void shard_superstep(std::size_t s);
-  // Coordinator step after a phase: folds the shard accumulators' round
-  // tallies (scheduled deliveries, live fault counts, touched health
-  // slots).  Returns the number of newly scheduled deliveries.
+  // Coordinator step after a phase: sums the source shards' slot tallies
+  // into round_tally_ (zeroing them) and adds the sums to the run totals
+  // and the live fault counter.  Returns the deliveries the phase
+  // scheduled.
   std::size_t fold_sends();
   void schedule_async(message&& m, std::uint64_t extra_delay);
 
@@ -538,19 +543,16 @@ class net_base {
   // accumulator per source shard, touched only by that shard's task
   // (cache-aligned so shards never share a line): round r's sends fill
   // buckets[r & 1][dst shard], which destination shards gather in round
-  // r + 1 while the new sends fill the other set.
-  struct health_tally {
-    std::uint64_t routed = 0, dropped = 0, duplicated = 0, delivered = 0;
-  };
+  // r + 1 while the new sends fill the other set.  The slot tallies are
+  // the engine's only count of a synchronous send.
   struct alignas(64) shard_sends {
     std::array<std::vector<std::vector<message>>, 2> buckets;
-    std::size_t total = 0, dropped = 0, duplicated = 0;  ///< this run
-    std::map<std::string, std::size_t> by_tag;           ///< this run
-    std::size_t scheduled = 0, faults = 0;  ///< this round
-    std::vector<health_tally> health;       ///< per health slot, this round
-    std::vector<std::uint32_t> touched;     ///< health slots tallied
+    std::map<std::string, std::size_t> by_tag;  ///< this run
+    std::vector<telemetry::health::slot_tally> tally;  ///< per slot, phase
   };
   std::vector<shard_sends> sends_;                    ///< per source shard
+  /// The last phase's per-slot sums, handed to the health track.
+  std::vector<telemetry::health::slot_tally> round_tally_;
   std::vector<std::vector<const message*>> inbox_;  ///< per dst shard
   std::vector<std::uint32_t> inbox_begin_;  ///< per node: span start
   std::vector<std::uint32_t> inbox_end_;    ///< per node: span end

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,16 +24,34 @@ namespace cgp::graph::instrumented {
 
 namespace detail {
 
-inline void report(const char* algorithm, std::uint64_t ops,
-                   std::uint64_t vertices, std::uint64_t edges) {
-  auto& reg = telemetry::registry::global();
-  const std::string base = std::string("graph.") + algorithm;
-  reg.get_counter(base + ".calls").add();
-  reg.get_counter(base + ".operations").add(ops);
-  reg.get_counter(base + ".vertices").add(vertices);
-  reg.get_counter(base + ".edges").add(edges);
-  reg.get_histogram(base + ".operations_per_call").record(ops);
-}
+/// One algorithm's `graph.<algorithm>.*` handles, resolved once (a
+/// function-local static in each wrapper), so a counted call costs five
+/// relaxed adds and no name building or registry lookup.
+struct report_site {
+  telemetry::counter& calls;
+  telemetry::counter& operations;
+  telemetry::counter& vertices;
+  telemetry::counter& edges;
+  telemetry::histogram& operations_per_call;
+
+  explicit report_site(const std::string& base)
+      : calls(telemetry::registry::global().get_counter(base + ".calls")),
+        operations(
+            telemetry::registry::global().get_counter(base + ".operations")),
+        vertices(telemetry::registry::global().get_counter(base + ".vertices")),
+        edges(telemetry::registry::global().get_counter(base + ".edges")),
+        operations_per_call(telemetry::registry::global().get_histogram(
+            base + ".operations_per_call")) {}
+
+  void operator()(std::uint64_t ops, std::uint64_t n_vertices,
+                  std::uint64_t n_edges) const {
+    calls.add();
+    operations.add(ops);
+    vertices.add(n_vertices);
+    edges.add(n_edges);
+    operations_per_call.record(ops);
+  }
+};
 
 /// Edge count when the graph type exposes one; 0 for graphs that don't.
 template <class G>
@@ -62,10 +81,11 @@ std::pair<std::vector<long>, std::uint64_t> bfs_distances(
     const G& g, core::vertex_t<G> start) {
   static const telemetry::scope_site kBfs({.frame = "graph.bfs"});
   const telemetry::scope bfs_scope(kBfs);
+  static const detail::report_site kReport("graph.bfs");
   std::uint64_t ops = 0;
   auto dist =
       breadth_first_search(g, start, detail::counting_bfs_visitor<G>{&ops});
-  detail::report("bfs", ops, num_vertices(g), detail::edge_count_of(g));
+  kReport(ops, num_vertices(g), detail::edge_count_of(g));
   return {std::move(dist), ops};
 }
 
@@ -78,13 +98,14 @@ template <core::VertexListGraph G, class WeightFn>
 std::pair<std::pair<std::vector<double>, std::vector<core::vertex_t<G>>>,
           std::uint64_t>
 dijkstra_shortest_paths(const G& g, core::vertex_t<G> start, WeightFn weight) {
+  static const detail::report_site kReport("graph.dijkstra");
   std::uint64_t ops = 0;
   auto counted = [&ops, &weight](const core::edge_t<G>& e) -> double {
     ++ops;
     return weight(e);
   };
   auto result = graph::dijkstra_shortest_paths(g, start, counted);
-  detail::report("dijkstra", ops, num_vertices(g), detail::edge_count_of(g));
+  kReport(ops, num_vertices(g), detail::edge_count_of(g));
   return {std::move(result), ops};
 }
 
@@ -94,6 +115,7 @@ dijkstra_shortest_paths(const G& g, core::vertex_t<G> start, WeightFn weight) {
 template <class P>
 std::pair<std::vector<edge<P>>, std::uint64_t> kruskal_mst(
     const adjacency_list<P>& g) {
+  static const detail::report_site kReport("graph.kruskal");
   std::uint64_t ops = 0;
   std::vector<edge<P>> sorted = g.all_edges();
   const std::uint64_t edge_total = sorted.size();
@@ -108,7 +130,7 @@ std::pair<std::vector<edge<P>>, std::uint64_t> kruskal_mst(
     ++ops;
     if (sets.unite(e.src, e.dst)) mst.push_back(e);
   }
-  detail::report("kruskal", ops, g.vertex_count(), edge_total);
+  kReport(ops, g.vertex_count(), edge_total);
   return {std::move(mst), ops};
 }
 
@@ -123,9 +145,10 @@ std::pair<std::vector<double>, std::uint64_t> pagerank(
   static const telemetry::scope_site kPagerank({.frame = "graph.pagerank"});
   const telemetry::scope pagerank_scope(kPagerank);
   const std::size_t n = g.vertex_count();
+  static const detail::report_site kReport("graph.pagerank");
   std::uint64_t ops = 0;
   if (n == 0) {
-    detail::report("pagerank", ops, 0, 0);
+    kReport(ops, 0, 0);
     return {{}, ops};
   }
   std::vector<double> rank(n, 1.0 / static_cast<double>(n));
@@ -154,7 +177,7 @@ std::pair<std::vector<double>, std::uint64_t> pagerank(
     for (std::size_t v = 0; v < n; ++v) next[v] = base + damping * next[v];
     rank.swap(next);
   }
-  detail::report("pagerank", ops, n, detail::edge_count_of(g));
+  kReport(ops, n, detail::edge_count_of(g));
   return {std::move(rank), ops};
 }
 
@@ -180,9 +203,10 @@ std::pair<std::vector<long>, std::uint64_t> bfs_distances_parallel(
   static const telemetry::scope_site kBfs({.frame = "graph.bfs_parallel"});
   const telemetry::scope bfs_scope(kBfs);
   const std::size_t n = g.vertex_count();
+  static const detail::report_site kReport("graph.bfs_parallel");
   std::uint64_t ops = 0;
   if (n == 0 || start >= n) {
-    detail::report("bfs_parallel", ops, n, detail::edge_count_of(g));
+    kReport(ops, n, detail::edge_count_of(g));
     return {std::vector<long>(n, -1), ops};
   }
   std::vector<std::atomic<long>> dist(n);
@@ -232,7 +256,7 @@ std::pair<std::vector<long>, std::uint64_t> bfs_distances_parallel(
   std::vector<long> out(n);
   for (std::size_t v = 0; v < n; ++v)
     out[v] = dist[v].load(std::memory_order_relaxed);
-  detail::report("bfs_parallel", ops, n, detail::edge_count_of(g));
+  kReport(ops, n, detail::edge_count_of(g));
   return {std::move(out), ops};
 }
 
@@ -250,17 +274,17 @@ std::pair<std::vector<double>, std::uint64_t> pagerank_parallel(
       {.frame = "graph.pagerank_parallel"});
   const telemetry::scope pagerank_scope(kPagerank);
   const std::size_t n = g.vertex_count();
+  static const detail::report_site kReport("graph.pagerank_parallel");
   std::uint64_t ops = 0;
   if (n == 0) {
-    detail::report("pagerank_parallel", ops, 0, 0);
+    kReport(ops, 0, 0);
     return {{}, ops};
   }
   const auto [chunks, size] = parallel::detail::chunks_for(n, exec, grain);
   std::vector<double> rank(n, 1.0 / static_cast<double>(n));
   if (chunks <= 1) {
     auto result = pagerank(g, iterations, damping);
-    detail::report("pagerank_parallel", result.second, n,
-                   detail::edge_count_of(g));
+    kReport(result.second, n, detail::edge_count_of(g));
     return result;
   }
   std::vector<std::vector<double>> local(chunks,
@@ -319,7 +343,7 @@ std::pair<std::vector<double>, std::uint64_t> pagerank_parallel(
                                     });
     rank.swap(next);
   }
-  detail::report("pagerank_parallel", ops, n, detail::edge_count_of(g));
+  kReport(ops, n, detail::edge_count_of(g));
   return {std::move(rank), ops};
 }
 

@@ -95,7 +95,8 @@ class task_group {
       const std::lock_guard lock(m_);
       if (!error_) error_ = std::current_exception();
     }
-    // Liveness-tracking executors end the worker's busy span first.
+    // Liveness-tracking executors close the task's telemetry and end the
+    // worker's busy span first, so a waiter sees both once it returns.
     if constexpr (requires(E& e) { e.end_busy(); }) exec_->end_busy();
     // The decrement and the wake form ONE critical section.  A waiter may
     // only conclude "done" from a pending_==0 it observed either under

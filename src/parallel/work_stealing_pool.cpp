@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 
 #include "parallel/task_group.hpp"
 #include "telemetry/scope.hpp"
@@ -27,6 +28,25 @@ thread_local unsigned tls_ws_index = 0;
 // Tasks open on this worker: 1 inside a task the worker claimed, more
 // while that task helps (try_help) run others.
 thread_local unsigned tls_ws_depth = 0;
+
+// The innermost task this worker is executing: its scope and start
+// reading, open until the pool's finish_task closes them.  A running_task
+// is the thread's current task from construction to destruction.
+struct running_task;
+thread_local running_task* tls_task = nullptr;
+struct running_task {
+  explicit running_task(telemetry::scope* s = nullptr,
+                        std::uint64_t t0 = 0) noexcept
+      : scope(s), start(t0), outer(std::exchange(tls_task, this)) {}
+  ~running_task() { tls_task = outer; }
+  running_task(const running_task&) = delete;
+  running_task& operator=(const running_task&) = delete;
+
+  telemetry::scope* scope;
+  std::uint64_t start;
+  running_task* outer;
+  bool finished = false;
+};
 
 // Cheap per-thread xorshift for victim probing.  Deterministically seeded
 // from the worker index — probe SEQUENCES differ across workers, which is
@@ -176,7 +196,8 @@ bool work_stealing_pool::next_task(unsigned self, detail::task_item& out) {
 
 // Runs a task under its submitter's trace context (inactive when the
 // submitter was untraced) and shadow stack.  The task's scope opens and
-// closes on the two readings the pool takes for busy_us / task_us.
+// closes on the two readings the pool takes for busy_us / task_us; a
+// task_group task closes it in end_busy, before publishing its completion.
 void work_stealing_pool::execute(detail::task_item& item) {
   ++tls_ws_depth;
   if constexpr (telemetry::kEnabled) {
@@ -187,22 +208,35 @@ void work_stealing_pool::execute(detail::task_item& item) {
     const telemetry::profile::adopt_scope padopt(item.path);
     telemetry::scope task(kTask, start);
     telemetry::trace::flow_end(item.flow, kTaskName, "parallel");
+    running_task run(&task, start);
     item.fn();
-    const std::uint64_t end = telemetry::steady_now_ns();
-    task.close(end);
-    const std::uint64_t us = (end - start) / 1000;
-    busy_us_.add(us);
-    task_us_.record(us);
+    finish_task();
   } else {
+    running_task run;
     item.fn();
+    finish_task();
   }
   --tls_ws_depth;
+}
+
+void work_stealing_pool::finish_task() noexcept {
+  running_task& run = *tls_task;
+  if (run.finished) return;
+  run.finished = true;
+  if constexpr (telemetry::kEnabled) {
+    const std::uint64_t end = telemetry::steady_now_ns();
+    run.scope->close(end);
+    const std::uint64_t us = (end - run.start) / 1000;
+    busy_us_.add(us);
+    task_us_.record(us);
+  }
   tasks_completed_.add();
 }
 
 void work_stealing_pool::end_busy() noexcept {
-  if (tls_ws_pool == this && tls_ws_depth == 1)
-    heartbeats_[tls_ws_index]->end_work();
+  if (tls_ws_pool != this || tls_task == nullptr) return;
+  finish_task();
+  if (tls_ws_depth == 1) heartbeats_[tls_ws_index]->end_work();
 }
 
 bool work_stealing_pool::can_help() const noexcept {

@@ -95,8 +95,10 @@ class work_stealing_pool {
   /// to park external waiters untimed instead of poll-rescanning.
   [[nodiscard]] bool can_help() const noexcept;
 
-  /// task_group's hook before a task publishes its completion: ends the
-  /// worker's busy heartbeat, unless the task ran nested while helping.
+  /// task_group's hook before a task publishes its completion: closes the
+  /// task's scope and records busy_us, task_us and tasks_completed (at
+  /// every nesting depth), then ends the worker's busy heartbeat unless
+  /// the task ran nested while helping.
   void end_busy() noexcept;
 
   /// Process-wide default pool: the executor the concept-bounded
@@ -112,6 +114,8 @@ class work_stealing_pool {
   void enqueue(detail::task_item&& item);
   bool next_task(unsigned self, detail::task_item& out);
   void execute(detail::task_item& item);
+  /// Closes the calling worker's innermost task telemetry (once).
+  void finish_task() noexcept;
   void worker_loop(unsigned idx);
   void wake_one();
 

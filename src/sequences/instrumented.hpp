@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "sequences/sort.hpp"
 #include "telemetry/telemetry.hpp"
@@ -35,15 +36,30 @@ struct counting_compare {
 
 namespace detail {
 
-inline void report(const char* algorithm, std::uint64_t comparisons,
-                   std::uint64_t n) {
-  auto& reg = telemetry::registry::global();
-  const std::string base = std::string("sequences.") + algorithm;
-  reg.get_counter(base + ".calls").add();
-  reg.get_counter(base + ".comparisons").add(comparisons);
-  reg.get_counter(base + ".elements").add(n);
-  reg.get_histogram(base + ".comparisons_per_call").record(comparisons);
-}
+/// One algorithm's `sequences.<algorithm>.*` handles, resolved once (a
+/// function-local static at each wrapper), so a counted call costs four
+/// relaxed adds and no name building or registry lookup.
+struct report_site {
+  telemetry::counter& calls;
+  telemetry::counter& comparisons;
+  telemetry::counter& elements;
+  telemetry::histogram& comparisons_per_call;
+
+  explicit report_site(const std::string& base)
+      : calls(telemetry::registry::global().get_counter(base + ".calls")),
+        comparisons(
+            telemetry::registry::global().get_counter(base + ".comparisons")),
+        elements(telemetry::registry::global().get_counter(base + ".elements")),
+        comparisons_per_call(telemetry::registry::global().get_histogram(
+            base + ".comparisons_per_call")) {}
+
+  void operator()(std::uint64_t n_comparisons, std::uint64_t n) const {
+    calls.add();
+    comparisons.add(n_comparisons);
+    elements.add(n);
+    comparisons_per_call.record(n_comparisons);
+  }
+};
 
 }  // namespace detail
 
@@ -53,12 +69,12 @@ template <std::forward_iterator I,
           std::indirect_strict_weak_order<I> Cmp = std::less<>>
   requires std::permutable<I>
 std::uint64_t sort(I first, I last, Cmp cmp = {}) {
+  static const detail::report_site kReport("sequences.sort");
   std::uint64_t comparisons = 0;
   counting_compare<Cmp> counted{&cmp, &comparisons};
   cgp::sequences::sort(first, last, counted);
-  detail::report(
-      "sort", comparisons,
-      static_cast<std::uint64_t>(cgp::sequences::distance(first, last)));
+  kReport(comparisons, static_cast<std::uint64_t>(
+                           cgp::sequences::distance(first, last)));
   return comparisons;
 }
 
@@ -66,11 +82,11 @@ std::uint64_t sort(I first, I last, Cmp cmp = {}) {
 template <std::random_access_iterator I,
           std::indirect_strict_weak_order<I> Cmp = std::less<>>
 std::uint64_t stable_sort(I first, I last, Cmp cmp = {}) {
+  static const detail::report_site kReport("sequences.stable_sort");
   std::uint64_t comparisons = 0;
   counting_compare<Cmp> counted{&cmp, &comparisons};
   cgp::sequences::stable_sort(first, last, counted);
-  detail::report("stable_sort", comparisons,
-                 static_cast<std::uint64_t>(last - first));
+  kReport(comparisons, static_cast<std::uint64_t>(last - first));
   return comparisons;
 }
 
@@ -78,11 +94,11 @@ std::uint64_t stable_sort(I first, I last, Cmp cmp = {}) {
 template <std::random_access_iterator I,
           std::indirect_strict_weak_order<I> Cmp = std::less<>>
 std::uint64_t nth_element(I first, I nth, I last, Cmp cmp = {}) {
+  static const detail::report_site kReport("sequences.nth_element");
   std::uint64_t comparisons = 0;
   counting_compare<Cmp> counted{&cmp, &comparisons};
   cgp::sequences::nth_element(first, nth, last, counted);
-  detail::report("nth_element", comparisons,
-                 static_cast<std::uint64_t>(last - first));
+  kReport(comparisons, static_cast<std::uint64_t>(last - first));
   return comparisons;
 }
 
@@ -91,12 +107,12 @@ std::uint64_t nth_element(I first, I nth, I last, Cmp cmp = {}) {
 template <std::forward_iterator I, class T, class Cmp = std::less<>>
 std::uint64_t lower_bound_count(I first, I last, const T& value,
                                 Cmp cmp = {}) {
+  static const detail::report_site kReport("sequences.lower_bound");
   std::uint64_t comparisons = 0;
   counting_compare<Cmp> counted{&cmp, &comparisons};
   (void)cgp::sequences::lower_bound(first, last, value, counted);
-  detail::report(
-      "lower_bound", comparisons,
-      static_cast<std::uint64_t>(cgp::sequences::distance(first, last)));
+  kReport(comparisons, static_cast<std::uint64_t>(
+                           cgp::sequences::distance(first, last)));
   return comparisons;
 }
 

@@ -164,7 +164,6 @@ void shard_rollup::fold(const shard_rollup& other) {
 backend_track::backend_track(std::string name, const health_options& opts)
     : name_(std::move(name)),
       opts_(opts),
-      slots_(opts.shards == 0 ? 1 : opts.shards),
       rows_(opts.shards == 0 ? 1 : opts.shards) {
   // Pre-size the reservoirs so end_round stays allocation-free on the
   // admission path (it runs once per round on the engine's coordinator).
@@ -174,15 +173,16 @@ backend_track::backend_track(std::string name, const health_options& opts)
 void backend_track::begin_run(std::size_t nodes) {
   const std::lock_guard lock(mu_);
   nodes_ = nodes;
-  const std::size_t h = slots_.size();
+  const std::size_t h = rows_.size();
   width_ = nodes == 0 ? 1 : (nodes + h - 1) / h;
   if (width_ == 0) width_ = 1;
   shards_used_ = nodes == 0 ? 0 : (nodes + width_ - 1) / width_;
   last_round_ns_ = 0;
 }
 
-void backend_track::end_round(std::size_t round, std::uint64_t now_ns,
-                              std::uint64_t trace_id,
+void backend_track::end_round(std::size_t round,
+                              std::span<const slot_tally> tally,
+                              std::uint64_t now_ns, std::uint64_t trace_id,
                               std::uint64_t parent_span) {
   if constexpr (!kEnabled) return;
   // Admissions become trace instants, so only a traced run collects them:
@@ -200,42 +200,41 @@ void backend_track::end_round(std::size_t round, std::uint64_t now_ns,
     if (round + 1 > rounds_) rounds_ = round + 1;
     for (std::size_t s = 0; s < shards_used_; ++s) {
       round_row& row = rows_[s];
-      const std::uint64_t routed =
-          slots_[s].routed.load(std::memory_order_relaxed);
-      const std::uint64_t delivered =
-          slots_[s].delivered.load(std::memory_order_relaxed);
-      const std::uint64_t routed_delta = routed - row.prev_routed;
-      const std::uint64_t delivered_delta = delivered - row.prev_delivered;
-      row.prev_routed = routed;
-      row.prev_delivered = delivered;
+      shard_rollup& r = row.rollup;
+      const slot_tally& t = tally[s];
       // Inbox depth: mail this round scheduled into the next round.
-      row.depth_buckets[histogram::bucket_of(delivered_delta)] += 1;
-      row.depth_count += 1;
-      row.depth_sum += delivered_delta;
-      if (routed_delta == 0 && delivered_delta == 0) continue;
+      r.depth_buckets[histogram::bucket_of(t.delivered)] += 1;
+      r.depth_count += 1;
+      r.depth_sum += t.delivered;
+      // A slot with drops or duplicates also routed: a quiet slot is all 0.
+      if (t.routed == 0 && t.delivered == 0) continue;
+      r.routed += t.routed;
+      r.delivered += t.delivered;
+      r.dropped += t.dropped;
+      r.duplicated += t.duplicated;
       // Superstep latency: under the manual clock a pure function of the
       // deterministic run (delivered + 1, so an active-but-quiet round
       // still lands in bucket 1); wall time otherwise.
       const std::uint64_t latency =
-          opts_.manual_clock ? delivered_delta + 1 : wall_us + 1;
-      row.latency_buckets[histogram::bucket_of(latency)] += 1;
-      row.latency_count += 1;
-      row.latency_sum += latency;
+          opts_.manual_clock ? t.delivered + 1 : wall_us + 1;
+      r.latency_buckets[histogram::bucket_of(latency)] += 1;
+      r.latency_count += 1;
+      r.latency_sum += latency;
       // Progress is SENDS: a crashed shard keeps receiving gossip from its
       // neighbors long after it stopped doing anything, so a shard only
       // counts as active — and only offers exemplars — in rounds where it
       // routed traffic of its own.  This is what lets the stall rule see a
       // wedged shard inside a still-chattering run.
-      if (routed_delta == 0) continue;
-      row.last_active_round = static_cast<std::uint64_t>(round) + 1;
-      row.rounds_active += 1;
+      if (t.routed == 0) continue;
+      r.last_active_round = static_cast<std::uint64_t>(round) + 1;
+      r.rounds_active += 1;
       // Reservoir offer (algorithm R): item i survives iff its seeded
       // draw over [0, i) lands below k.
       const std::uint64_t seen = ++row.seen;
       const exemplar ex{static_cast<std::uint32_t>(s),
                         static_cast<std::uint64_t>(round),
-                        delivered_delta,
-                        routed_delta,
+                        t.delivered,
+                        t.routed,
                         latency,
                         seen};
       if (opts_.reservoir_k == 0) continue;
@@ -266,23 +265,11 @@ backend_snapshot backend_track::snapshot() const {
   out.nodes = nodes_;
   out.shards_used = shards_used_;
   out.rounds = rounds_;
-  out.shards.resize(shards_used_);
+  out.shards.reserve(shards_used_);
   for (std::size_t s = 0; s < shards_used_; ++s) {
-    shard_rollup& r = out.shards[s];
-    r.routed = slots_[s].routed.load(std::memory_order_relaxed);
-    r.delivered = slots_[s].delivered.load(std::memory_order_relaxed);
-    r.dropped = slots_[s].dropped.load(std::memory_order_relaxed);
-    r.duplicated = slots_[s].duplicated.load(std::memory_order_relaxed);
     const round_row& row = rows_[s];
-    r.last_active_round = row.last_active_round;
-    r.rounds_active = row.rounds_active;
-    r.latency_count = row.latency_count;
-    r.latency_sum = row.latency_sum;
-    r.depth_count = row.depth_count;
-    r.depth_sum = row.depth_sum;
-    r.latency_buckets = row.latency_buckets;
-    r.depth_buckets = row.depth_buckets;
-    out.rollup.fold(r);
+    out.shards.push_back(row.rollup);
+    out.rollup.fold(row.rollup);
     for (const exemplar& ex : row.reservoir) out.reservoir.push_back(ex);
     out.reservoir_seen += row.seen;
   }

@@ -10,10 +10,10 @@
 //     HEALTH shards (contiguous node ranges, decoupled from the engine's
 //     execution shards so the sequential simulator is observable at the
 //     same granularity as the threaded backends).  Per shard: routed /
-//     delivered / dropped / duplicated counts (relaxed atomics, fed as
-//     one batched `fold` per round), plus inbox-depth and
-//     superstep-latency log2-histograms recorded single-threaded at the
-//     round barrier.
+//     delivered / dropped / duplicated counts, plus inbox-depth and
+//     superstep-latency log2-histograms, all recorded single-threaded at
+//     the round barrier from the engine's own per-round `slot_tally`
+//     vector — the one count of the round's sends.
 //     Shard rows fold into a backend rollup and backends fold into a run
 //     rollup; `observatory::tick` mirrors everything into the registry.
 //   * reservoir sampling — per-shard size-k reservoirs (algorithm R with
@@ -35,18 +35,21 @@
 //
 // Cost discipline: a disabled observatory costs one pointer test per hook
 // (net_base::run() gets a nullptr track).  An enabled one costs the
-// engine a few shard-local increments per message plus one `fold` per
-// touched health slot per round, and O(health shards) per round.
+// engine two node -> slot divisions per message (the tallies themselves
+// are the engine's run statistics either way) and O(health shards) per
+// round.
 // Synchronous engine only — the asynchronous event queue (sim backend)
 // does not drive the round hooks.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -164,53 +167,60 @@ struct slo_verdict {
 // backend_track: one backend's accumulators (engine-facing surface)
 // ---------------------------------------------------------------------------
 
+/// One health slot's traffic in one round: send attempts from its nodes
+/// with their drop / duplicate verdicts, and deliveries scheduled to them
+/// (once per copy: a duplicated message counts twice, a dropped one
+/// never).  The synchronous engine keeps one per (source shard, slot) as
+/// its only count of a send and hands the round's per-slot sums to
+/// `backend_track::end_round`.
+struct slot_tally {
+  std::uint64_t routed = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t delivered = 0;
+
+  slot_tally& operator+=(const slot_tally& o) noexcept {
+    routed += o.routed;
+    dropped += o.dropped;
+    duplicated += o.duplicated;
+    delivered += o.delivered;
+    return *this;
+  }
+};
+
 class observatory;
 
 /// Owned by the observatory, handed to `net_base::run()` as a raw pointer
-/// (nullptr when disabled).  `fold` is relaxed atomics, callable from
-/// concurrent threads; `end_round` must be called from a single-threaded
-/// barrier context (the engine's coordinator).
+/// (nullptr when disabled).  `end_round` must be called from a
+/// single-threaded barrier context (the engine's coordinator).
 class backend_track {
  public:
   backend_track(const backend_track&) = delete;
   backend_track& operator=(const backend_track&) = delete;
 
-  /// The only way traffic reaches a track: a round's tallies for one
-  /// health slot — send attempts from its nodes with their drop /
-  /// duplicate verdicts, and deliveries scheduled to them (once per copy:
-  /// a duplicated message counts twice, a dropped one never).  Additive,
-  /// so each feeding shard may fold its own; must land before the round's
-  /// end_round.
-  void fold(std::size_t shard, std::uint64_t routed, std::uint64_t dropped,
-            std::uint64_t duplicated, std::uint64_t delivered) noexcept {
-    if constexpr (!kEnabled) return;
-    constexpr auto relaxed = std::memory_order_relaxed;
-    slot& s = slots_[shard];  // zero tallies skip their atomic
-    if (routed != 0) s.routed.fetch_add(routed, relaxed);
-    if (dropped != 0) s.dropped.fetch_add(dropped, relaxed);
-    if (duplicated != 0) s.duplicated.fetch_add(duplicated, relaxed);
-    if (delivered != 0) s.delivered.fetch_add(delivered, relaxed);
-  }
-
-  /// Round barrier: folds the round's per-shard deltas into the depth and
-  /// latency histograms, advances activity tracking, and offers active
-  /// shard-rounds to the reservoirs.  `now_ns` is the caller's reading of
-  /// telemetry::steady_now_ns() at the barrier, so an engine that already reads
-  /// the clock for its heartbeat does not read it twice; wall-clock
-  /// superstep latency is the time between two barriers of a run (ignored
-  /// under manual_clock; 0 = no reading).  `trace_id`/`parent_span` (the
-  /// engine's phase context) let exemplar instants join the run's causal
-  /// tree when the barrier thread has no active trace scope of its own.
-  void end_round(std::size_t round, std::uint64_t now_ns,
-                 std::uint64_t trace_id = 0, std::uint64_t parent_span = 0);
+  /// Round barrier, the only way traffic reaches a track: adds the
+  /// round's per-slot tallies (`tally[s]` for every used shard s) to the
+  /// roll-ups, records the depth and latency histograms, advances
+  /// activity tracking, and offers active shard-rounds to the reservoirs.
+  /// `now_ns` is the caller's reading of telemetry::steady_now_ns() at the
+  /// barrier, so an engine that already reads the clock for its heartbeat
+  /// does not read it twice; wall-clock superstep latency is the time
+  /// between two barriers of a run (ignored under manual_clock; 0 = no
+  /// reading).  `trace_id`/`parent_span` (the engine's phase context) let
+  /// exemplar instants join the run's causal tree when the barrier thread
+  /// has no active trace scope of its own.
+  void end_round(std::size_t round, std::span<const slot_tally> tally,
+                 std::uint64_t now_ns, std::uint64_t trace_id = 0,
+                 std::uint64_t parent_span = 0);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t shards_used() const noexcept {
     return shards_used_;
   }
+  /// The node -> health-slot mapping (out-of-range nodes clamp to the
+  /// last slot).
   [[nodiscard]] std::size_t shard_of(std::size_t node) const noexcept {
-    const std::size_t s = node / width_;
-    return s < slots_.size() ? s : slots_.size() - 1;
+    return std::min(node / width_, rows_.size() - 1);
   }
 
   /// Coherent copy of the cumulative state (locks out end_round briefly).
@@ -223,25 +233,9 @@ class backend_track {
   /// nodes; accumulators persist across runs on the same backend.
   void begin_run(std::size_t nodes);
 
-  struct alignas(64) slot {  // one cache line per shard: no false sharing
-    std::atomic<std::uint64_t> routed{0};
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::uint64_t> duplicated{0};
-    std::atomic<std::uint64_t> delivered{0};
-  };
-
   // Round-barrier state, guarded against concurrent snapshot() readers.
   struct round_row {
-    std::uint64_t last_active_round = 0;
-    std::uint64_t rounds_active = 0;
-    std::uint64_t latency_count = 0;
-    std::uint64_t latency_sum = 0;
-    std::uint64_t depth_count = 0;
-    std::uint64_t depth_sum = 0;
-    std::array<std::uint64_t, histogram::kBuckets> latency_buckets{};
-    std::array<std::uint64_t, histogram::kBuckets> depth_buckets{};
-    std::uint64_t prev_routed = 0;
-    std::uint64_t prev_delivered = 0;
+    shard_rollup rollup;
     std::vector<exemplar> reservoir;
     std::uint64_t seen = 0;
   };
@@ -251,7 +245,6 @@ class backend_track {
   std::size_t nodes_ = 0;
   std::size_t width_ = 1;        ///< nodes per health shard (>= 1)
   std::size_t shards_used_ = 0;  ///< shards with at least one node
-  std::vector<slot> slots_;      ///< fixed at opts_.shards, never resized
   mutable std::mutex mu_;
   std::vector<round_row> rows_;  ///< fixed at opts_.shards
   std::uint64_t rounds_ = 0;

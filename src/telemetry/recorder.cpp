@@ -31,27 +31,27 @@ std::size_t flight_recorder::capacity() const {
   return capacity_;
 }
 
-void flight_recorder::note(flight_entry::kind k, std::string name,
-                           double value, std::string detail) {
+void flight_recorder::note(flight_entry::kind k, std::string_view name,
+                           double value, std::string_view detail) {
   if constexpr (!kEnabled) return;
-  flight_entry e;
-  e.k = k;
-  e.name = std::move(name);
-  e.value = value;
-  e.detail = std::move(detail);
   const std::lock_guard lock(mu_);
-  // Stamp under the lock: insertion order, time order, and sequence order
-  // all coincide, which validate_flight_dump checks.
-  e.t_ms = steady_now_ms();
-  ++recorded_;
-  e.seq = recorded_;
+  flight_entry* e = nullptr;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-    return;
+    e = &ring_.emplace_back();
+  } else {
+    e = &ring_[head_];
+    head_ = (head_ + 1) % capacity_;
+    ++overwritten_;
   }
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % capacity_;
-  ++overwritten_;
+  // Stamp under the lock: insertion order, time order, and sequence order
+  // all coincide, which validate_flight_dump checks.  The strings are
+  // assigned into the slot, reusing an overwritten entry's buffers.
+  e->t_ms = steady_now_ms();
+  e->seq = ++recorded_;
+  e->k = k;
+  e->name.assign(name);
+  e->value = value;
+  e->detail.assign(detail);
 }
 
 std::uint64_t flight_recorder::recorded() const {

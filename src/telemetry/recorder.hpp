@@ -11,14 +11,15 @@
 // fault is always on hand.  DESIGN.md §10 covers how the live sampler and
 // the stall watchdog feed it.
 //
-// Cost discipline: one mutex, one clock read and one small struct copy per
-// note; the ring never allocates after the first lap.  Defining
-// CGP_TELEMETRY_DISABLED compiles every note down to a no-op.
+// Cost discipline: one mutex, one clock read and two string assignments
+// per note; after the first lap the ring reuses its entries' buffers.
+// Defining CGP_TELEMETRY_DISABLED compiles every note down to a no-op.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/export.hpp"
@@ -71,8 +72,10 @@ class flight_recorder {
 
   /// Appends one entry, overwriting the oldest when full.  The timestamp
   /// is stamped here, under the lock, so snapshot order == time order.
-  void note(flight_entry::kind k, std::string name, double value = 0.0,
-            std::string detail = "");
+  /// Once the ring has lapped, a name and detail that fit the overwritten
+  /// entry's buffers allocate nothing.
+  void note(flight_entry::kind k, std::string_view name, double value = 0.0,
+            std::string_view detail = {});
 
   /// Entries ever noted / entries that overwrote an older one.
   [[nodiscard]] std::uint64_t recorded() const;

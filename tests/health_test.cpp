@@ -7,6 +7,7 @@
 // exports, cross-backend per-shard parity, and — via whole-binary
 // operator new/delete shims — the O(shards) memory contract at a million
 // nodes and the allocation-free steady state of the engine's rounds.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -47,6 +48,27 @@ class observatory_session {
     health::observatory::global().disable();
     health::observatory::global().reset();
   }
+};
+
+// One round of traffic for a track, as the engine's fold_sends sums it:
+// `fold` adds to a health slot's tally, and `end_round` hands the round's
+// tally to the track and starts the next round from zero.
+class round_tally {
+ public:
+  explicit round_tally(health::backend_track* t)
+      : track_(t), slots_(t->shards_used()) {}
+  void fold(std::size_t shard, std::uint64_t routed, std::uint64_t dropped,
+            std::uint64_t duplicated, std::uint64_t delivered) {
+    slots_[shard] += {routed, dropped, duplicated, delivered};
+  }
+  void end_round(std::size_t round, std::uint64_t now_ns) {
+    track_->end_round(round, slots_, now_ns);
+    std::fill(slots_.begin(), slots_.end(), health::slot_tally{});
+  }
+
+ private:
+  health::backend_track* track_;
+  std::vector<health::slot_tally> slots_;
 };
 
 void expect_rows_equal(const health::shard_rollup& a,
@@ -148,18 +170,19 @@ TEST(HealthTrackTest, ActivityFollowsSendsNotDeliveries) {
   auto& obs = health::observatory::global();
   health::backend_track* t = obs.begin_run("sim", 8);  // width 2: 4 shards
   ASSERT_NE(t, nullptr);
+  round_tally tally(t);
   // Round 0: both shards route; shard 1's mail lands on node 3.
-  t->fold(t->shard_of(0), 1, 0, 0, 0);
-  t->fold(t->shard_of(2), 1, 0, 0, 0);
-  t->fold(t->shard_of(1), 0, 0, 0, 1);
-  t->fold(t->shard_of(3), 0, 0, 0, 1);
-  t->end_round(0, 0);
+  tally.fold(t->shard_of(0), 1, 0, 0, 0);
+  tally.fold(t->shard_of(2), 1, 0, 0, 0);
+  tally.fold(t->shard_of(1), 0, 0, 0, 1);
+  tally.fold(t->shard_of(3), 0, 0, 0, 1);
+  tally.end_round(0, 0);
   // Rounds 1..2: shard 0 keeps sending; shard 1 only RECEIVES (the
   // crashed-node shape: neighbors keep gossiping at it).
   for (std::size_t r = 1; r <= 2; ++r) {
-    t->fold(t->shard_of(0), 1, 0, 0, 0);
-    t->fold(t->shard_of(3), 0, 0, 0, 1);
-    t->end_round(r, 0);
+    tally.fold(t->shard_of(0), 1, 0, 0, 0);
+    tally.fold(t->shard_of(3), 0, 0, 0, 1);
+    tally.end_round(r, 0);
   }
   const health::backend_snapshot snap = t->snapshot();
   ASSERT_EQ(snap.shards.size(), 4u);
@@ -200,10 +223,11 @@ TEST(HealthReservoirTest, SeededSamplingIsDeterministicAndBounded) {
     auto& obs = health::observatory::global();
     obs.reset();
     health::backend_track* t = obs.begin_run("sim", 8);
+    round_tally tally(t);
     for (std::size_t r = 0; r < kRounds; ++r) {
-      t->fold(t->shard_of(0), 1, 0, 0, 0);  // shard 0
-      t->fold(t->shard_of(7), 1, 0, 0, 0);  // shard 3
-      t->end_round(r, 0);
+      tally.fold(t->shard_of(0), 1, 0, 0, 0);  // shard 0
+      tally.fold(t->shard_of(7), 1, 0, 0, 0);  // shard 3
+      tally.end_round(r, 0);
     }
     return t->snapshot();
   };
@@ -254,12 +278,13 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
       telemetry::registry::global().get_counter("telemetry.health.verdicts");
   const std::uint64_t counted_before = verdict_counter.value();
   health::backend_track* t = obs.begin_run("sim", 8);
+  round_tally tally(t);
   // Rounds 0..5: shard 0 routes every round, shard 1 only in round 0 —
   // after round 5 its lag (6 - 1 = 5) blows the budget of 1.
   for (std::size_t r = 0; r <= 5; ++r) {
-    t->fold(t->shard_of(0), 1, 0, 0, 0);
-    if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
-    t->end_round(r, 0);
+    tally.fold(t->shard_of(0), 1, 0, 0, 0);
+    if (r == 0) tally.fold(t->shard_of(2), 1, 0, 0, 0);
+    tally.end_round(r, 0);
   }
   EXPECT_EQ(obs.tick(1000), 1u);
   // Still violated at the next tick: the episode is already flagged, so
@@ -286,14 +311,14 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   EXPECT_NE(trace_json.find("health.shard_stall: distributed.sim.shard1"),
             std::string::npos);
   // The condition clears (shard 1 routes again) — the episode re-arms...
-  t->fold(t->shard_of(0), 1, 0, 0, 0);
-  t->fold(t->shard_of(2), 1, 0, 0, 0);
-  t->end_round(6, 0);
+  tally.fold(t->shard_of(0), 1, 0, 0, 0);
+  tally.fold(t->shard_of(2), 1, 0, 0, 0);
+  tally.end_round(6, 0);
   EXPECT_EQ(obs.tick(3000), 0u);
   // ...and a FRESH stall of the same shard is a fresh verdict.
   for (std::size_t r = 7; r <= 9; ++r) {
-    t->fold(t->shard_of(0), 1, 0, 0, 0);
-    t->end_round(r, 0);
+    tally.fold(t->shard_of(0), 1, 0, 0, 0);
+    tally.end_round(r, 0);
   }
   EXPECT_EQ(obs.tick(4000), 1u);
   EXPECT_EQ(obs.verdicts().size(), 2u);
@@ -313,11 +338,13 @@ std::string synthetic_export() {
   obs.reset();
   for (const char* backend : {"sim", "inproc"}) {
     health::backend_track* t = obs.begin_run(backend, 8);
+    round_tally tally(t);
     for (std::size_t r = 0; r <= 5; ++r) {
-      t->fold(t->shard_of(0), 1, r == 3, r == 4, 0);  // one drop, one duplicate
-      if (r == 0) t->fold(t->shard_of(2), 1, 0, 0, 0);
-      t->fold(t->shard_of(1), 0, 0, 0, 1);
-      t->end_round(r, 0);
+      // One drop, one duplicate.
+      tally.fold(t->shard_of(0), 1, r == 3, r == 4, 0);
+      if (r == 0) tally.fold(t->shard_of(2), 1, 0, 0, 0);
+      tally.fold(t->shard_of(1), 0, 0, 0, 1);
+      tally.end_round(r, 0);
     }
   }
   obs.tick(1000);
@@ -487,7 +514,7 @@ TEST(HealthScaleTest, TrackStateIsOShardsNotONodes) {
   auto& obs = health::observatory::global();
   obs.reset();
   // Creating the track for a MILLION-node run must allocate shard-sized
-  // state only: 16 slots + 16 rows + 16 reservoirs, nowhere near the
+  // state only: 16 rows + 16 reservoirs, nowhere near the
   // ~megabyte a single per-node array would cost.
   const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
   health::backend_track* t = obs.begin_run("sim", 1'000'000);
@@ -497,16 +524,17 @@ TEST(HealthScaleTest, TrackStateIsOShardsNotONodes) {
   EXPECT_LT(track_bytes, 256u * 1024u)
       << "begin_run(1M) allocated " << track_bytes
       << " bytes — per-node state crept in";
-  // Folds allocate NOTHING (relaxed fetch_adds on fixed slots).
+  round_tally tally(t);
+  // Folds allocate NOTHING (adds into a fixed per-slot tally).
   const std::size_t hooks_before =
       g_alloc_bytes.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < 1000; ++i) {
-    t->fold(t->shard_of(i * 997), 1, 0, 0, 0);
-    t->fold(t->shard_of(999'999 - i * 991), 0, 0, 0, 1);
+    tally.fold(t->shard_of(i * 997), 1, 0, 0, 0);
+    tally.fold(t->shard_of(999'999 - i * 991), 0, 0, 0, 1);
   }
   EXPECT_EQ(g_alloc_bytes.load(std::memory_order_relaxed), hooks_before);
   // Round barrier + snapshot + a tick stay O(shards) too.
-  t->end_round(0, 0);
+  tally.end_round(0, 0);
   const health::backend_snapshot snap = t->snapshot();
   EXPECT_EQ(snap.nodes, 1'000'000u);
   EXPECT_EQ(snap.shards.size(), 16u);

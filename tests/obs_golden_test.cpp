@@ -241,5 +241,46 @@ TEST(ObsGolden, FlightRecorderSpanEntries) {
   EXPECT_EQ(spans, want);
 }
 
+// A fan-out's tasks close their telemetry before their completion is
+// published, so everything is in place the moment run_chunks returns.
+TEST(ObsGolden, FourChunkFanOutIsRecordedWhenRunChunksReturns) {
+  parallel::work_stealing_pool pool(3);
+  auto& prof = profile::profiler::global();
+  auto& sink = trace::sink::global();
+  auto& reg = telemetry::registry::global();
+  const std::uint64_t completed0 =
+      reg.get_counter("parallel.work_stealing.tasks_completed").value();
+  const std::uint64_t task_us0 =
+      reg.get_histogram("parallel.work_stealing.task_us").count();
+  prof.disable();
+  prof.reset();
+  sink.clear();
+  prof.enable();
+  {
+    trace::trace_span root("obs_golden.fanout", "test");
+    pool.run_chunks(4, [](std::size_t) {});
+  }
+  prof.disable();
+  std::uint64_t task_calls = 0;
+  for (const profile::hot_frame& f : profile::hot_frames(prof.snapshot(), 64))
+    if (f.name == "parallel.work_stealing.task") task_calls += f.count;
+  EXPECT_EQ(task_calls, 4u);
+  std::size_t task_ends = 0;
+  const telemetry::json_value doc =
+      telemetry::parse_json(sink.export_chrome_trace());
+  for (const auto& e : doc.at("traceEvents").arr)
+    if (e.at("name").str == "parallel.work_stealing.task" &&
+        e.at("ph").str == "E")
+      ++task_ends;
+  EXPECT_EQ(task_ends, 4u);
+  EXPECT_EQ(reg.get_counter("parallel.work_stealing.tasks_completed").value() -
+                completed0,
+            4u);
+  EXPECT_EQ(reg.get_histogram("parallel.work_stealing.task_us").count() -
+                task_us0,
+            4u);
+  sink.clear();
+}
+
 }  // namespace
 }  // namespace cgp

@@ -1,11 +1,16 @@
 // Allocation behaviour of telemetry::scope over a resolved site: the
 // instrumented hot paths (pool tasks, supersteps, rule fires) open one per
-// call, so the scope itself must not allocate.
+// call, so the scope itself must not allocate.  The operation-counted
+// algorithm wrappers resolve their registry handles once, so a counted
+// call allocates nothing either.
 #include "alloc_hook.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <vector>
+
+#include "sequences/instrumented.hpp"
 
 #include "telemetry/profile.hpp"
 #include "telemetry/recorder.hpp"
@@ -81,6 +86,39 @@ TEST(ScopeAlloc, RegistryPathAllocatesOnlyTheFlightRecorderEntry) {
   EXPECT_EQ(registry::global().get_counter(std::string(kName) + ".calls")
                 .value(),
             static_cast<std::uint64_t>(kScopes));
+}
+
+TEST(ScopeAlloc, RegistryPathAllocatesNothingOnceTheRingHasLapped) {
+  profile::profiler::global().disable();
+  const scope_site site({.metrics = "scope_alloc_test.lapped_metrics"});
+  auto& recorder = live::flight_recorder::global();
+  const auto scopes = [&site](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      scope s(site);
+      s.charge(2);
+    }
+  };
+  // Warm-up: a full lap of the ring with this scope's own entries, so
+  // every slot's name buffer already fits the name.
+  scopes(recorder.capacity());
+  EXPECT_EQ(allocations([&scopes] { scopes(kScopes); }), 0u);
+}
+
+TEST(InstrumentedAlloc, LowerBoundCountAllocatesNothingAfterItsFirstCall) {
+  std::vector<int> sorted(4096);
+  for (std::size_t i = 0; i < sorted.size(); ++i)
+    sorted[i] = static_cast<int>(2 * i);
+  const auto search = [&sorted](int value) {
+    return sequences::instrumented::lower_bound_count(sorted.begin(),
+                                                      sorted.end(), value);
+  };
+  (void)search(0);  // the first call resolves the metric handles
+  std::uint64_t comparisons = 0;
+  EXPECT_EQ(allocations([&] {
+              for (int i = 0; i < kScopes; ++i) comparisons += search(i);
+            }),
+            0u);
+  EXPECT_GT(comparisons, 0u);
 }
 
 }  // namespace

@@ -549,4 +549,44 @@ TEST(TelemetryIntegration, PerTagMessageCountsMatchRegistry) {
             before + 12);
 }
 
+// A transport's run_stats accumulate over its runs; each run adds only its
+// own growth to the registry, so the registry moves exactly as stats() does.
+TEST(TelemetryIntegration, SecondRunAddsOnlyItsOwnGrowthToTheRegistry) {
+  auto& reg = telemetry::registry::global();
+  const auto counter = [&reg](const char* name) {
+    return reg.get_counter(std::string("distributed.network.") + name).value();
+  };
+  const char* const kCounters[] = {"messages_total", "messages_dropped",
+                                   "messages_duplicated", "local_steps",
+                                   "messages.beat"};
+  const auto stats_values = [](const distributed::run_stats& s) {
+    return std::vector<std::uint64_t>{s.messages_total, s.messages_dropped,
+                                      s.messages_duplicated, s.local_steps,
+                                      s.messages_for("beat")};
+  };
+  distributed::sim_transport net(
+      {.nodes = 64, .faults = {.drop = 0.05, .duplicate = 0.05}});
+  net.spawn(distributed::heartbeat_detector(3));
+  auto& run_messages = reg.get_histogram("distributed.network.run_messages");
+  std::vector<std::uint64_t> stats_before(std::size(kCounters), 0);
+  for (int run = 1; run <= 2; ++run) {
+    std::vector<std::uint64_t> reg_before;
+    for (const char* name : kCounters) reg_before.push_back(counter(name));
+    const std::uint64_t hist_count = run_messages.count();
+    const std::uint64_t hist_sum = run_messages.sum();
+    (void)net.run(5);
+    const std::vector<std::uint64_t> stats_after = stats_values(net.stats());
+    // 64 ring nodes beat to their 2 neighbours in each of 5 rounds.
+    EXPECT_EQ(stats_after[0] - stats_before[0], 640u) << "run " << run;
+    for (std::size_t i = 0; i < std::size(kCounters); ++i)
+      EXPECT_EQ(counter(kCounters[i]) - reg_before[i],
+                stats_after[i] - stats_before[i])
+          << kCounters[i] << ", run " << run;
+    EXPECT_EQ(run_messages.count() - hist_count, 1u) << "run " << run;
+    EXPECT_EQ(run_messages.sum() - hist_sum, 640u) << "run " << run;
+    stats_before = stats_after;
+  }
+  EXPECT_EQ(net.stats().messages_total, 1'280u);
+}
+
 }  // namespace
