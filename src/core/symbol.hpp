@@ -11,7 +11,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,24 +20,50 @@ namespace cgp::core {
 using symbol = std::uint32_t;
 inline constexpr symbol no_symbol = ~symbol{0};
 
+/// Names are stored back to back in one string and found through an
+/// open-addressing table of ids, so interning allocates only when one of
+/// the three buffers doubles.  A name's view lasts until the next intern.
 class symbol_table {
  public:
   /// The id of `s`, interning it on first sight.
   symbol intern(std::string_view s) {
-    if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
-    const auto id = static_cast<symbol>(names_.size());
-    ids_.emplace(names_.emplace_back(s), id);
-    return id;
+    if (2 * (size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = std::hash<std::string_view>{}(s) & mask;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == no_symbol) {
+        text_ += s;
+        ends_.push_back(static_cast<std::uint32_t>(text_.size()));
+        return slots_[i] = static_cast<symbol>(ends_.size() - 1);
+      }
+      if (name(slots_[i]) == s) return slots_[i];
+    }
   }
-  [[nodiscard]] std::string_view name(symbol id) const { return names_[id]; }
-  [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+  [[nodiscard]] std::string_view name(symbol id) const {
+    const std::uint32_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(text_).substr(begin, ends_[id] - begin);
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
 
  private:
-  struct hash : std::hash<std::string_view> {
-    using is_transparent = void;
-  };
-  std::unordered_map<std::string, symbol, hash, std::equal_to<>> ids_;
-  std::vector<std::string> names_;
+  /// Doubles the id table (at least 64 slots) and rehashes into it.
+  void grow() {
+    std::vector<symbol> slots(std::max<std::size_t>(64, 2 * slots_.size()),
+                              no_symbol);
+    const std::size_t mask = slots.size() - 1;
+    ends_.reserve(slots.size() / 2);
+    text_.reserve(8 * slots.size());
+    for (symbol id = 0; id < size(); ++id) {
+      std::size_t i = std::hash<std::string_view>{}(name(id)) & mask;
+      while (slots[i] != no_symbol) i = (i + 1) & mask;
+      slots[i] = id;
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::string text_;                ///< every name, back to back
+  std::vector<std::uint32_t> ends_;  ///< by id: where its name ends in text_
+  std::vector<symbol> slots_;       ///< ids by hash, no_symbol when empty
 };
 
 /// A map from symbol-like keys to values, kept as one vector sorted by key:

@@ -1,7 +1,7 @@
 #include "stllint/analyzer.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <utility>
 
 #include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
@@ -15,6 +15,11 @@ using position = iterator_state::position;
 using value_kind = abstract_value::kind;
 
 constexpr const char* kSeverityKey[] = {"error", "warning", "advice", "note"};
+
+/// Most analyses of one loop body per function entry that nested loops may
+/// multiply up to: a loop nested deeper gets one pass, so hostile nesting
+/// costs linear time, not max_loop_passes to the power of the depth.
+constexpr long kMaxBodyRuns = 1024;
 
 // Telemetry handles, each resolved once: the registry lookup takes a global
 // mutex and builds a string.  Per-severity counters are resolved on first
@@ -180,7 +185,7 @@ void join(const abstract_state& a, const abstract_state& b,
 
 class exec_impl {
  public:
-  exec_impl(analyzer& a, const ast_program& p) : a_(a) {
+  exec_impl(analyzer& a, const ast_program& p) : a_(a), p_(p) {
     // Rank the program's symbols in name order, once: states keyed by rank
     // iterate exactly as name-keyed maps would.  Member functions and
     // algorithms are classified here too, not at every call.
@@ -208,8 +213,8 @@ class exec_impl {
     ring_next_ = ring_size_ = 0;
     note({.w = what::enter, .line = fn.line, .subject = rank_of(fn.sym)});
     scratch st(*this, {});
-    for (const ast_param& p : fn.params) bind_param(p, *st);
-    if (fn.body) exec(*fn.body, *st);
+    for (const ast_param& p : p_.params_of(fn)) bind_param(p, *st);
+    if (fn.body != no_node) exec(p_.stmts[fn.body], *st);
   }
 
  private:
@@ -226,6 +231,19 @@ class exec_impl {
   }
   rank var_rank(const ast_expr& e) const {
     return e.k == ast_expr::kind::var ? rank_of(e.sym) : no_rank;
+  }
+  std::string_view name_of(const ast_expr& e) const {
+    return p_.symbols.name(e.sym);
+  }
+  /// Child `i` of `e`.
+  const ast_expr& kid(const ast_expr& e, std::size_t i) const {
+    return p_.exprs[p_.kids[e.first + i]];
+  }
+  const ast_expr* expr_at(node_id id) const {
+    return id == no_node ? nullptr : &p_.exprs[id];
+  }
+  const ast_stmt* stmt_at(node_id id) const {
+    return id == no_node ? nullptr : &p_.stmts[id];
   }
 
   /// A pooled abstract state: branch and loop scratch states recycle their
@@ -340,21 +358,17 @@ class exec_impl {
     const std::string key =
         std::to_string(line) + ":" + std::to_string(col) + ":" + msg;
     if (!a_.reported_.insert(key).second) return;
-    std::string echo;
+    std::string_view echo = a_.source_.line(line);
     int caret_col = 0;
-    const std::vector<std::string>& lines = *a_.source_lines_;
-    if (line >= 1 && static_cast<std::size_t>(line) <= lines.size()) {
-      echo = lines[static_cast<std::size_t>(line) - 1];
-      const std::size_t first = echo.find_first_not_of(" \t");
-      if (first != std::string::npos) {
-        echo = echo.substr(first);
-        caret_col = col - static_cast<int>(first);
-        if (caret_col < 1) caret_col = 0;
-      }
+    if (const std::size_t first = echo.find_first_not_of(" \t");
+        first != echo.npos) {
+      echo.remove_prefix(first);
+      caret_col = col - static_cast<int>(first);
+      if (caret_col < 1) caret_col = 0;
     }
     kDiagnosticsCounter[static_cast<std::size_t>(sev)]().add();
-    diagnostic d{sev, line, col, std::move(msg), std::move(echo), caret_col,
-                 {}};
+    diagnostic d{sev,       line, col, std::move(msg), std::string(echo),
+                 caret_col, {}};
     d.provenance.reserve(ring_size_);
     for (std::size_t i = ring_cap_ - ring_size_; i < ring_cap_; ++i)
       d.provenance.push_back(render(ring_[(ring_next_ + i) % ring_cap_]));
@@ -391,18 +405,19 @@ class exec_impl {
 
   void bind_param(const ast_param& p, abstract_state& st) {
     const rank r = rank_of(p.sym);
-    if (p.type.is_container()) {
-      const container_spec& spec = spec_for(p.type.container);
+    const mini_type& t = p_.types[p.type];
+    if (t.is_container()) {
+      const container_spec& spec = spec_for(op_table[t.container]);
       st.containers[r] = {
           .kind = &spec,
           .size = interval{0, interval::pos_inf},
           .sorted = spec.keeps_sorted ? sorted3::yes : sorted3::unknown};
-    } else if (p.type.is_iterator()) {
+    } else if (t.is_iterator()) {
       st.values[r] = abstract_value::iterator(
           iterator_state::at(position::somewhere, no_rank));
-    } else if (p.type.k == mini_type::kind::int_t) {
+    } else if (t.k == mini_type::kind::int_t) {
       st.values[r] = abstract_value::integer(interval::unknown());
-    } else if (p.type.k == mini_type::kind::bool_t) {
+    } else if (t.k == mini_type::kind::bool_t) {
       st.values[r] = abstract_value::boolean(std::nullopt);
     } else {
       st.values[r] = abstract_value::unknown_value();
@@ -518,8 +533,8 @@ class exec_impl {
     if (pos.k != value_kind::iterator) return false;
     if (pos.iter.container != no_rank && pos.iter.container != cont)
       report(severity::warning, e.line, e.column,
-             "iterator into '" + spelled(pos.iter.container) +
-                 "' passed to '" + spelled(cont) + "'." + e.text);
+             cat({"iterator into '", spelled(pos.iter.container),
+                  "' passed to '", spelled(cont), "'.", name_of(e)}));
     if (pos.iter.valid == validity::valid) return true;
     report(severity::warning, e.line, e.column,
            singular + because(pos.iter.reason));
@@ -531,11 +546,8 @@ class exec_impl {
   abstract_value eval(const ast_expr& e, abstract_state& st) {
     ++a_.stats_.expressions;
     switch (e.k) {
-      case ast_expr::kind::int_lit: {
-        long v = 0;
-        std::from_chars(e.text.data(), e.text.data() + e.text.size(), v);
-        return abstract_value::integer(interval::exact(v));
-      }
+      case ast_expr::kind::int_lit:
+        return abstract_value::integer(interval::exact(e.value));
       case ast_expr::kind::double_lit:
       case ast_expr::kind::string_lit:
         return abstract_value::unknown_value();
@@ -546,7 +558,7 @@ class exec_impl {
       case ast_expr::kind::unary:
         return eval_unary(e, st);
       case ast_expr::kind::postfix:
-        return eval_incdec(e, *e.children[0], e.op == op_of("++"), st);
+        return eval_incdec(e, kid(e, 0), e.op == op_of("++"), st);
       case ast_expr::kind::binary:
         return eval_binary(e, st);
       case ast_expr::kind::assign:
@@ -565,12 +577,12 @@ class exec_impl {
     if (st.containers.find(r) != nullptr)
       return {.k = value_kind::container_ref, .container = r};
     report(severity::error, e.line, e.column,
-           "use of undeclared variable '" + e.text + "'");
+           cat({"use of undeclared variable '", name_of(e), "'"}));
     return abstract_value::unknown_value();
   }
 
   abstract_value eval_unary(const ast_expr& e, abstract_state& st) {
-    const ast_expr& operand = *e.children[0];
+    const ast_expr& operand = kid(e, 0);
     if (e.op == op_of("*")) {
       const abstract_value v = eval(operand, st);
       if (v.k == value_kind::iterator)
@@ -623,16 +635,16 @@ class exec_impl {
   }
 
   abstract_value eval_binary(const ast_expr& e, abstract_state& st) {
-    const abstract_value a = eval(*e.children[0], st);
-    const abstract_value b = eval(*e.children[1], st);
+    const abstract_value a = eval(kid(e, 0), st);
+    const abstract_value b = eval(kid(e, 1), st);
     const op_id op = e.op;
     const bool eq_op = op == op_of("==") || op == op_of("!=");
 
     // Iterator comparison: flag cross-container comparisons.
     if (a.k == value_kind::iterator && b.k == value_kind::iterator) {
       // Any comparison verifies a search result (the `it != end()` idiom).
-      for (const auto& child : e.children)
-        if (iterator_state* s = iterator_var(st, var_rank(*child)))
+      for (const node_id child : p_.children(e))
+        if (iterator_state* s = iterator_var(st, var_rank(p_.exprs[child])))
           s->unverified_from = nullptr;
       if (a.iter.container != no_rank && b.iter.container != no_rank &&
           a.iter.container != b.iter.container) {
@@ -727,14 +739,14 @@ class exec_impl {
   }
 
   abstract_value eval_assign(const ast_expr& e, abstract_state& st) {
-    const ast_expr& target = *e.children[0];
-    abstract_value rhs = eval(*e.children[1], st);
+    const ast_expr& target = kid(e, 0);
+    abstract_value rhs = eval(kid(e, 1), st);
 
     if (target.k == ast_expr::kind::unary && target.op == op_of("*")) {
       // *it = value: a dereference-write; run the read checks.
-      const abstract_value it = eval(*target.children[0], st);
+      const abstract_value it = eval(kid(target, 0), st);
       if (it.k == value_kind::iterator) {
-        check_deref(st, it.iter, var_rank(*target.children[0]), target.line,
+        check_deref(st, it.iter, var_rank(kid(target, 0)), target.line,
                     target.column);
         // Writing through an iterator can break sortedness.
         if (container_state* c = container_of(st, it.iter.container))
@@ -777,12 +789,12 @@ class exec_impl {
   }
 
   abstract_value eval_member_call(const ast_expr& e, abstract_state& st) {
-    const ast_expr& object = *e.children[0];
+    const ast_expr& object = kid(e, 0);
     const rank name = var_rank(object);
     container_state* cp = container_of(st, name);
     if (cp == nullptr) {
       // Unknown receiver: evaluate everything for its side diagnostics.
-      for (const auto& c : e.children) (void)eval(*c, st);
+      for (const node_id c : p_.children(e)) (void)eval(p_.exprs[c], st);
       return abstract_value::unknown_value();
     }
     // Expression evaluation never adds containers, so `c` stays valid.
@@ -790,9 +802,7 @@ class exec_impl {
     const container_spec& spec = *c.kind;
     const std::string cname = spelled(name);
 
-    const auto eval_arg = [&](std::size_t i) {
-      return eval(*e.children[i], st);
-    };
+    const auto eval_arg = [&](std::size_t i) { return eval(kid(e, i), st); };
     // One more element: an unsorted container stops being sorted.
     const auto grow = [&] {
       const bool was_empty = c.size.hi == 0;
@@ -828,7 +838,7 @@ class exec_impl {
         if (c.size.lo >= 1) return abstract_value::boolean(false);
         return abstract_value::boolean(std::nullopt);
       case m_push_back: {
-        if (e.children.size() > 1) (void)eval_arg(1);
+        if (e.count > 1) (void)eval_arg(1);
         if (!spec.has_push_back)
           report(severity::error, e.line, e.column,
                  "'" + spec.kind + "' has no push_back");
@@ -858,15 +868,15 @@ class exec_impl {
         return abstract_value::unknown_value();
       case m_insert: {
         // set.insert(x) or sequence.insert(it, x).
-        if (e.children.size() >= 3) {
+        if (e.count >= 3) {
           const abstract_value pos = eval_arg(1);
           (void)eval_arg(2);
-          const rank pos_var = var_rank(*e.children[1]);
+          const rank pos_var = var_rank(kid(e, 1));
           check_position(st, pos, pos_var, name, e,
                          "insert position is a singular iterator");
           apply_invalidation(st, name, spec.on_insert, m_insert, e.line,
                              pos.iter, pos_var);
-        } else if (e.children.size() == 2) {
+        } else if (e.count == 2) {
           (void)eval_arg(1);
           apply_invalidation(st, name, spec.on_insert, m_insert, e.line);
         }
@@ -878,9 +888,9 @@ class exec_impl {
       case m_erase: {
         abstract_value pos;
         rank arg_var = no_rank;
-        if (e.children.size() >= 2) {
+        if (e.count >= 2) {
           pos = eval_arg(1);
-          arg_var = var_rank(*e.children[1]);
+          arg_var = var_rank(kid(e, 1));
         }
         if (check_position(st, pos, arg_var, name, e,
                            "attempt to erase through a singular iterator") &&
@@ -907,20 +917,20 @@ class exec_impl {
       case m_back:
         if (c.size.hi == 0)
           report(severity::warning, e.line, e.column,
-                 e.text + "() on an empty container '" + cname + "'");
+                 cat({name_of(e), "() on an empty container '", cname, "'"}));
         return abstract_value::unknown_value();
       case m_sort:  // list::sort
         c.sorted = sorted3::yes;
         return abstract_value::unknown_value();
       case m_reserve:
         // May reallocate: vector iterators die; size unchanged.
-        if (e.children.size() > 1) (void)eval_arg(1);
+        if (e.count > 1) (void)eval_arg(1);
         if (spec.kind == "vector")
           invalidate_all(st, name, {m_reserve, name}, e.line);
         return abstract_value::unknown_value();
       case m_resize: {
         abstract_value arg;
-        if (e.children.size() > 1) arg = eval_arg(1);
+        if (e.count > 1) arg = eval_arg(1);
         apply_invalidation(st, name, spec.on_push_back, m_resize, e.line);
         c.size = arg.k == value_kind::integer
                      ? arg.num.clamp_lo(0)
@@ -931,8 +941,8 @@ class exec_impl {
       case m_swap:
         // Swap container states; iterators keep following their elements,
         // so they now belong to the *other* variable and stay valid.
-        if (e.children.size() > 1) {
-          const rank other = var_rank(*e.children[1]);
+        if (e.count > 1) {
+          const rank other = var_rank(kid(e, 1));
           if (container_state* oc = container_of(st, other)) {
             std::swap(c, *oc);
             for (auto& [vn, v] : st.values) {
@@ -946,14 +956,14 @@ class exec_impl {
         }
         return abstract_value::unknown_value();
       case m_find:  // set::find
-        for (std::size_t i = 1; i < e.children.size(); ++i) (void)eval_arg(i);
+        for (std::size_t i = 1; i < e.count; ++i) (void)eval_arg(i);
         return abstract_value::iterator(
             iterator_state::at(position::somewhere, name));
       default:
         report(severity::note, e.line, e.column,
-               "unmodeled member function '" + e.text + "' on '" + cname +
-                   "'; assuming no effect");
-        for (std::size_t i = 1; i < e.children.size(); ++i) (void)eval_arg(i);
+               cat({"unmodeled member function '", name_of(e), "' on '", cname,
+                    "'; assuming no effect"}));
+        for (std::size_t i = 1; i < e.count; ++i) (void)eval_arg(i);
         return abstract_value::unknown_value();
     }
   }
@@ -962,16 +972,16 @@ class exec_impl {
     const algorithm_spec* spec = ranked_[rank_of(e.sym)].algorithm;
     if (spec == nullptr) {
       // Opaque user function: assumed pure; arguments still checked.
-      for (const auto& c : e.children) (void)eval(*c, st);
+      for (const node_id c : p_.children(e)) (void)eval(p_.exprs[c], st);
       return abstract_value::unknown_value();
     }
     abstract_value first_arg, last_arg;
-    for (std::size_t i = 0; i < e.children.size(); ++i) {
-      const abstract_value v = eval(*e.children[i], st);
+    for (std::size_t i = 0; i < e.count; ++i) {
+      const abstract_value v = eval(kid(e, i), st);
       if (i == 0) first_arg = v;
       if (i == 1) last_arg = v;
     }
-    if (e.children.size() < spec->range_args) {
+    if (e.count < spec->range_args) {
       report(severity::error, e.line, e.column,
              "'" + spec->name + "' expects an iterator range");
       return abstract_value::unknown_value();
@@ -993,8 +1003,8 @@ class exec_impl {
         report(severity::warning, e.line, e.column,
                "singular iterator used as a range boundary in '" +
                    spec->name + "'");
-        heal(st, var_rank(*e.children[0]));
-        heal(st, var_rank(*e.children[1]));
+        heal(st, var_rank(kid(e, 0)));
+        heal(st, var_rank(kid(e, 1)));
       }
       cont = first.container == no_rank ? last.container : first.container;
     }
@@ -1056,21 +1066,21 @@ class exec_impl {
   // --- branch refinement ----------------------------------------------------
   void refine(abstract_state& st, const ast_expr& cond, bool branch) {
     if (cond.k == ast_expr::kind::unary && cond.op == op_of("!")) {
-      refine(st, *cond.children[0], !branch);
+      refine(st, kid(cond, 0), !branch);
       return;
     }
     const op_id op = cond.op;
     if (cond.k == ast_expr::kind::binary &&
         (op == op_of("&&") || op == op_of("||"))) {
       if ((op == op_of("&&")) == branch) {
-        refine(st, *cond.children[0], branch);
-        refine(st, *cond.children[1], branch);
+        refine(st, kid(cond, 0), branch);
+        refine(st, kid(cond, 1), branch);
       }
       return;
     }
     if (cond.k == ast_expr::kind::member_call &&
         ranked_[rank_of(cond.sym)].member == m_empty) {
-      if (container_state* c = container_of(st, var_rank(*cond.children[0]))) {
+      if (container_state* c = container_of(st, var_rank(kid(cond, 0)))) {
         if (branch) {
           c->size = interval::exact(0);
           c->sorted = sorted3::yes;
@@ -1087,18 +1097,18 @@ class exec_impl {
     const auto end_call_container = [&](const ast_expr& x) -> rank {
       if (x.k == ast_expr::kind::member_call &&
           ranked_[rank_of(x.sym)].member == m_end) {
-        const rank c = var_rank(*x.children[0]);
+        const rank c = var_rank(kid(x, 0));
         if (st.containers.find(c) != nullptr) return c;
       }
       return no_rank;
     };
     if (op == op_of("==") || op == op_of("!=")) {
       const ast_expr* var_side = nullptr;
-      rank endc = end_call_container(*cond.children[1]);
+      rank endc = end_call_container(kid(cond, 1));
       if (endc != no_rank) {
-        var_side = cond.children[0].get();
-      } else if ((endc = end_call_container(*cond.children[0])) != no_rank) {
-        var_side = cond.children[1].get();
+        var_side = &kid(cond, 0);
+      } else if ((endc = end_call_container(kid(cond, 0))) != no_rank) {
+        var_side = &kid(cond, 1);
       }
       if (var_side != nullptr && var_side->k == ast_expr::kind::var) {
         iterator_state* it = iterator_var(st, rank_of(var_side->sym));
@@ -1119,14 +1129,12 @@ class exec_impl {
     // Integer var vs literal refinement.
     const auto as_lit = [](const ast_expr& x) -> std::optional<long> {
       if (x.k != ast_expr::kind::int_lit) return std::nullopt;
-      long v = 0;
-      std::from_chars(x.text.data(), x.text.data() + x.text.size(), v);
-      return v;
+      return x.value;
     };
-    const bool var_on_left = cond.children[0]->k == ast_expr::kind::var &&
-                             as_lit(*cond.children[1]).has_value();
-    const ast_expr& var_side = *cond.children[var_on_left ? 0 : 1];
-    const std::optional<long> lit = as_lit(*cond.children[var_on_left ? 1 : 0]);
+    const bool var_on_left = kid(cond, 0).k == ast_expr::kind::var &&
+                             as_lit(kid(cond, 1)).has_value();
+    const ast_expr& var_side = kid(cond, var_on_left ? 0 : 1);
+    const std::optional<long> lit = as_lit(kid(cond, var_on_left ? 1 : 0));
     if (var_side.k != ast_expr::kind::var || !lit) return;
     abstract_value* v = st.values.find(rank_of(var_side.sym));
     if (v == nullptr || v->k != value_kind::integer) return;
@@ -1149,40 +1157,42 @@ class exec_impl {
     ++a_.stats_.statements;
     switch (s.k) {
       case ast_stmt::kind::block:
-        for (const auto& inner : s.body) exec(*inner, st);
+        for (const node_id inner : p_.body(s)) exec(p_.stmts[inner], st);
         return;
       case ast_stmt::kind::decl:
         exec_decl(s, st);
         return;
       case ast_stmt::kind::expr:
-        if (s.e1) (void)eval(*s.e1, st);
+        if (s.e1 != no_node) (void)eval(p_.exprs[s.e1], st);
         return;
       case ast_stmt::kind::if_stmt: {
         // A condition that failed to parse is unknown: both arms run.
-        const abstract_value cond =
-            s.e1 ? eval(*s.e1, st) : abstract_value::unknown_value();
+        const ast_expr* cond_expr = expr_at(s.e1);
+        const abstract_value cond = cond_expr != nullptr
+                                        ? eval(*cond_expr, st)
+                                        : abstract_value::unknown_value();
         scratch then_state(*this, st);
-        if (s.e1) refine(*then_state, *s.e1, true);
+        if (cond_expr != nullptr) refine(*then_state, *cond_expr, true);
         if (cond.truth == std::optional<bool>(false))
           then_state->reachable = false;
-        if (s.s1) exec(*s.s1, *then_state);
+        if (s.s1 != no_node) exec(p_.stmts[s.s1], *then_state);
         scratch else_state(*this, st);
-        if (s.e1) refine(*else_state, *s.e1, false);
+        if (cond_expr != nullptr) refine(*else_state, *cond_expr, false);
         if (cond.truth == std::optional<bool>(true))
           else_state->reachable = false;
-        if (s.s2) exec(*s.s2, *else_state);
+        if (s.s2 != no_node) exec(p_.stmts[s.s2], *else_state);
         join(*then_state, *else_state, st);
         return;
       }
       case ast_stmt::kind::while_stmt:
-        exec_loop(s.e1.get(), s.s1.get(), nullptr, st);
+        exec_loop(s, expr_at(s.e1), stmt_at(s.s1), nullptr, st);
         return;
       case ast_stmt::kind::for_stmt:
-        if (s.s1) exec(*s.s1, st);
-        exec_loop(s.e1.get(), s.s2.get(), s.e2.get(), st);
+        if (s.s1 != no_node) exec(p_.stmts[s.s1], st);
+        exec_loop(s, expr_at(s.e1), stmt_at(s.s2), expr_at(s.e2), st);
         return;
       case ast_stmt::kind::return_stmt:
-        if (s.e1) (void)eval(*s.e1, st);
+        if (s.e1 != no_node) (void)eval(p_.exprs[s.e1], st);
         st.reachable = false;
         return;
       case ast_stmt::kind::break_stmt:
@@ -1196,16 +1206,16 @@ class exec_impl {
   }
 
   void exec_decl(const ast_stmt& s, abstract_state& st) {
-    const mini_type& t = s.decl_type;
+    const mini_type& t = p_.types[s.decl_type];
     const rank name = rank_of(s.sym);
     if (t.is_container()) {
-      container_state c{.kind = &spec_for(t.container)};
-      if (s.e1) {
-        const abstract_value init = eval(*s.e1, st);
+      container_state c{.kind = &spec_for(op_table[t.container])};
+      if (s.e1 != no_node) {
+        const abstract_value init = eval(p_.exprs[s.e1], st);
         if (init.k == value_kind::container_ref) {
           if (container_state* src = container_of(st, init.container))
             c = *src;
-          c.kind = &spec_for(t.container);
+          c.kind = &spec_for(op_table[t.container]);
         }
       }
       st.containers[name] = c;
@@ -1215,8 +1225,8 @@ class exec_impl {
       return;
     }
     abstract_value v;
-    if (s.e1) {
-      v = eval(*s.e1, st);
+    if (s.e1 != no_node) {
+      v = eval(p_.exprs[s.e1], st);
       if (t.is_iterator() && v.k != value_kind::iterator)
         v = abstract_value::iterator(
             iterator_state::at(position::somewhere, no_rank));
@@ -1238,8 +1248,9 @@ class exec_impl {
     st.containers.erase(name);
   }
 
-  void exec_loop(const ast_expr* cond, const ast_stmt* body,
-                 const ast_expr* step_expr, abstract_state& st) {
+  void exec_loop(const ast_stmt& loop, const ast_expr* cond,
+                 const ast_stmt* body, const ast_expr* step_expr,
+                 abstract_state& st) {
     static telemetry::histogram& passes_histogram =
         telemetry::registry::global().get_histogram(
             "stllint.analyzer.loop_fixpoint_passes");
@@ -1249,9 +1260,18 @@ class exec_impl {
     std::vector<abstract_state>* saved = loop_breaks_;
     loop_breaks_ = &breaks;
 
+    int passes = a_.opt_.max_loop_passes;
+    if (body_runs_ > 1 && body_runs_ * passes > kMaxBodyRuns) {
+      passes = 1;
+      report(severity::note, loop.line, loop.column,
+             "loop nested too deeply to analyze to a fixpoint; analyzed in "
+             "one pass");
+    }
+    const long outer_runs = body_runs_;
+    body_runs_ *= passes;
     int passes_used = 0;
     const int loop_line = cond != nullptr ? cond->line : 0;
-    for (int pass = 0; pass < a_.opt_.max_loop_passes; ++pass) {
+    for (int pass = 0; pass < passes; ++pass) {
       static const telemetry::scope_site kPass(
           {.frame = "stllint.analyzer.pass"});
       const telemetry::scope pass_scope(kPass);
@@ -1281,6 +1301,7 @@ class exec_impl {
       std::swap(*cur, *merged);
     }
     loop_breaks_ = saved;
+    body_runs_ = outer_runs;
     passes_histogram.record(static_cast<std::uint64_t>(passes_used));
     for (const abstract_state& b : breaks) {
       join(*exit, b, *merged);
@@ -1291,18 +1312,19 @@ class exec_impl {
   }
 
   analyzer& a_;
+  const ast_program& p_;
   std::vector<symbol_info> ranked_;  ///< by rank
   std::vector<rank> rank_of_;        ///< by symbol
   std::vector<abstract_state> pool_;  ///< recycled scratch states
   std::vector<abstract_state>* loop_breaks_ = nullptr;
+  long body_runs_ = 1;  ///< passes of the enclosing loops, multiplied
   /// Ring of the most recent steps; copied into each diagnostic as its
   /// provenance (see diagnostics.hpp).
   std::vector<step> ring_;
   std::size_t ring_cap_ = 0, ring_next_ = 0, ring_size_ = 0;
 };
 
-void analyzer::run(const ast_program& program,
-                   const std::vector<std::string>& source) {
+void analyzer::run(const ast_program& program, source_view source) {
   static const telemetry::scope_site kRun({.trace = "stllint.analyzer.run",
                                            .cat = "stllint",
                                            .frame = "stllint.analyzer.run"});
@@ -1315,13 +1337,13 @@ void analyzer::run(const ast_program& program,
   static telemetry::gauge& last_run_diagnostics =
       telemetry::registry::global().get_gauge(
           "stllint.analyzer.last_run_diagnostics");
-  source_lines_ = &source;
+  source_ = std::move(source);
   const stats before = stats_;
   {
     exec_impl impl(*this, program);
     for (const ast_function& fn : program.functions) impl.run_function(fn);
   }
-  source_lines_ = nullptr;
+  source_ = {};
   runs.add();
   functions.add(stats_.functions - before.functions);
   statements.add(stats_.statements - before.statements);

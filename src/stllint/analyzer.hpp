@@ -152,7 +152,9 @@ void join(const abstract_state& a, const abstract_state& b,
 
 /// Analyzer options.
 struct options {
-  int max_loop_passes = 3;   ///< bounded fixpoint iterations per loop
+  /// Bounded fixpoint iterations per loop.  A nested loop whose enclosing
+  /// loops' passes multiply past 1,024 gets one pass (and a note).
+  int max_loop_passes = 3;
   bool advisories = true;    ///< emit optimization advice (Section 3.2)
   /// Most recent symbolic-execution steps attached to each diagnostic as
   /// its provenance trail (0 disables provenance collection).
@@ -175,9 +177,9 @@ class analyzer {
       : opt_(opt), registry_(&reg) {}
 
   /// Analyzes every function in the program; diagnostics accumulate.
-  /// `source` (lines to echo in diagnostics) is read only during the call.
-  void run(const ast_program& program,
-           const std::vector<std::string>& source = {});
+  /// `source` (the lines to echo in diagnostics) is read only during the
+  /// call.
+  void run(const ast_program& program, source_view source = {});
 
   [[nodiscard]] const diagnostics& diags() const noexcept { return diags_; }
   [[nodiscard]] const stats& statistics() const noexcept { return stats_; }
@@ -189,7 +191,7 @@ class analyzer {
   diagnostics diags_;
   stats stats_;
   std::set<std::string> reported_;  ///< dedup key: "line:col:message"
-  const std::vector<std::string>* source_lines_ = nullptr;  ///< during run
+  source_view source_;  ///< during run
 };
 
 }  // namespace cgp::stllint

@@ -82,4 +82,24 @@ struct token {
 /// Splits `source` into physical lines (for echoing in diagnostics).
 [[nodiscard]] std::vector<std::string> source_lines(std::string_view source);
 
+/// The lines of a translation unit, for echoing in diagnostics: read from
+/// the source text itself, or from lines already split by `source_lines`.
+/// Views what it is built from, which must outlive it.
+class source_view {
+ public:
+  source_view() = default;
+  source_view(std::string_view text) : text_(text) {}
+  source_view(const std::vector<std::string>& lines) : lines_(&lines) {}
+
+  /// Line `n` (from 1) without its newline; empty past the last line.
+  [[nodiscard]] std::string_view line(int n) const;
+
+ private:
+  std::string_view text_;
+  const std::vector<std::string>* lines_ = nullptr;
+  /// Where each line of `text_` starts, found at the first lookup, so
+  /// each later one costs the same however long the text.
+  mutable std::vector<std::size_t> starts_;
+};
+
 }  // namespace cgp::stllint

@@ -23,6 +23,4 @@ inline constexpr int kMaxParseDepth = 128;
 [[nodiscard]] ast_program parse(const std::vector<token>& tokens,
                                 diagnostics& diags);
 
-[[nodiscard]] std::string mini_type_to_string(const mini_type& t);
-
 }  // namespace cgp::stllint

@@ -4,9 +4,9 @@
 
 namespace cgp::stllint {
 
-const container_spec& spec_for(const std::string& kind) {
-  static const std::map<std::string, container_spec> specs = [] {
-    std::map<std::string, container_spec> m;
+const container_spec& spec_for(std::string_view kind) {
+  static const std::map<std::string, container_spec, std::less<>> specs = [] {
+    std::map<std::string, container_spec, std::less<>> m;
     // vector: contiguous storage.  insert/erase shift elements; push_back
     // may reallocate.  The C++ standard invalidates at-and-after the point
     // of change (and everything on reallocation); like STLlint we use the

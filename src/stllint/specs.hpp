@@ -37,7 +37,7 @@ struct container_spec {
 
 /// Returns the spec for a container kind; unknown kinds get a maximally
 /// conservative spec.
-[[nodiscard]] const container_spec& spec_for(const std::string& kind);
+[[nodiscard]] const container_spec& spec_for(std::string_view kind);
 
 /// What a generic algorithm requires and guarantees — the machine-readable
 /// core of an algorithm concept (Section 3.1's entry/exit handlers).

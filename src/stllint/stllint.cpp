@@ -10,7 +10,7 @@ lint_result lint_source(std::string_view source, const options& opt) {
   const std::vector<token> toks = tokenize(source, result.diags);
   const ast_program program = parse(toks, result.diags);
   analyzer a(opt);
-  a.run(program, source_lines(source));
+  a.run(program, source);
   for (const diagnostic& d : a.diags()) result.diags.push_back(d);
   result.stats = a.statistics();
   return result;

@@ -10,9 +10,11 @@
 #include <new>
 
 namespace {
-/// Bytes and calls of every counted operator new since the program began.
+/// Bytes and calls of every counted operator new since the program began,
+/// and the counted operator deletes of a block.
 std::atomic<std::size_t> g_alloc_bytes{0};
 std::atomic<std::size_t> g_alloc_calls{0};
+std::atomic<std::size_t> g_free_calls{0};
 /// Set on a thread whose allocations a test deliberately leaves out.
 thread_local bool t_uncounted = false;
 
@@ -24,11 +26,16 @@ void* counted_alloc(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+void counted_free(void* p) noexcept {
+  if (p != nullptr && !t_uncounted)
+    g_free_calls.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }

@@ -1,15 +1,20 @@
-// Allocation behaviour of STLlint's symbolic executor: branch and loop
-// states recycle their buffers, so the number of allocations an analysis
-// makes does not grow with the number of loop passes it runs.
+// Allocation behaviour of STLlint: the parser builds a flat tree with a
+// small constant number of allocations and drops it without walking it,
+// and the symbolic executor's branch and loop states recycle their
+// buffers, so the number of allocations an analysis makes does not grow
+// with the number of loop passes it runs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 // Whole-binary counting operator new/delete.
 #include "alloc_hook.hpp"
+#include "check/gen.hpp"
+#include "check/minicpp_gen.hpp"
 #include "stllint/analyzer.hpp"
 #include "stllint/lexer.hpp"
 #include "stllint/parser.hpp"
@@ -21,6 +26,81 @@ namespace {
 static_assert(std::is_trivially_copyable_v<token>);
 static_assert(std::is_trivially_copyable_v<container_state>);
 static_assert(std::is_trivially_copyable_v<abstract_value>);
+// AST nodes own nothing, so a tree is destroyed by freeing its vectors.
+static_assert(std::is_trivially_destructible_v<ast_expr>);
+static_assert(std::is_trivially_destructible_v<ast_stmt>);
+static_assert(std::is_trivially_destructible_v<mini_type>);
+static_assert(std::is_trivially_destructible_v<ast_function>);
+
+/// Allocations made by parsing `source` (its tokens made beforehand).
+std::size_t parse_allocations(const std::string& source) {
+  diagnostics diags;
+  const std::vector<token> toks = tokenize(source, diags);
+  const std::size_t before = g_alloc_calls.load();
+  const ast_program program = parse(toks, diags);
+  return g_alloc_calls.load() - before;
+}
+
+TEST(StllintAlloc, ParsingAGeneratedProgramMakesAFewAllocations) {
+  for (std::size_t i = 0; i < 200; ++i) {
+    const std::string src =
+        check::generate_minicpp(check::case_seed(0xa110c, i));
+    EXPECT_LE(parse_allocations(src), 32u) << src;
+  }
+}
+
+/// `n` copies of one function, each with a name of its own.
+std::string functions(int n) {
+  std::string src;
+  for (int f = 0; f < n; ++f)
+    src += "int f" + std::to_string(f) +
+           "(vector<int>& v, list<int>& l, int n) {\n"
+           "  int total = 0;\n"
+           "  for (vector<int>::iterator it = v.begin(); it != v.end(); ++it)\n"
+           "    total = total + weigh(*it, n * 2);\n"
+           "  if (total > 10) l.push_back(total); else v.clear();\n"
+           "  while (!l.empty()) { l.pop_back(); }\n"
+           "  return total;\n"
+           "}\n";
+  return src;
+}
+
+// Every buffer is sized from the token count, so a larger program adds at
+// most the symbol table's doublings (three buffers each time).
+TEST(StllintAlloc, ParseAllocationsDoNotGrowWithTheProgram) {
+  const std::size_t one = parse_allocations(functions(1));
+  EXPECT_LE(one, 32u);
+  for (int n = 2; n <= 12; ++n) {
+    const std::size_t many = parse_allocations(functions(n));
+    EXPECT_LE(many, 32u) << n << " functions";
+    EXPECT_LE(many, one + 3) << n << " functions";
+  }
+}
+
+// Destroying a tree nested at the parser's depth limit frees exactly as
+// many blocks as destroying a flat one: destruction never follows a
+// child, so it cannot recurse.
+TEST(StllintAlloc, DestroyingTheDeepestTreeDoesNotWalkIt) {
+  const auto frees_on_destruction = [](const std::string& source) {
+    diagnostics diags;
+    const std::vector<token> toks = tokenize(source, diags);
+    std::optional<ast_program> program(parse(toks, diags));
+    EXPECT_TRUE(diags.empty()) << diags.front().message;
+    const std::size_t before = g_free_calls.load();
+    program.reset();
+    return g_free_calls.load() - before;
+  };
+  const std::string parens = "void f() {\n  int x = " +
+                             std::string(kMaxParseDepth - 2, '(') + "1" +
+                             std::string(kMaxParseDepth - 2, ')') + ";\n}\n";
+  std::string ifs = "void f(int c) {\n";
+  for (int i = 0; i < kMaxParseDepth - 1; ++i) ifs += "if (c) ";
+  ifs += "return;\n}\n";
+  const std::size_t flat = frees_on_destruction("void f(int c) { c = 1; }");
+  EXPECT_LE(flat, 16u);
+  EXPECT_EQ(frees_on_destruction(parens), flat);
+  EXPECT_EQ(frees_on_destruction(ifs), flat);
+}
 
 // `i` widens on every pass, so the loop never reaches a fixpoint and runs
 // exactly max_loop_passes passes, each through a branch.

@@ -251,25 +251,34 @@ struct coverage {
   std::set<std::string> callees;  ///< member functions and free functions
   std::set<std::string> containers;
 
+  void walk(const ast_program& p) {
+    for (const ast_function& fn : p.functions) {
+      for (const ast_param& prm : p.params_of(fn)) type(p.types[prm.type]);
+      stmt(p, fn.body);
+    }
+  }
   void type(const mini_type& t) {
-    if (t.is_container() || t.is_iterator()) containers.insert(t.container);
+    if (t.is_container() || t.is_iterator())
+      containers.insert(std::string(op_table[t.container]));
   }
-  void expr(const ast_expr* e) {
-    if (e == nullptr) return;
-    exprs.insert(e->k);
-    if (e->k == ast_expr::kind::member_call || e->k == ast_expr::kind::call)
-      callees.insert(e->text);
-    for (const auto& c : e->children) expr(c.get());
+  void expr(const ast_program& p, node_id id) {
+    if (id == no_node) return;
+    const ast_expr& e = p.exprs[id];
+    exprs.insert(e.k);
+    if (e.k == ast_expr::kind::member_call || e.k == ast_expr::kind::call)
+      callees.insert(std::string(p.symbols.name(e.sym)));
+    for (const node_id c : p.children(e)) expr(p, c);
   }
-  void stmt(const ast_stmt* s) {
-    if (s == nullptr) return;
-    stmts.insert(s->k);
-    type(s->decl_type);
-    expr(s->e1.get());
-    expr(s->e2.get());
-    stmt(s->s1.get());
-    stmt(s->s2.get());
-    for (const auto& b : s->body) stmt(b.get());
+  void stmt(const ast_program& p, node_id id) {
+    if (id == no_node) return;
+    const ast_stmt& s = p.stmts[id];
+    stmts.insert(s.k);
+    type(p.types[s.decl_type]);
+    expr(p, s.e1);
+    expr(p, s.e2);
+    stmt(p, s.s1);
+    stmt(p, s.s2);
+    for (const node_id b : p.body(s)) stmt(p, b);
   }
 };
 
@@ -278,11 +287,7 @@ TEST(StllintGolden, GeneratorReachesTheWholeGrammar) {
   for (std::size_t i = 0; i < 400; ++i) {
     const std::string src = corpus_program(i);
     diagnostics diags;
-    const ast_program p = parse(tokenize(src, diags), diags);
-    for (const ast_function& fn : p.functions) {
-      for (const ast_param& prm : fn.params) cov.type(prm.type);
-      cov.stmt(fn.body.get());
-    }
+    cov.walk(parse(tokenize(src, diags), diags));
   }
   EXPECT_EQ(cov.stmts.size(), 9u);
   EXPECT_EQ(cov.exprs.size(), 11u);

@@ -77,10 +77,10 @@ TEST(Parser, ParsesFunctionWithControlFlow) {
   const ast_program p = parse(toks, diags);
   EXPECT_TRUE(diags.empty()) << (diags.empty() ? "" : diags[0].message);
   ASSERT_EQ(p.functions.size(), 1u);
-  EXPECT_EQ(p.functions[0].name, "f");
-  ASSERT_EQ(p.functions[0].params.size(), 2u);
-  EXPECT_TRUE(p.functions[0].params[0].by_ref);
-  EXPECT_EQ(p.functions[0].params[0].type.to_string(), "vector<int>");
+  EXPECT_EQ(p.symbols.name(p.functions[0].sym), "f");
+  ASSERT_EQ(p.params_of(p.functions[0]).size(), 2u);
+  EXPECT_TRUE(p.params_of(p.functions[0])[0].by_ref);
+  EXPECT_EQ(p.type_name(p.params_of(p.functions[0])[0].type), "vector<int>");
 }
 
 TEST(Parser, RecoversFromBadStatement) {
@@ -109,7 +109,7 @@ TEST(Parser, UserTypesAndMemberCalls) {
   const ast_program p = parse(toks, diags);
   EXPECT_TRUE(diags.empty());
   ASSERT_EQ(p.functions.size(), 1u);
-  EXPECT_EQ(p.functions[0].params[0].type.element->to_string(),
+  EXPECT_EQ(p.type_name(p.types[p.params_of(p.functions[0])[0].type].element),
             "student_info");
 }
 
@@ -592,6 +592,19 @@ void f(vector<int>& v) {
   EXPECT_TRUE(has_diag(r, severity::warning,
                        "attempt to dereference a singular iterator", 8))
       << r.to_string();
+}
+
+// Nested loops multiply their passes; past a budget a loop gets one pass,
+// so 60 nested loops cost a bounded number of passes instead of 3^60.
+TEST(Loops, DeepNestingRunsBoundedPasses) {
+  std::string src = "void f(int c) {\n  int i = 0;\n";
+  for (int k = 0; k < 60; ++k) src += "  while (c > 0) {\n";
+  src += "  i = i + 1;\n";
+  for (int k = 0; k < 60; ++k) src += "  }\n";
+  const lint_result r = lint_source(src + "}\n");
+  EXPECT_LE(r.stats.loop_passes, 1024u * 60);
+  EXPECT_TRUE(has_diag(r, severity::note, "analyzed in one pass"));
+  EXPECT_FALSE(has_diag(r, severity::error, ""));
 }
 
 TEST(Loops, IntBoundedLoopRefinesInterval) {
