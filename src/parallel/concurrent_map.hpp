@@ -1,10 +1,13 @@
 // Insert-only striped concurrent hash map (mold-style): a fixed array of
 // bucket shards, each guarded by its own mutex, with chained buckets that
-// never rehash and nodes that never move.  The contract that buys the
+// double per shard and nodes that never move.  The contract that buys the
 // performance:
 //
 //   - insert/find are thread-safe and contend only within one shard
 //     (stripe count is a compile-time power of two, default 64);
+//   - a shard doubles its bucket array, under its own lock, once its node
+//     count passes its bucket count, so chains stay O(1) long on average
+//     however far the map grows past its size estimate;
 //   - there is NO erase: once inserted, a node's address — and therefore
 //     every returned iterator/pointer — stays valid for the map's
 //     lifetime (nodes live in per-shard deques);
@@ -55,10 +58,9 @@ class concurrent_map {
  public:
   using value_type = std::pair<const Key, T>;
 
-  /// `expected_size` sizes the fixed bucket arrays (mold sizes these from
-  /// a HyperLogLog estimate; callers here usually know the batch size).
-  /// Chains simply grow past the estimate — correctness never depends on
-  /// it.
+  /// `expected_size` sizes the initial bucket arrays (mold sizes these
+  /// from a HyperLogLog estimate; callers here usually know the batch
+  /// size).  A shard that outgrows the estimate doubles its buckets.
   explicit concurrent_map(std::size_t expected_size = 1024) {
     std::size_t per_shard = expected_size / Stripes + 1;
     std::size_t cap = 8;
@@ -143,6 +145,7 @@ class concurrent_map {
     n->seq = s.nodes.size() - 1;
     n->next = s.buckets[b];
     s.buckets[b] = n;
+    if (s.nodes.size() > s.buckets.size()) grow(s);
     return {iterator(this, si, n), true};
   }
 
@@ -199,6 +202,19 @@ class concurrent_map {
   }
 
  private:
+  /// Doubles `s`'s buckets and re-threads its chains from the node deque
+  /// (caller holds `s.m`).  Nodes stay where they are, so every pointer
+  /// and insert-path iterator handed out stays valid.
+  static void grow(shard& s) {
+    s.buckets.assign(s.buckets.size() * 2, nullptr);
+    for (node& n : s.nodes) {
+      node*& head =
+          s.buckets[(Hash{}(n.kv.first) / Stripes) & (s.buckets.size() - 1)];
+      n.next = head;
+      head = &n;
+    }
+  }
+
   std::array<shard, Stripes> shards_{};
 };
 

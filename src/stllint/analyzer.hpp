@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -182,6 +183,10 @@ class analyzer {
   void run(const ast_program& program, source_view source = {});
 
   [[nodiscard]] const diagnostics& diags() const noexcept { return diags_; }
+  /// Moves the diagnostics out of a spent analyzer.
+  [[nodiscard]] diagnostics take_diags() && noexcept {
+    return std::move(diags_);
+  }
   [[nodiscard]] const stats& statistics() const noexcept { return stats_; }
 
  private:

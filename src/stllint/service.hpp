@@ -12,10 +12,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/mix64.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/concurrent_map.hpp"
 #include "parallel/executor.hpp"
@@ -24,6 +26,37 @@
 #include "telemetry/telemetry.hpp"
 
 namespace cgp::stllint {
+
+/// Content key of linting `source` under `opt`: the source read 8 bytes at
+/// a time into 4 independent `core::mix64` lanes, seeded with its length
+/// and the full option values, so one source linted under different
+/// options gets different keys.  Keys are 64-bit, process-local and never
+/// verified against the source: the standard build-cache trade-off
+/// (collisions are ~2^-25 at a million entries).  A change to one 8-byte
+/// word always changes the key, because each step is a bijection of the
+/// lane.
+[[nodiscard]] inline std::uint64_t summary_key(std::string_view source,
+                                               const options& opt) noexcept {
+  using core::mix64;
+  std::uint64_t lane[4] = {
+      mix64(source.size()),
+      mix64(static_cast<std::uint64_t>(opt.max_loop_passes)),
+      mix64(static_cast<std::uint64_t>(opt.max_provenance_steps)),
+      mix64(opt.advisories ? 1 : 0)};
+  const auto absorb = [&lane](const char* block) {  // 32 bytes
+    for (std::size_t l = 0; l < 4; ++l) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, block + 8 * l, 8);
+      lane[l] = mix64(lane[l] ^ word);
+    }
+  };
+  std::size_t at = 0;
+  for (; source.size() - at >= 32; at += 32) absorb(source.data() + at);
+  char tail[32] = {};  // the last 0-31 bytes, zero-padded
+  source.copy(tail, sizeof tail, at);
+  absorb(tail);
+  return mix64(mix64(mix64(lane[0] ^ lane[1]) ^ lane[2]) ^ lane[3]);
+}
 
 /// Memoizing lint front end.  Results are cached by (source, options)
 /// content hash; `lint` is safe to call concurrently from any number of
@@ -37,7 +70,7 @@ class lint_service {
   /// Lints `source`, serving repeats from the summary cache.  The returned
   /// reference is stable for the service's lifetime (insert-only map).
   const lint_result& lint(std::string_view source) {
-    const std::uint64_t key = cache_key(source);
+    const std::uint64_t key = summary_key(source, opt_);
     if (const lint_result* hit = cache_.find(key)) {
       hits_().add();
       return *hit;
@@ -65,23 +98,6 @@ class lint_service {
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
 
  private:
-  // FNV-1a over the source text, seeded with the option bits: two services
-  // with different options never share keys even if callers copy cache
-  // contents around.  64-bit content hashing is the standard build-cache
-  // tradeoff (collisions are ~2^-32 at a million entries).
-  [[nodiscard]] std::uint64_t cache_key(std::string_view source) const {
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](unsigned char c) {
-      h ^= c;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<unsigned char>(opt_.max_loop_passes));
-    mix(opt_.advisories ? 1 : 0);
-    mix(static_cast<unsigned char>(opt_.max_provenance_steps));
-    for (const char c : source) mix(static_cast<unsigned char>(c));
-    return h;
-  }
-
   static telemetry::counter& hits_() {
     static telemetry::counter& c = telemetry::registry::global().get_counter(
         "stllint.service.cache_hits");

@@ -1,5 +1,8 @@
 #include "stllint/stllint.hpp"
 
+#include <iterator>
+#include <utility>
+
 #include "stllint/lexer.hpp"
 #include "stllint/parser.hpp"
 
@@ -11,8 +14,14 @@ lint_result lint_source(std::string_view source, const options& opt) {
   const ast_program program = parse(toks, result.diags);
   analyzer a(opt);
   a.run(program, source);
-  for (const diagnostic& d : a.diags()) result.diags.push_back(d);
   result.stats = a.statistics();
+  diagnostics found = std::move(a).take_diags();
+  if (result.diags.empty())
+    result.diags = std::move(found);
+  else
+    result.diags.insert(result.diags.end(),
+                        std::make_move_iterator(found.begin()),
+                        std::make_move_iterator(found.end()));
   return result;
 }
 

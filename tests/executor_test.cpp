@@ -1,9 +1,10 @@
 // The Executor-concept redesign, end to end: pool_options validation, the
 // work-stealing pool (move-only submit, nested fork-join, starvation
-// rebalancing, destruction drains), the concurrent_map under an insert
-// storm, the concept-bounded algorithms over the archetype, and the
-// migrated call sites (batch rewriting, the lint service cache, parallel
-// graph algorithms) producing results identical to their serial twins.
+// rebalancing, destruction drains), the concurrent_map under insert and
+// growth storms, the lint service's summary key, the concept-bounded
+// algorithms over the archetype, and the migrated call sites (batch
+// rewriting, the lint service cache, parallel graph algorithms) producing
+// results identical to their serial twins.
 //
 // NOTE: multi-label suite (parallel;telemetry) — keep to TEST/TEST_F, no
 // TEST_P (see tests/CMakeLists.txt on gtest_add_tests discovery).
@@ -15,10 +16,14 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/gen.hpp"
+#include "check/minicpp_gen.hpp"
+#include "core/mix64.hpp"
 #include "graph/instrumented.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/concurrent_map.hpp"
@@ -271,7 +276,7 @@ TEST(ConcurrentMap, InsertStormEveryKeyWinsExactlyOnce) {
 }
 
 TEST(ConcurrentMap, PointersAreStableAcrossLaterInserts) {
-  par::concurrent_map<std::string, int> map(4);  // tiny estimate: chains grow
+  par::concurrent_map<std::string, int> map(4);  // tiny estimate: buckets grow
   const auto [first_it, inserted] = map.try_emplace("anchor", 1);
   ASSERT_TRUE(inserted);
   int* anchor = map.find("anchor");
@@ -305,6 +310,102 @@ TEST(ConcurrentMap, InsertIteratorDerefSafeDuringSameShardInserts) {
   writer.join();
   EXPECT_EQ(held->second, 42);
   EXPECT_EQ(map.size(), 4001u);
+}
+
+// A key that counts its comparisons, so a test can see how long the
+// chains a lookup walks are.
+std::atomic<std::size_t> g_key_compares{0};
+
+struct counted_key {
+  std::uint64_t v = 0;
+  friend bool operator==(const counted_key& a, const counted_key& b) {
+    g_key_compares.fetch_add(1, std::memory_order_relaxed);
+    return a.v == b.v;
+  }
+};
+
+struct counted_key_hash {
+  std::size_t operator()(const counted_key& k) const {
+    return static_cast<std::size_t>(cgp::core::mix64(k.v));
+  }
+};
+
+// Buckets double per shard as the map grows, so a lookup compares O(1)
+// keys on average however far the map outgrows its size estimate (with
+// fixed buckets a map sized for 4 compares ~150 keys per lookup here).
+TEST(ConcurrentMap, LookupsCompareConstantKeysAfterGrowth) {
+  constexpr std::uint64_t kKeys = 100'000;
+  par::concurrent_map<counted_key, std::uint64_t, counted_key_hash> map(4);
+  for (std::uint64_t k = 0; k < kKeys; ++k)
+    ASSERT_TRUE(map.try_emplace(counted_key{k}, k).second);
+  g_key_compares.store(0);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const std::uint64_t* v = map.find(counted_key{k});
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, k);
+  }
+  for (std::uint64_t k = kKeys; k < 2 * kKeys; ++k)
+    EXPECT_EQ(map.find(counted_key{k}), nullptr);
+  const double per_lookup =
+      static_cast<double>(g_key_compares.load()) / (2 * kKeys);
+  EXPECT_LE(per_lookup, 2.0) << "chains grew with the map";
+}
+
+// Every key lands in shard 0: key k's hash is k * 64 with 64 stripes.
+struct one_shard_hash {
+  std::size_t operator()(int k) const {
+    return static_cast<std::size_t>(k) * 64;
+  }
+};
+
+// Inserters and finders race on one shard while its buckets double many
+// times (8 -> 32768): every published key is found with its value, and
+// pointers taken before a doubling still point at the same entry after.
+TEST(ConcurrentMap, GrowthStormOnOneShardKeepsEveryKeyAndPointer) {
+  constexpr int kInserters = 3;
+  constexpr int kFinders = 2;
+  constexpr int kPerInserter = 6000;
+  par::concurrent_map<int, int, one_shard_hash> map(8);
+  const int* anchor = &map.try_emplace(-1, -1).first->second;
+  std::vector<std::vector<const int*>> held(kInserters);
+  std::vector<std::atomic<int>> published(kInserters);
+  std::atomic<int> inserters_done{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kInserters; ++w)
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerInserter; ++i) {
+        const int key = w * kPerInserter + i;
+        held[w].push_back(&map.try_emplace(key, key).first->second);
+        published[w].store(i + 1, std::memory_order_release);
+      }
+      inserters_done.fetch_add(1, std::memory_order_release);
+    });
+  for (int f = 0; f < kFinders; ++f)
+    threads.emplace_back([&, f] {
+      std::uint64_t draw = static_cast<std::uint64_t>(f);
+      while (inserters_done.load(std::memory_order_acquire) < kInserters) {
+        EXPECT_EQ(map.find(-1), anchor);
+        for (int w = 0; w < kInserters; ++w) {
+          const int n = published[w].load(std::memory_order_acquire);
+          if (n == 0) continue;
+          const int key = w * kPerInserter +
+                          static_cast<int>(cgp::core::splitmix64_next(draw) %
+                                           static_cast<std::uint64_t>(n));
+          const int* v = map.find(key);
+          ASSERT_NE(v, nullptr) << "key " << key;
+          EXPECT_EQ(*v, key);
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(map.size(), std::size_t{kInserters * kPerInserter + 1});
+  EXPECT_EQ(map.find(-1), anchor);
+  for (int w = 0; w < kInserters; ++w)
+    for (int i = 0; i < kPerInserter; ++i) {
+      const int key = w * kPerInserter + i;
+      EXPECT_EQ(map.find(key), held[w][i]) << "key " << key;
+      EXPECT_EQ(*held[w][i], key);
+    }
 }
 
 TEST(ConcurrentMap, IterationAndClear) {
@@ -424,6 +525,72 @@ TEST(CallSites, LintBatchOverStealingPoolSharesCache) {
   // Equal sources share the identical cached summary object.
   EXPECT_EQ(results[0], results[2]);
   EXPECT_EQ(results[1], results[3]);
+}
+
+// ---------------------------------------------------------------------------
+// The lint service's summary key
+// ---------------------------------------------------------------------------
+
+/// A generated MiniCpp unit of at least 3.4 KB, the benchmark corpus' size.
+std::string unit_sized_source() {
+  std::string src;
+  for (std::uint64_t i = 0; src.size() < 3400; ++i)
+    src += cgp::check::generate_minicpp(cgp::check::case_seed(0x5e11, i));
+  return src;
+}
+
+// Every single-byte substitution, insertion and deletion of a unit gives a
+// key of its own (deleting either byte of a run, or inserting a byte next
+// to an equal one, gives the same text either way, so those count once).
+TEST(SummaryKey, EverySingleByteEditChangesTheKey) {
+  namespace sl = cgp::stllint;
+  const sl::options opt;
+  std::string src = unit_sized_source();
+  std::unordered_set<std::uint64_t> keys{sl::summary_key(src, opt)};
+  std::size_t edits = 1;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const char was = src[i];
+    for (const char flip : {'\x01', '\x80'}) {
+      src[i] = static_cast<char>(was ^ flip);
+      keys.insert(sl::summary_key(src, opt));
+      ++edits;
+    }
+    src[i] = was;
+    std::string edited;
+    if (i == 0 || src[i - 1] != '\x02') {
+      edited = src;
+      edited.insert(i, 1, '\x02');
+      keys.insert(sl::summary_key(edited, opt));
+      ++edits;
+    }
+    if (i > 0 && src[i - 1] == was) continue;
+    edited = src;
+    edited.erase(i, 1);
+    keys.insert(sl::summary_key(edited, opt));
+    ++edits;
+  }
+  EXPECT_EQ(keys.size(), edits);
+}
+
+// Sources of zero bytes differ only in their length.
+TEST(SummaryKey, ZeroByteSourcesOfEveryLengthDiffer) {
+  std::unordered_set<std::uint64_t> keys;
+  for (std::size_t n = 0; n <= 64; ++n)
+    keys.insert(cgp::stllint::summary_key(std::string(n, '\0'), {}));
+  EXPECT_EQ(keys.size(), 65u);
+}
+
+// The options enter the key with their full values: services whose
+// options differ by 256 do not share keys.
+TEST(SummaryKey, OptionsEnterWithTheirFullValues) {
+  namespace sl = cgp::stllint;
+  const std::string src = unit_sized_source();
+  EXPECT_NE(sl::summary_key(src, {.max_loop_passes = 3}),
+            sl::summary_key(src, {.max_loop_passes = 259}));
+  EXPECT_NE(sl::summary_key(src, {.max_provenance_steps = 24}),
+            sl::summary_key(src, {.max_provenance_steps = 280}));
+  EXPECT_NE(sl::summary_key(src, {.advisories = true}),
+            sl::summary_key(src, {.advisories = false}));
 }
 
 TEST(CallSites, ParallelBfsMatchesSerial) {

@@ -1,13 +1,15 @@
 // Allocation behaviour of STLlint: the parser builds a flat tree with a
 // small constant number of allocations and drops it without walking it,
-// and the symbolic executor's branch and loop states recycle their
-// buffers, so the number of allocations an analysis makes does not grow
-// with the number of loop passes it runs.
+// lint_source moves its diagnostics out instead of copying them, and the
+// symbolic executor's branch and loop states recycle their buffers, so the
+// number of allocations an analysis makes does not grow with the number of
+// loop passes it runs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "stllint/analyzer.hpp"
 #include "stllint/lexer.hpp"
 #include "stllint/parser.hpp"
+#include "stllint/stllint.hpp"
 
 namespace cgp::stllint {
 namespace {
@@ -75,6 +78,33 @@ TEST(StllintAlloc, ParseAllocationsDoNotGrowWithTheProgram) {
     EXPECT_LE(many, 32u) << n << " functions";
     EXPECT_LE(many, one + 3) << n << " functions";
   }
+}
+
+// lint_source moves the analyzer's diagnostics, provenance trails and all,
+// into its result instead of copying them, so it allocates no more than
+// its three stages do on their own, plus the result's own bookkeeping.
+TEST(StllintAlloc, LintSourceAllocatesNoMoreThanItsStages) {
+  std::size_t with_provenance = 0;
+  for (std::size_t i = 0; i < 100; ++i) {
+    const std::string src =
+        check::generate_minicpp(check::case_seed(0x11f7, i));
+    (void)lint_source(src);  // resolves the telemetry handles
+    const std::size_t before = g_alloc_calls.load();
+    {
+      diagnostics diags;
+      const std::vector<token> toks = tokenize(src, diags);
+      const ast_program program = parse(toks, diags);
+      analyzer a;
+      a.run(program, std::string_view(src));
+      for (const diagnostic& d : a.diags())
+        with_provenance += d.provenance.empty() ? 0 : 1;
+    }
+    const std::size_t stages = g_alloc_calls.load() - before;
+    const std::size_t start = g_alloc_calls.load();
+    const lint_result result = lint_source(src);
+    EXPECT_LE(g_alloc_calls.load() - start, stages + 2) << src;
+  }
+  EXPECT_GT(with_provenance, 100u);  // there were trails to copy
 }
 
 // Destroying a tree nested at the parser's depth limit frees exactly as
