@@ -87,6 +87,7 @@ class symbol_map {
     std::erase_if(e_, [k](const auto& e) { return e.first == k; });
   }
   void clear() noexcept { e_.clear(); }
+  void reserve(std::size_t n) { e_.reserve(n); }
   /// Appends `k`, which must be greater than every key present.
   void push_back(symbol k, const V& v) { e_.emplace_back(k, v); }
   auto begin() noexcept { return e_.begin(); }

@@ -30,9 +30,15 @@ std::vector<rtoken> lex(std::string_view src) {
       bool is_hex = j + 1 < n && src[j] == '0' &&
                     (src[j + 1] == 'x' || src[j + 1] == 'X');
       if (is_hex) j += 2;
+      // The whole run of digits, letters and points is one token, which
+      // parse_primary rejects unless it is one number: `12abc` is an error,
+      // not 12 and then an identifier.
       while (j < n && (std::isalnum(static_cast<unsigned char>(src[j])) ||
                        src[j] == '.')) {
-        if (src[j] == '.') is_float = true;
+        const bool exponent = !is_hex && (src[j] == 'e' || src[j] == 'E');
+        is_float |= src[j] == '.' || exponent;
+        if (exponent && j + 1 < n && (src[j + 1] == '+' || src[j + 1] == '-'))
+          ++j;  // the exponent's sign
         ++j;
       }
       out.push_back({rtoken::kind::number, std::string(src.substr(i, j - i)),
@@ -174,18 +180,26 @@ class parser {
     const rtoken t = take();
     switch (t.k) {
       case rtoken::kind::number: {
+        // The token must be one number, in range, to its last character.
+        const char* first = t.text.data();
+        const char* last = first + t.text.size();
+        const auto whole = [&](std::from_chars_result r) {
+          if (r.ptr != last || r.ec != std::errc())
+            throw parse_error("malformed number '" + t.text + "'");
+        };
         if (t.is_float) {
-          return expr::double_lit(std::strtod(t.text.c_str(), nullptr));
+          double v = 0;
+          whole(std::from_chars(first, last, v));
+          return expr::double_lit(v);
         }
-        if (t.text.size() > 2 && t.text[0] == '0' &&
+        if (t.text.size() >= 2 && t.text[0] == '0' &&
             (t.text[1] == 'x' || t.text[1] == 'X')) {
           std::uint64_t v = 0;
-          std::from_chars(t.text.data() + 2, t.text.data() + t.text.size(),
-                          v, 16);
+          whole(std::from_chars(first + 2, last, v, 16));
           return expr::uint_lit(v);
         }
         std::int64_t v = 0;
-        std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+        whole(std::from_chars(first, last, v));
         return expr::int_lit(v);
       }
       case rtoken::kind::string_lit:

@@ -1,6 +1,9 @@
 #include "stllint/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <string_view>
 #include <utility>
 
 #include "telemetry/scope.hpp"
@@ -74,19 +77,66 @@ constexpr bool is_comparison(op_id o) {
          o == op_of("<=") || o == op_of(">") || o == op_of(">=");
 }
 
-/// Concatenates `parts` with at most one allocation, of exactly the text's
-/// size: provenance text is rendered for every step of every reported
-/// diagnostic and kept in the lint result (`reserve` would round 16-29
-/// characters up to 30).
-std::string cat(std::initializer_list<std::string_view> parts) {
+/// Most steps a provenance trail keeps: with at most three names a step,
+/// a trail's names fit its 16-bit name ids.
+constexpr int kMaxTrail = 16384;
+
+/// The text `write(out)` spells, where each `out(part)` appends a part,
+/// built with one allocation of exactly its size: a reported message is
+/// kept in every cached result (`reserve` would round 16-29 characters up
+/// to 30).
+template <class Write>
+std::string build(Write write) {
   std::size_t n = 0;
-  for (const std::string_view p : parts) n += p.size();
+  write([&](std::string_view p) { n += p.size(); });
   std::string out(n, '\0');
   char* at = out.data();
-  for (const std::string_view p : parts)
-    at = std::copy(p.begin(), p.end(), at);
+  write([&](std::string_view p) { at = std::copy(p.begin(), p.end(), at); });
   return out;
 }
+
+/// Why an iterator is singular: its cause and, for a mutation, the
+/// container mutated, spelled part by part.
+template <class Out>
+void spell_reason(std::uint8_t cause, std::string_view container, Out out) {
+  if (cause < m_push_back) return out(kMembers[cause]);
+  out("invalidated by ");
+  out(container);
+  out(".");
+  out(kMembers[cause]);
+  out("()");
+}
+
+/// The op_table row of a container kind (0 for the conservative spec).
+std::uint8_t kind_row(const container_spec& spec) {
+  for (op_id o = op_of("vector"); o <= op_of("input_stream"); ++o)
+    if (op_table[o] == spec.kind) return o;
+  return 0;
+}
+
+using message_args = std::array<std::int64_t, 5>;
+
+/// A message template and its code: a hash of its text, computed at
+/// compile time.  In the text, `$` and a letter spell the next argument: n
+/// a name (a rank), i an integer, s a C string with static storage, and r
+/// " (why)" for a singular iterator's cause and container (two arguments;
+/// nothing for no cause).
+struct msg {
+  consteval msg(const char* t) : text(t) {
+    std::size_t args = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      code = (code ^ static_cast<unsigned char>(text[i])) * 1099511628211ull;
+      if (text[i] != '$') continue;
+      if (i + 1 == text.size() ||
+          std::string_view("nisr").find(text[i + 1]) == text.npos)
+        throw "a `$` must be followed by n, i, s or r";
+      args += text[i + 1] == 'r' ? 2 : 1;
+    }
+    if (args > std::tuple_size_v<message_args>) throw "too many arguments";
+  }
+  std::string_view text;
+  std::uint64_t code = 14695981039346656037ull;
+};
 
 /// Short human description of an interval for provenance trails.
 std::string describe(const interval& iv) {
@@ -98,14 +148,102 @@ std::string describe(const interval& iv) {
   return "[" + lo + ", " + hi + "]";
 }
 
-std::string describe(const container_state& c) {
-  std::string out = c.kind->kind + ", size " + describe(c.size);
-  out += c.sorted == sorted3::yes  ? ", sorted"
-         : c.sorted == sorted3::no ? ", unsorted"
-                                   : "";
-  if (c.consumed) out += ", traversal consumed";
-  return out;
-}
+// ===========================================================================
+// Rendering: a diagnostic's trail becomes text only when it is read
+// ===========================================================================
+
+/// The text of a diagnostic's provenance steps; splits its names once.
+class trail {
+ public:
+  explicit trail(const diagnostic& d) {
+    const std::string_view all = d.names;
+    for (std::size_t at = 0, end; at < all.size(); at = end + 1) {
+      end = all.find('\0', at);
+      names_.push_back(all.substr(at, end - at));
+    }
+  }
+
+  /// The step's action, and the state after it ("" when it shows none).
+  std::pair<std::string, std::string> text(const provenance_step& s) const {
+    const std::string_view who = name(s.subject);
+    switch (s.what) {
+      using enum provenance_step::action;
+      case enter:
+        return {cat({"enter function '", who, "'"}), ""};
+      case singular:
+        return {cat({"iterator '", who, "' becomes singular"}), reason(s.it)};
+      case mutate:
+        return {cat({who, ".", kMembers[s.member],
+                     s.member == m_pop_back || s.member == m_clear ? "()"
+                                                                   : "(...)"}),
+                cat({"'", who, "': ", describe(s.c)})};
+      case decl_container:
+        return {cat({"declare container '", who, "'"}),
+                cat({"'", who, "': ", describe(s.c)})};
+      case decl_iterator:
+        return {cat({"declare iterator '", who, "'"}),
+                cat({"'", who, "': ", describe(s.it)})};
+      case decl_int:
+        return {cat({"declare '", who, "'"}),
+                cat({"'", who, "' = ", stllint::describe(s.num)})};
+      case loop_pass:
+        return {"loop analysis pass " + std::to_string(s.num.lo), ""};
+    }
+    return {};
+  }
+
+  /// "line N: <action>  [<state after>]"; the state only when it has one.
+  std::string line(const provenance_step& s) const {
+    const auto [action, after] = text(s);
+    std::string out = "line " + std::to_string(s.line) + ": " + action;
+    if (!after.empty()) out += "  [" + after + "]";
+    return out;
+  }
+
+ private:
+  std::string_view name(name_id i) const {  // no_name is past the end
+    return i < names_.size() ? names_[i] : std::string_view();
+  }
+  std::string reason(const iterator_view& it) const {
+    return build(
+        [&](auto out) { spell_reason(it.cause, name(it.mutated), out); });
+  }
+  /// " (reason)", or "" when there is none.
+  std::string because(const iterator_view& it) const {
+    return it.cause == 0 ? "" : " (" + reason(it) + ")";
+  }
+
+  std::string describe(const iterator_view& it) const {
+    if (validity{it.valid} == validity::singular)
+      return "singular" + because(it);
+    if (validity{it.valid} == validity::maybe_singular)
+      return "maybe-singular" + because(it);
+    std::string out = "valid";
+    if (position{it.pos} == position::from_begin)
+      out += " at begin+" + std::to_string(it.offset);
+    else if (position{it.pos} == position::from_end)
+      out += it.offset == 0 ? " at end"
+                            : " at end-" + std::to_string(it.offset);
+    else if (position{it.pos} == position::somewhere)
+      out += " somewhere";
+    if (it.container != no_name) out += cat({" in '", name(it.container), "'"});
+    if (it.algorithm != 0)
+      out += ", unverified result of '" +
+             all_algorithms()[it.algorithm - 1].name + "'";
+    return out;
+  }
+
+  static std::string describe(const container_view& c) {
+    std::string out = spec_for(op_table[c.kind]).kind + ", size " +
+                      stllint::describe(interval{c.lo, c.hi});
+    out += c.sorted == sorted3::yes  ? ", sorted"
+           : c.sorted == sorted3::no ? ", unsorted"
+                                     : "";
+    if (c.consumed) out += ", traversal consumed";
+    return out;
+  }
+  std::vector<std::string_view> names_;
+};
 
 iterator_state join_iterators(const iterator_state& a,
                               const iterator_state& b) {
@@ -171,6 +309,42 @@ void merge(const core::symbol_map<V>& a, const core::symbol_map<V>& b,
 
 }  // namespace
 
+std::string cat(std::initializer_list<std::string_view> parts) {
+  return build([&](auto out) {
+    for (const std::string_view p : parts) out(p);
+  });
+}
+
+std::string diagnostic::action_text(const provenance_step& s) const {
+  return trail(*this).text(s).first;
+}
+
+std::string diagnostic::step_text(const provenance_step& s) const {
+  return trail(*this).line(s);
+}
+
+std::string render_caret(const diagnostic& d) {
+  std::string out = std::string(to_string(d.sev)) + ": " + d.message + "\n";
+  out += "  --> line " + std::to_string(d.line) + ", column " +
+         std::to_string(d.column) + "\n";
+  if (!d.source_line.empty()) {
+    out += "   |  " + d.source_line + "\n";
+    if (d.caret_column >= 1 &&
+        static_cast<std::size_t>(d.caret_column) <= d.source_line.size())
+      out += "   |  " +
+             std::string(static_cast<std::size_t>(d.caret_column - 1), ' ') +
+             "^\n";
+  }
+  if (!d.provenance.empty()) {
+    out += "  provenance:\n";
+    const trail t(d);
+    std::size_t n = 0;
+    for (const provenance_step& step : d.provenance)
+      out += "   " + std::to_string(++n) + ". " + t.line(step) + "\n";
+  }
+  return out;
+}
+
 void join(const abstract_state& a, const abstract_state& b,
           abstract_state& out) {
   if (!a.reachable || !b.reachable) {
@@ -207,8 +381,10 @@ class exec_impl {
         if (kMembers[m] == info.name) info.member = m;
     }
     ring_cap_ = static_cast<std::size_t>(
-        std::max(a_.opt_.max_provenance_steps, 0));
+        std::clamp(a_.opt_.max_provenance_steps, 0, kMaxTrail));
     ring_.reserve(std::min<std::size_t>(ring_cap_, 64));  // larger caps grow
+    named_.reserve(std::min(n, 3 * ring_cap_));
+    pool_.reserve(16);
   }
 
   void run_function(const ast_function& fn) {
@@ -225,18 +401,16 @@ class exec_impl {
     std::string_view name;
     core::symbol sym = core::no_symbol;
     std::uint8_t member = m_unmodeled;
+    name_id local = no_name;  ///< its id in the trail being copied out
     const algorithm_spec* algorithm = nullptr;
   };
 
   rank rank_of(core::symbol s) const { return rank_of_[s]; }
-  std::string spelled(rank r) const {
-    return r == no_rank ? std::string() : std::string(ranked_[r].name);
+  std::string_view name(rank r) const {
+    return r == no_rank ? std::string_view() : ranked_[r].name;
   }
   rank var_rank(const ast_expr& e) const {
     return e.k == ast_expr::kind::var ? rank_of(e.sym) : no_rank;
-  }
-  std::string_view name_of(const ast_expr& e) const {
-    return p_.symbols.name(e.sym);
   }
   /// Child `i` of `e`.
   const ast_expr& kid(const ast_expr& e, std::size_t i) const {
@@ -250,13 +424,18 @@ class exec_impl {
   }
 
   /// A pooled abstract state: branch and loop scratch states recycle their
-  /// buffers instead of allocating on every branch and pass.
+  /// buffers instead of allocating on every branch and pass, and a new one
+  /// starts with room enough that copies into it rarely grow it.
   class scratch {
    public:
     explicit scratch(exec_impl& x, const abstract_state& init = {}) : x_(x) {
       if (!x.pool_.empty()) {
         s_ = std::move(x.pool_.back());
         x.pool_.pop_back();
+      } else {  // a new state, with room for a typical function's names
+        const std::size_t room = std::min<std::size_t>(x.ranked_.size(), 16);
+        s_.containers.reserve(room);
+        s_.values.reserve(room);
       }
       s_ = init;
     }
@@ -271,11 +450,10 @@ class exec_impl {
   };
 
   // --- provenance trail -----------------------------------------------------
-  /// One symbolic-execution step as recorded: plain data in a fixed ring,
-  /// rendered to a provenance_step only when a diagnostic copies the ring.
-  enum class what : std::uint8_t {
-    enter, singular, mutate, decl_container, decl_iterator, decl_int, loop_pass
-  };
+  /// One symbolic-execution step as recorded: ranks and whole states in a
+  /// fixed ring, compacted into a provenance_step only when a diagnostic
+  /// copies the ring.
+  using what = provenance_step::action;
   struct step {
     what w = what::enter;
     int line = 0;
@@ -298,69 +476,113 @@ class exec_impl {
     ring_size_ = std::min(ring_size_ + 1, ring_cap_);
   }
 
-  std::string reason_text(const singular_reason& r) const {
-    if (r.cause < m_push_back) return std::string(kMembers[r.cause]);
-    return cat({"invalidated by ", spelled(r.container), ".", kMembers[r.cause],
-                "()"});
-  }
-  /// " (reason)", or "" when there is none.
-  std::string because(const singular_reason& r) const {
-    return r.empty() ? "" : " (" + reason_text(r) + ")";
-  }
-
-  std::string describe(const iterator_state& it) const {
-    if (it.valid == validity::singular) return "singular" + because(it.reason);
-    if (it.valid == validity::maybe_singular)
-      return "maybe-singular" + because(it.reason);
-    std::string out = "valid";
-    if (it.pos == position::from_begin)
-      out += " at begin+" + std::to_string(it.offset);
-    else if (it.pos == position::from_end)
-      out += it.offset == 0 ? " at end"
-                            : " at end-" + std::to_string(it.offset);
-    else if (it.pos == position::somewhere)
-      out += " somewhere";
-    if (it.container != no_rank) out += " in '" + spelled(it.container) + "'";
-    if (it.unverified_from != nullptr)
-      out += ", unverified result of '" + it.unverified_from->name + "'";
-    return out;
-  }
-
-  provenance_step render(const step& s) const {
-    const std::string who = spelled(s.subject);
-    switch (s.w) {
-      case what::enter:
-        return {s.line, cat({"enter function '", who, "'"}), ""};
-      case what::singular:
-        return {s.line, cat({"iterator '", who, "' becomes singular"}),
-                reason_text(s.it.reason)};
-      case what::mutate:
-        return {s.line,
-                cat({who, ".", kMembers[s.member],
-                     s.member == m_pop_back || s.member == m_clear ? "()"
-                                                                   : "(...)"}),
-                cat({"'", who, "': ", stllint::describe(s.c)})};
-      case what::decl_container:
-        return {s.line, cat({"declare container '", who, "'"}),
-                cat({"'", who, "': ", stllint::describe(s.c)})};
-      case what::decl_iterator:
-        return {s.line, cat({"declare iterator '", who, "'"}),
-                cat({"'", who, "': ", describe(s.it)})};
-      case what::decl_int:
-        return {s.line, cat({"declare '", who, "'"}),
-                cat({"'", who, "' = ", stllint::describe(s.num)})};
-      case what::loop_pass:
-        return {s.line, cat({"loop analysis pass ", std::to_string(s.num.lo)}),
-                ""};
+  /// Copies the ring into `d` as its provenance.  The names its steps show
+  /// go into `d.names`, numbered in order of first mention.
+  void attach_provenance(diagnostic& d) {
+    std::size_t bytes = 0;
+    const auto id = [&](rank r) {
+      if (r == no_rank) return no_name;
+      symbol_info& info = ranked_[r];
+      if (info.local == no_name) {
+        info.local = static_cast<name_id>(named_.size());
+        named_.push_back(r);
+        bytes += info.name.size() + 1;
+      }
+      return info.local;
+    };
+    d.provenance.reserve(ring_size_);
+    for (std::size_t i = ring_cap_ - ring_size_; i < ring_cap_; ++i) {
+      const step& s = ring_[(ring_next_ + i) % ring_cap_];
+      provenance_step& p = d.provenance.emplace_back();
+      p.line = s.line;
+      p.what = s.w;
+      p.member = s.member;
+      p.subject = id(s.subject);
+      if (s.w == what::singular || s.w == what::decl_iterator) {
+        const bool valid = s.it.valid == validity::valid;
+        p.it = {.offset = s.it.offset,
+                .container = valid ? id(s.it.container) : no_name,
+                .mutated = !valid && s.it.reason.cause >= m_push_back
+                               ? id(s.it.reason.container)
+                               : no_name,
+                .valid = static_cast<std::uint8_t>(s.it.valid),
+                .pos = static_cast<std::uint8_t>(s.it.pos),
+                .cause = s.it.reason.cause,
+                .algorithm = static_cast<std::uint8_t>(
+                    s.it.unverified_from == nullptr
+                        ? 0
+                        : s.it.unverified_from - all_algorithms().data() + 1)};
+      } else if (s.w == what::mutate || s.w == what::decl_container) {
+        p.c = {s.c.size.lo, s.c.size.hi, kind_row(*s.c.kind), s.c.sorted,
+               s.c.consumed};
+      } else {
+        p.num = s.num;
+      }
     }
-    return {};
+    d.names = std::string(bytes, '\0');  // one allocation, exactly sized
+    char* at = d.names.data();
+    for (const rank r : named_) {
+      at = std::ranges::copy(ranked_[r].name, at).out + 1;
+      ranked_[r].local = no_name;
+    }
+    named_.clear();
   }
 
   // --- reporting ------------------------------------------------------------
-  void report(severity sev, int line, int col, std::string msg) {
-    const std::string key =
-        std::to_string(line) + ":" + std::to_string(col) + ":" + msg;
-    if (!a_.reported_.insert(key).second) return;
+  /// A singular iterator's reason as message arguments (for `$r`).
+  static message_args why(const singular_reason& r) {
+    return {r.cause, r.container};
+  }
+  /// A static string as a message argument (for `$s`).
+  static std::int64_t str(const std::string& s) { return str(s.c_str()); }
+  static std::int64_t str(const char* s) {
+    return reinterpret_cast<std::intptr_t>(s);
+  }
+
+  /// Message `m`'s text with `args` spelled in.
+  std::string spell(const msg& m, const message_args& args) const {
+    return build([&](auto out) {
+      std::string_view t = m.text;
+      const std::int64_t* arg = args.data();
+      for (std::size_t i; (i = t.find('$')) != t.npos; t.remove_prefix(i + 2)) {
+        out(t.substr(0, i));
+        const std::int64_t v = *arg++;
+        char digits[24];
+        switch (t[i + 1]) {
+          case 'n':
+            out(name(static_cast<rank>(v)));
+            break;
+          case 'i':
+            out({digits, std::to_chars(digits, std::end(digits), v).ptr});
+            break;
+          case 's':
+            out(reinterpret_cast<const char*>(v));
+            break;
+          case 'r':
+            if (v != 0) {
+              out(" (");
+              spell_reason(static_cast<std::uint8_t>(v),
+                           name(static_cast<rank>(*arg)), out);
+              out(")");
+            }
+            ++arg;
+            break;
+        }
+      }
+      out(t);
+    });
+  }
+
+  /// Reports message `m` with `args` at (line, col), once: a repeat is
+  /// found on the integer key before any text is built.
+  void report(severity sev, int line, int col, const msg& m,
+              const message_args& args = {}) {
+    std::array<std::int64_t, 8> key = {line, col,
+                                       static_cast<std::int64_t>(m.code)};
+    std::ranges::copy(args, key.begin() + 3);
+    const auto at = std::ranges::lower_bound(a_.reported_, key);
+    if (at != a_.reported_.end() && *at == key) return;
+    a_.reported_.insert(at, key);
     std::string_view echo = a_.source_.line(line);
     int caret_col = 0;
     if (const std::size_t first = echo.find_first_not_of(" \t");
@@ -370,28 +592,25 @@ class exec_impl {
       if (caret_col < 1) caret_col = 0;
     }
     kDiagnosticsCounter[static_cast<std::size_t>(sev)]().add();
-    diagnostic d{sev,       line, col, std::move(msg), std::string(echo),
+    diagnostic d{sev,       line, col, spell(m, args), std::string(echo),
                  caret_col, {}};
-    d.provenance.reserve(ring_size_);
-    for (std::size_t i = ring_cap_ - ring_size_; i < ring_cap_; ++i)
-      d.provenance.push_back(render(ring_[(ring_next_ + i) % ring_cap_]));
+    attach_provenance(d);
     // Traced sessions also see the verdict (with its provenance) as an
     // instant event hanging off the analyzer's span.
     if (telemetry::trace::current_context().active()) {
-      std::vector<std::pair<std::string, std::string>> args = {
-          {"severity", kSeverityKey[static_cast<std::size_t>(sev)]},
-          {"line", std::to_string(line)},
-          {"column", std::to_string(col)},
-          {"message", d.message},
-      };
+      const trail t(d);
       std::string path;
       for (const provenance_step& p : d.provenance) {
         if (!path.empty()) path += " ; ";
-        path += p.to_string();
+        path += t.line(p);
       }
-      args.emplace_back("provenance", std::move(path));
-      telemetry::trace::instant("stllint.diagnostic", "stllint",
-                                std::move(args));
+      telemetry::trace::instant(
+          "stllint.diagnostic", "stllint",
+          {{"severity", kSeverityKey[static_cast<std::size_t>(sev)]},
+           {"line", std::to_string(line)},
+           {"column", std::to_string(col)},
+           {"message", d.message},
+           {"provenance", std::move(path)}});
     }
     a_.diags_.push_back(std::move(d));
   }
@@ -481,16 +700,16 @@ class exec_impl {
                    int line, int col) {
     if (it.valid == validity::valid && it.unverified_from != nullptr) {
       report(severity::warning, line, col,
-             "dereferencing the result of '" + it.unverified_from->name +
-                 "' without comparing it against end() first — it may be "
-                 "the not-found sentinel");
+             "dereferencing the result of '$s' without comparing it against "
+             "end() first — it may be the not-found sentinel",
+             {str(it.unverified_from->name)});
       if (iterator_state* s = iterator_var(st, var))
         s->unverified_from = nullptr;
       return;
     }
     if (it.valid != validity::valid) {
       report(severity::warning, line, col,
-             "attempt to dereference a singular iterator" + because(it.reason));
+             "attempt to dereference a singular iterator$r", why(it.reason));
       heal(st, var);
       return;
     }
@@ -504,17 +723,17 @@ class exec_impl {
         it.offset >= c->size.hi)
       report(severity::warning, line, col,
              "attempt to dereference a past-the-end iterator (position "
-             "begin+" +
-                 std::to_string(it.offset) + ", size at most " +
-                 std::to_string(c->size.hi) + ")");
+             "begin+$i, size at most $i)",
+             {it.offset, c->size.hi});
   }
 
   void check_advance(abstract_state& st, const iterator_state& it, rank var,
                      bool forward, int line, int col) {
     if (it.valid != validity::valid) {
       report(severity::warning, line, col,
-             std::string("attempt to ") + (forward ? "advance" : "decrement") +
-                 " a singular iterator" + because(it.reason));
+             forward ? msg("attempt to advance a singular iterator$r")
+                     : msg("attempt to decrement a singular iterator$r"),
+             why(it.reason));
       heal(st, var);
       return;
     }
@@ -532,15 +751,14 @@ class exec_impl {
   /// `e` on `cont`; `singular` is the misuse message for a singular one.
   /// Returns whether `pos` is a valid iterator.
   bool check_position(abstract_state& st, const abstract_value& pos, rank var,
-                      rank cont, const ast_expr& e, const char* singular) {
+                      rank cont, const ast_expr& e, msg singular) {
     if (pos.k != value_kind::iterator) return false;
     if (pos.iter.container != no_rank && pos.iter.container != cont)
       report(severity::warning, e.line, e.column,
-             cat({"iterator into '", spelled(pos.iter.container),
-                  "' passed to '", spelled(cont), "'.", name_of(e)}));
+             "iterator into '$n' passed to '$n'.$n",
+             {pos.iter.container, cont, rank_of(e.sym)});
     if (pos.iter.valid == validity::valid) return true;
-    report(severity::warning, e.line, e.column,
-           singular + because(pos.iter.reason));
+    report(severity::warning, e.line, e.column, singular, why(pos.iter.reason));
     heal(st, var);
     return false;
   }
@@ -579,8 +797,8 @@ class exec_impl {
     if (const abstract_value* v = st.values.find(r)) return *v;
     if (st.containers.find(r) != nullptr)
       return {.k = value_kind::container_ref, .container = r};
-    report(severity::error, e.line, e.column,
-           cat({"use of undeclared variable '", name_of(e), "'"}));
+    report(severity::error, e.line, e.column, "use of undeclared variable '$n'",
+           {r});
     return abstract_value::unknown_value();
   }
 
@@ -652,9 +870,9 @@ class exec_impl {
       if (a.iter.container != no_rank && b.iter.container != no_rank &&
           a.iter.container != b.iter.container) {
         report(severity::warning, e.line, e.column,
-               "comparison of iterators from different containers ('" +
-                   spelled(a.iter.container) + "' and '" +
-                   spelled(b.iter.container) + "')");
+               "comparison of iterators from different containers ('$n' and "
+               "'$n')",
+               {a.iter.container, b.iter.container});
         return abstract_value::boolean(std::nullopt);
       }
       if (eq_op && a.iter.valid == validity::valid &&
@@ -803,7 +1021,6 @@ class exec_impl {
     // Expression evaluation never adds containers, so `c` stays valid.
     container_state& c = *cp;
     const container_spec& spec = *c.kind;
-    const std::string cname = spelled(name);
 
     const auto eval_arg = [&](std::size_t i) { return eval(kid(e, i), st); };
     // One more element: an unsorted container stops being sorted.
@@ -825,9 +1042,10 @@ class exec_impl {
         if (spec.single_pass && member == m_begin) {
           if (c.consumed) {
             report(severity::warning, e.line, e.column,
-                   "second traversal of single-pass sequence '" + cname +
-                       "' (its iterators model only InputIterator; a second "
-                       "pass requires ForwardIterator)");
+                   "second traversal of single-pass sequence '$n' (its "
+                   "iterators model only InputIterator; a second pass requires "
+                   "ForwardIterator)",
+                   {name});
           }
           c.consumed = true;
         }
@@ -843,8 +1061,8 @@ class exec_impl {
       case m_push_back: {
         if (e.count > 1) (void)eval_arg(1);
         if (!spec.has_push_back)
-          report(severity::error, e.line, e.column,
-                 "'" + spec.kind + "' has no push_back");
+          report(severity::error, e.line, e.column, "'$s' has no push_back",
+                 {str(spec.kind)});
         apply_invalidation(st, name, spec.on_push_back, m_push_back, e.line);
         grow();
         note_mutation(m_push_back);
@@ -853,7 +1071,7 @@ class exec_impl {
       case m_pop_back:
         if (c.size.hi == 0)
           report(severity::warning, e.line, e.column,
-                 "pop_back on an empty container '" + cname + "'");
+                 "pop_back on an empty container '$n'", {name});
         c.size = c.size.plus(-1).clamp_lo(0);
         // Iterators at/near the end die; be precise only about known ones.
         invalidate(st, name, {m_pop_back, name}, e.line,
@@ -876,7 +1094,7 @@ class exec_impl {
           (void)eval_arg(2);
           const rank pos_var = var_rank(kid(e, 1));
           check_position(st, pos, pos_var, name, e,
-                         "insert position is a singular iterator");
+                         "insert position is a singular iterator$r");
           apply_invalidation(st, name, spec.on_insert, m_insert, e.line,
                              pos.iter, pos_var);
         } else if (e.count == 2) {
@@ -896,13 +1114,13 @@ class exec_impl {
           arg_var = var_rank(kid(e, 1));
         }
         if (check_position(st, pos, arg_var, name, e,
-                           "attempt to erase through a singular iterator") &&
+                           "attempt to erase through a singular iterator$r") &&
             pos.iter.pos == position::from_end && pos.iter.offset == 0)
           report(severity::warning, e.line, e.column,
                  "attempt to erase the past-the-end iterator");
         if (c.size.hi == 0)
           report(severity::warning, e.line, e.column,
-                 "erase from an empty container '" + cname + "'");
+                 "erase from an empty container '$n'", {name});
         iterator_state result = pos.k == value_kind::iterator &&
                                         pos.iter.valid == validity::valid
                                     ? pos.iter
@@ -920,7 +1138,7 @@ class exec_impl {
       case m_back:
         if (c.size.hi == 0)
           report(severity::warning, e.line, e.column,
-                 cat({name_of(e), "() on an empty container '", cname, "'"}));
+                 "$n() on an empty container '$n'", {rank_of(e.sym), name});
         return abstract_value::unknown_value();
       case m_sort:  // list::sort
         c.sorted = sorted3::yes;
@@ -964,8 +1182,8 @@ class exec_impl {
             iterator_state::at(position::somewhere, name));
       default:
         report(severity::note, e.line, e.column,
-               cat({"unmodeled member function '", name_of(e), "' on '", cname,
-                    "'; assuming no effect"}));
+               "unmodeled member function '$n' on '$n'; assuming no effect",
+               {rank_of(e.sym), name});
         for (std::size_t i = 1; i < e.count; ++i) (void)eval_arg(i);
         return abstract_value::unknown_value();
     }
@@ -986,7 +1204,7 @@ class exec_impl {
     }
     if (e.count < spec->range_args) {
       report(severity::error, e.line, e.column,
-             "'" + spec->name + "' expects an iterator range");
+             "'$s' expects an iterator range", {str(spec->name)});
       return abstract_value::unknown_value();
     }
 
@@ -998,14 +1216,14 @@ class exec_impl {
       if (first.container != no_rank && last.container != no_rank &&
           first.container != last.container) {
         report(severity::warning, e.line, e.column,
-               "iterator range [first, last) spans different containers ('" +
-                   spelled(first.container) + "' and '" +
-                   spelled(last.container) + "')");
+               "iterator range [first, last) spans different containers ('$n' "
+               "and '$n')",
+               {first.container, last.container});
       }
       if (first.valid != validity::valid || last.valid != validity::valid) {
         report(severity::warning, e.line, e.column,
-               "singular iterator used as a range boundary in '" +
-                   spec->name + "'");
+               "singular iterator used as a range boundary in '$s'",
+               {str(spec->name)});
         heal(st, var_rank(kid(e, 0)));
         heal(st, var_rank(kid(e, 1)));
       }
@@ -1019,32 +1237,30 @@ class exec_impl {
       if (!spec->requires_iterator.empty() &&
           !a_.registry_->refines(cspec.iterator_concept,
                                  spec->requires_iterator)) {
-        std::string extra;
-        if (spec->requires_iterator == "ForwardIterator" &&
-            cspec.iterator_concept == "InputIterator")
-          extra = " — the algorithm needs the multipass guarantee";
+        const bool multipass = spec->requires_iterator == "ForwardIterator" &&
+                               cspec.iterator_concept == "InputIterator";
         report(severity::warning, e.line, e.column,
-               "'" + spec->name + "' requires a model of " +
-                   spec->requires_iterator + ", but " + cspec.kind +
-                   "::iterator models only " + cspec.iterator_concept +
-                   extra);
+               "'$s' requires a model of $s, but $s::iterator models only $s$s",
+               {str(spec->name), str(spec->requires_iterator), str(cspec.kind),
+                str(cspec.iterator_concept),
+                str(multipass ? " — the algorithm needs the multipass guarantee"
+                              : "")});
       }
       // Entry handler: sortedness precondition.
       if (spec->requires_sorted && c->sorted == sorted3::no) {
         report(severity::warning, e.line, e.column,
-               "'" + spec->name +
-                   "' requires the range [first, last) to be sorted, but it "
-                   "is not");
+               "'$s' requires the range [first, last) to be sorted, but it is "
+               "not",
+               {str(spec->name)});
       }
       // The Section 3.2 advisory, verbatim.
       if (a_.opt_.advisories && spec->linear_search &&
-          c->sorted == sorted3::yes) {
+          c->sorted == sorted3::yes)
         report(severity::advice, e.line, e.column,
                "the incoming sequence [first, last) is sorted, but will be "
-               "searched linearly with this algorithm. Consider replacing "
-               "this algorithm with one specialized for sorted sequences "
-               "(e.g., lower_bound)");
-      }
+               "searched linearly with this algorithm. Consider replacing this "
+               "algorithm with one specialized for sorted sequences (e.g., "
+               "lower_bound)");
       // Exit handler: sortedness postcondition.
       if (spec->establishes_sorted) c->sorted = sorted3::yes;
     }
@@ -1325,6 +1541,7 @@ class exec_impl {
   /// provenance (see diagnostics.hpp).
   std::vector<step> ring_;
   std::size_t ring_cap_ = 0, ring_next_ = 0, ring_size_ = 0;
+  std::vector<rank> named_;  ///< ranks named by the trail being copied out
 };
 
 void analyzer::run(const ast_program& program, source_view source) {

@@ -11,9 +11,9 @@
 // preconditions, and the "consider lower_bound" optimization advisory.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,33 +26,7 @@
 
 namespace cgp::stllint {
 
-/// Closed integer interval with +/- infinity sentinels.
-struct interval {
-  static constexpr long neg_inf = -(1L << 60);
-  static constexpr long pos_inf = (1L << 60);
-
-  long lo = neg_inf;
-  long hi = pos_inf;
-
-  [[nodiscard]] static interval exact(long v) { return {v, v}; }
-  [[nodiscard]] static interval at_least(long v) { return {v, pos_inf}; }
-  [[nodiscard]] static interval unknown() { return {}; }
-  [[nodiscard]] bool is_exact() const { return lo == hi; }
-
-  [[nodiscard]] interval join(const interval& o) const {
-    return {std::min(lo, o.lo), std::max(hi, o.hi)};
-  }
-  [[nodiscard]] interval plus(long v) const {
-    return {lo <= neg_inf ? neg_inf : lo + v, hi >= pos_inf ? pos_inf : hi + v};
-  }
-  [[nodiscard]] interval clamp_lo(long v) const {
-    return {std::max(lo, v), std::max(hi, v)};
-  }
-  friend bool operator==(const interval&, const interval&) = default;
-};
-
-/// Three-valued sortedness.
-enum class sorted3 { yes, no, unknown };
+/// Join of two sortedness values.
 [[nodiscard]] constexpr sorted3 join(sorted3 a, sorted3 b) {
   return a == b ? a : sorted3::unknown;
 }
@@ -158,7 +132,8 @@ struct options {
   int max_loop_passes = 3;
   bool advisories = true;    ///< emit optimization advice (Section 3.2)
   /// Most recent symbolic-execution steps attached to each diagnostic as
-  /// its provenance trail (0 disables provenance collection).
+  /// its provenance trail (0 disables provenance collection; at most
+  /// 16,384 are kept, so a trail's names fit its 16-bit name ids).
   int max_provenance_steps = 24;
 };
 
@@ -195,7 +170,9 @@ class analyzer {
   const core::concept_registry* registry_;
   diagnostics diags_;
   stats stats_;
-  std::set<std::string> reported_;  ///< dedup key: "line:col:message"
+  /// Reported (line, column, message code, arguments), sorted: the key a
+  /// report is deduplicated on before any text exists.
+  std::vector<std::array<std::int64_t, 8>> reported_;
   source_view source_;  ///< during run
 };
 

@@ -73,15 +73,17 @@ std::string_view source_view::line(int n) const {
     return n >= 1 && static_cast<std::size_t>(n) <= lines_->size()
                ? std::string_view((*lines_)[static_cast<std::size_t>(n) - 1])
                : std::string_view();
-  if (starts_.empty()) {
-    starts_.reserve(std::count(text_.begin(), text_.end(), '\n') + 1);
-    starts_.push_back(0);
-    for (std::size_t nl = 0; (nl = text_.find('\n', nl)) != text_.npos;)
-      starts_.push_back(++nl);
+  if (n < 1) return {};
+  if (n < at_line_) {
+    at_line_ = 1;
+    at_ = 0;
   }
-  if (n < 1 || static_cast<std::size_t>(n) > starts_.size()) return {};
-  const std::size_t at = starts_[static_cast<std::size_t>(n) - 1];
-  return text_.substr(at, text_.find('\n', at) - at);
+  for (; at_line_ < n; ++at_line_) {
+    const std::size_t nl = text_.find('\n', at_);
+    if (nl == text_.npos) return {};
+    at_ = nl + 1;
+  }
+  return text_.substr(at_, text_.find('\n', at_) - at_);
 }
 
 std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
@@ -167,7 +169,7 @@ std::vector<token> tokenize(std::string_view src, diagnostics& diags) {
       j = i + op_table[p].size();
     } else {
       diags.push_back({severity::error, tline, tcol,
-                       std::string("unexpected character '") + c + "'", ""});
+                       cat({"unexpected character '", {&c, 1}, "'"}), ""});
     }
     col += static_cast<int>(j - i);
     i = j;

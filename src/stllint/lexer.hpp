@@ -97,9 +97,11 @@ class source_view {
  private:
   std::string_view text_;
   const std::vector<std::string>* lines_ = nullptr;
-  /// Where each line of `text_` starts, found at the first lookup, so
-  /// each later one costs the same however long the text.
-  mutable std::vector<std::size_t> starts_;
+  /// Where the last line looked up starts in `text_`: lookups walk
+  /// forward from it (diagnostics come roughly in line order), and back
+  /// to the start for an earlier line.
+  mutable int at_line_ = 1;
+  mutable std::size_t at_ = 0;
 };
 
 }  // namespace cgp::stllint

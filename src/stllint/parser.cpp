@@ -88,7 +88,7 @@ class parser {
   void error(const std::string& msg) {
     if (stopped_) return;
     diags_.push_back({severity::error, peek().line, peek().column,
-                      msg + " (got '" + std::string(peek().text) + "')", ""});
+                      cat({msg, " (got '", peek().text, "')"}), ""});
   }
 
   /// Restores the nesting depth when the construct it guards ends.

@@ -21,14 +21,6 @@ struct lint_result {
     return true;
   }
 
-  /// All diagnostics with the given severity.
-  [[nodiscard]] diagnostics with_severity(severity s) const {
-    diagnostics out;
-    for (const diagnostic& d : diags)
-      if (d.sev == s) out.push_back(d);
-    return out;
-  }
-
   [[nodiscard]] std::string to_string() const {
     std::string out;
     for (const diagnostic& d : diags) out += d.to_string() + "\n";

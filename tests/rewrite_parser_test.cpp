@@ -75,6 +75,23 @@ TEST(Parser, Errors) {
   EXPECT_THROW((void)parse_expr("i j", kIntEnv), parse_error);
 }
 
+// A number token is read whole or rejected: an exponent makes a double,
+// and trailing characters or an out-of-range value are parse errors, not
+// a silently shorter number.
+TEST(Parser, NumbersAreReadWholeOrRejected) {
+  EXPECT_EQ(parse_expr("1e3", {}), E::double_lit(1000.0));
+  EXPECT_EQ(parse_expr("2.5E-1", {}), E::double_lit(0.25));
+  EXPECT_EQ(parse_expr("1e+2", {}), E::double_lit(100.0));
+  EXPECT_EQ(parse_expr("0xfe", {}), E::uint_lit(0xfe));
+  EXPECT_NE(parse_expr("i + 1e3", {{"i", "double"}}),
+            parse_expr("i + 1", {{"i", "double"}}));
+  for (const char* bad :
+       {"i + 1.01.0", "i + 0..0", "i + 12abc", "i + 1e", "i + 1e+",
+        "i + 0x", "i + 0x1g", "i + 0x1.5", "i + 99999999999999999999",
+        "i + 1e999", "i + 0xfffffffffffffffff"})
+    EXPECT_THROW((void)parse_expr(bad, kIntEnv), parse_error) << bad;
+}
+
 std::string nested(int depth, const std::string& open,
                    const std::string& close) {
   std::string out;

@@ -3,10 +3,13 @@
 // lint_source moves its diagnostics out instead of copying them, and the
 // symbolic executor's branch and loop states recycle their buffers, so the
 // number of allocations an analysis makes does not grow with the number of
-// loop passes it runs.
+// loop passes it runs.  Diagnostics are data: a report costs a constant
+// number of exactly sized allocations, a repeated one costs none, and a
+// kept result holds half the bytes it did when its trail was text.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -179,6 +182,131 @@ TEST(StllintAlloc, LoopPassesDoNotAllocate) {
   EXPECT_EQ(four.diagnostics, 0u);
   EXPECT_EQ(sixteen.diagnostics, 0u);
   EXPECT_GT(four.allocations, 0u);  // the hook really counts
+  EXPECT_EQ(four.allocations, sixteen.allocations)
+      << "4 passes allocated " << four.allocations << " times, 16 passes "
+      << sixteen.allocations << " times";
+}
+
+// ---------------------------------------------------------------------------
+// Diagnostics as data: text is built once per report, exactly sized, and
+// the trail's text only when it is read
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(provenance_step) <= 32);
+static_assert(std::is_trivially_copyable_v<provenance_step>);
+
+std::string generated(std::size_t i) {
+  return check::generate_minicpp(check::case_seed(0xd1a6, i));
+}
+constexpr std::size_t kPrograms = 200;
+
+/// Lints every generated program once, so the telemetry handles each
+/// severity resolves on its first report are not counted later.
+void resolve_handles() {
+  for (std::size_t i = 0; i < kPrograms; ++i) (void)lint_source(generated(i));
+}
+
+// Per report: its message, its echo, its trail and the trail's names.  The
+// constant covers the executor's own buffers and the vectors' growth.
+TEST(StllintAlloc, AnalysisAllocatesAConstantPlusFourPerDiagnostic) {
+  resolve_handles();
+  std::size_t diagnosed = 0;
+  for (std::size_t i = 0; i < kPrograms; ++i) {
+    const std::string src = generated(i);
+    diagnostics diags;
+    const std::vector<token> toks = tokenize(src, diags);
+    const ast_program program = parse(toks, diags);
+    analyzer a;
+    const std::size_t before = g_alloc_calls.load();
+    a.run(program, std::string_view(src));
+    const std::size_t allocations = g_alloc_calls.load() - before;
+    EXPECT_LE(allocations, 48 + 4 * a.diags().size()) << src;
+    diagnosed += a.diags().empty() ? 0 : 1;
+  }
+  EXPECT_GT(diagnosed, kPrograms / 2);  // reports were made
+}
+
+// Heap bytes the results keep, summed over the generated programs: at most
+// half of the 929,993 they kept when each provenance step owned two strings.
+TEST(StllintAlloc, ALintResultHoldsAtMostHalfItsTextualForm) {
+  resolve_handles();
+  std::ptrdiff_t held = 0;
+  for (std::size_t i = 0; i < kPrograms; ++i) {
+    const std::string src = generated(i);
+    const std::ptrdiff_t before = g_live_bytes.load();
+    const lint_result r = lint_source(src);
+    held += g_live_bytes.load() - before;
+  }
+  EXPECT_LE(held, 929993 / 2);
+}
+
+// A string copied into a cached result keeps its capacity, so every text
+// a diagnostic holds is built at exactly its size.
+TEST(StllintAlloc, DiagnosticTextIsExactlySized) {
+  const std::size_t sso = std::string().capacity();
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < kPrograms; ++i)
+    for (const diagnostic& d : lint_source(generated(i)).diags)
+      for (const std::string* text : {&d.message, &d.source_line, &d.names})
+        if (text->capacity() > sso) {
+          EXPECT_EQ(text->capacity(), text->size()) << *text;
+          ++checked;
+        }
+  EXPECT_GT(checked, kPrograms);
+}
+
+// A diagnostic owns everything it shows: a copy renders the same text
+// after the source, the program and the analyzer that made it are gone
+// (and their memory reused).
+TEST(StllintAlloc, ACopiedDiagnosticRendersAlone) {
+  diagnostics copies;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const std::string src = generated(i);
+    diagnostics diags;
+    const std::vector<token> toks = tokenize(src, diags);
+    const auto program = std::make_unique<ast_program>(parse(toks, diags));
+    analyzer a;
+    a.run(*program, std::string_view(src));
+    for (const diagnostic& d : a.diags()) {
+      copies.push_back(d);
+      expected.push_back(render_caret(d));
+    }
+  }
+  (void)lint_source(generated(kPrograms));  // reuses the freed memory
+  ASSERT_GT(copies.size(), 50u);
+  for (std::size_t i = 0; i < copies.size(); ++i)
+    EXPECT_EQ(render_caret(copies[i]), expected[i]);
+}
+
+// The dereference past the end repeats on every pass of a loop that never
+// converges: it is reported once, and a repeat builds no text, so the
+// analysis allocates the same however many passes it runs.
+constexpr const char* kRepeatsItsReport = R"(
+void f(vector<int>& v, int n) {
+  vector<int>::iterator e = v.end();
+  int i = 0;
+  while (n > 0) {
+    i = i + 1;
+    use(*e);
+  }
+}
+)";
+
+TEST(StllintAlloc, ARepeatedReportBuildsNoSecondMessage) {
+  diagnostics diags;
+  const std::vector<token> toks = tokenize(kRepeatsItsReport, diags);
+  const ast_program program = parse(toks, diags);
+  ASSERT_TRUE(diags.empty());
+  const std::vector<std::string> lines = source_lines(kRepeatsItsReport);
+  (void)analyze(program, lines, 2);  // resolves the telemetry handles
+
+  const analysis four = analyze(program, lines, 4);
+  const analysis sixteen = analyze(program, lines, 16);
+  ASSERT_EQ(four.loop_passes, 4u);
+  ASSERT_EQ(sixteen.loop_passes, 16u);
+  EXPECT_EQ(four.diagnostics, 1u);
+  EXPECT_EQ(sixteen.diagnostics, 1u);
   EXPECT_EQ(four.allocations, sixteen.allocations)
       << "4 passes allocated " << four.allocations << " times, 16 passes "
       << sixteen.allocations << " times";

@@ -199,7 +199,7 @@ std::vector<std::string> trail_of(int steps) {
   for (const diagnostic& d : r.diags)
     if (d.message.find("singular") != std::string::npos) {
       for (const provenance_step& s : d.provenance)
-        out.push_back(s.to_string());
+        out.push_back(d.step_text(s));
       return out;
     }
   ADD_FAILURE() << "no singular-iterator diagnostic\n" << r.to_string();
@@ -232,9 +232,10 @@ void f(vector<int>& v) {
 )");
   ASSERT_FALSE(r.diags.empty()) << r.to_string();
   std::vector<std::string> order;
-  for (const provenance_step& s : r.diags.front().provenance)
-    if (s.action.find("becomes singular") != std::string::npos)
-      order.push_back(s.action);
+  const diagnostic& d = r.diags.front();
+  for (const provenance_step& s : d.provenance)
+    if (d.action_text(s).find("becomes singular") != std::string::npos)
+      order.push_back(d.action_text(s));
   EXPECT_EQ(order, (std::vector<std::string>{
                        "iterator 'alpha' becomes singular",
                        "iterator 'mid' becomes singular",

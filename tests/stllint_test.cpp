@@ -51,6 +51,20 @@ TEST(Lexer, TracksLineNumbers) {
   EXPECT_EQ(toks[6].column, 3);
 }
 
+// Lines looked up out of order, past the end and before the start read
+// the same from the text as from its split lines.
+TEST(Lexer, SourceViewReadsLinesInAnyOrder) {
+  const std::string text = "a\nbb\n\nccc";
+  const source_view view(text);
+  const std::vector<std::string> lines = source_lines(text);
+  const source_view split(lines);
+  for (const int n : {2, 4, 1, 3, 5, 0, -1, 4, 4, 2})
+    EXPECT_EQ(view.line(n), split.line(n)) << "line " << n;
+  EXPECT_EQ(view.line(2), "bb");
+  EXPECT_EQ(view.line(4), "ccc");
+  EXPECT_EQ(view.line(5), "");
+}
+
 TEST(Lexer, SkipsCommentsAndReportsBadChars) {
   diagnostics diags;
   const auto toks = tokenize("int a; // c++ comment\n/* block */ int b; @",

@@ -503,7 +503,8 @@ void f(vector<int>& v) {
   // The trail ends at (or after) the invalidating push_back.
   bool mentions_push_back = false;
   for (const stllint::provenance_step& s : d.provenance)
-    mentions_push_back |= s.action.find("push_back") != std::string::npos;
+    mentions_push_back |=
+        d.action_text(s).find("push_back") != std::string::npos;
   EXPECT_TRUE(mentions_push_back);
   const std::string rendered = stllint::render_caret(d);
   EXPECT_NE(rendered.find("--> line"), std::string::npos);
