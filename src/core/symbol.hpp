@@ -1,9 +1,10 @@
 // Interned symbols: identifiers mapped to dense integer ids, so a front end
 // compares and keys by integers instead of strings.
 //
-// A table belongs to what it interns for (STLlint: one per parsed program)
-// and is never process-global, so concurrent workers take no lock and a
-// long-lived service does not accumulate every name it has ever seen.
+// A table belongs to what it interns for (STLlint: one per parsed program),
+// so concurrent workers take no lock and a long-lived service does not
+// accumulate every name it has ever seen.  The one process-wide table, the
+// profiler's frame names (a fixed set of call sites), sits behind a mutex.
 #pragma once
 
 #include <algorithm>

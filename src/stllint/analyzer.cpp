@@ -1558,6 +1558,7 @@ void analyzer::run(const ast_program& program, source_view source) {
       telemetry::registry::global().get_gauge(
           "stllint.analyzer.last_run_diagnostics");
   source_ = std::move(source);
+  reported_.clear();  // deduplicate within this program only
   const stats before = stats_;
   {
     exec_impl impl(*this, program);

@@ -171,7 +171,7 @@ class analyzer {
   diagnostics diags_;
   stats stats_;
   /// Reported (line, column, message code, arguments), sorted: the key a
-  /// report is deduplicated on before any text exists.
+  /// report is deduplicated on before any text exists.  Cleared by `run`.
   std::vector<std::array<std::int64_t, 8>> reported_;
   source_view source_;  ///< during run
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -125,19 +124,11 @@ void sampler::run_loop() {
   }
 }
 
-sampler::shard& sampler::shard_of(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
-const sampler::shard& sampler::shard_of(const std::string& name) const {
-  return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
-void sampler::append(const std::string& name, char kind, std::uint64_t t_ms,
-                     std::uint64_t raw, std::int64_t gauge_level) {
-  shard& sh = shard_of(name);
-  const std::lock_guard lock(sh.mu);
-  series_state& st = sh.metrics[name];
+std::uint64_t sampler::append(const std::string& name, char kind,
+                              std::uint64_t t_ms, std::uint64_t raw,
+                              std::int64_t gauge_level) {
+  series_state& st = metrics_[name];
+  const std::uint64_t prev = st.last_raw;
   st.kind = kind;
   double v;
   if (kind == 'g') {
@@ -153,10 +144,11 @@ void sampler::append(const std::string& name, char kind, std::uint64_t t_ms,
   ++st.total_points;
   if (st.ring.size() < opts_.capacity) {
     st.ring.push_back({t_ms, v});
-    return;
+  } else {
+    st.ring[st.head] = {t_ms, v};
+    st.head = (st.head + 1) % opts_.capacity;
   }
-  st.ring[st.head] = {t_ms, v};
-  st.head = (st.head + 1) % opts_.capacity;
+  return prev;
 }
 
 void sampler::sample_at(std::uint64_t now_ms) {
@@ -166,31 +158,26 @@ void sampler::sample_at(std::uint64_t now_ms) {
   // registry walk below samples this tick's fresh values.  One relaxed
   // load when the observatory is disabled.
   health::observatory::global().tick(now_ms);
-  std::size_t metric_count = 0;
-  for (const auto& [name, v] : reg_->counter_values()) {
-    // Read the pre-append baseline so nonzero movement can feed the
-    // flight recorder without re-deriving the delta.
-    std::uint64_t prev;
-    {
-      shard& sh = shard_of(name);
-      const std::lock_guard lock(sh.mu);
-      prev = sh.metrics[name].last_raw;
+  const auto counters = reg_->counter_values();
+  const auto gauges = reg_->gauge_values();
+  const auto hists = reg_->histogram_totals();
+  {
+    const std::lock_guard lock(mu_);
+    for (const auto& [name, v] : counters) {
+      // Nonzero movement since the previous tick feeds the flight recorder.
+      const std::uint64_t prev = append(name, 'c', now_ms, v, 0);
+      if (v > prev)
+        flight_recorder::global().note(flight_entry::kind::counter, name,
+                                       static_cast<double>(v - prev));
     }
-    append(name, 'c', now_ms, v, 0);
-    if (v > prev)
-      flight_recorder::global().note(flight_entry::kind::counter, name,
-                                     static_cast<double>(v - prev));
-    ++metric_count;
+    for (const auto& [name, v] : gauges) append(name, 'g', now_ms, 0, v);
+    for (const auto& [name, cnt, sum] : hists) {
+      append(name + ".count", 'n', now_ms, cnt, 0);
+      append(name + ".sum", 's', now_ms, sum, 0);
+    }
   }
-  for (const auto& [name, v] : reg_->gauge_values()) {
-    append(name, 'g', now_ms, 0, v);
-    ++metric_count;
-  }
-  for (const auto& [name, cnt, sum] : reg_->histogram_totals()) {
-    append(name + ".count", 'n', now_ms, cnt, 0);
-    append(name + ".sum", 's', now_ms, sum, 0);
-    metric_count += 2;
-  }
+  const std::size_t metric_count =
+      counters.size() + gauges.size() + 2 * hists.size();
   if (opts_.watch)
     watchdog::global().check(now_ms, opts_.period_ms, opts_.miss_threshold);
   samples_.fetch_add(1, std::memory_order_relaxed);
@@ -203,23 +190,18 @@ std::uint64_t sampler::samples_taken() const {
 }
 
 std::vector<series_view> sampler::series() const {
-  std::map<std::string, series_view> out;
-  for (const shard& sh : shards_) {
-    const std::lock_guard lock(sh.mu);
-    for (const auto& [name, st] : sh.metrics) {
-      series_view v;
-      v.name = name;
-      v.kind = kind_name(st.kind);
-      v.total_points = st.total_points;
-      v.points.reserve(st.ring.size());
-      for (std::size_t i = 0; i < st.ring.size(); ++i)
-        v.points.push_back(st.ring[(st.head + i) % st.ring.size()]);
-      out.emplace(name, std::move(v));
-    }
-  }
+  const std::lock_guard lock(mu_);
   std::vector<series_view> result;
-  result.reserve(out.size());
-  for (auto& [name, v] : out) result.push_back(std::move(v));
+  result.reserve(metrics_.size());
+  for (const auto& [name, st] : metrics_) {
+    series_view& v = result.emplace_back();
+    v.name = name;
+    v.kind = kind_name(st.kind);
+    v.total_points = st.total_points;
+    v.points.reserve(st.ring.size());
+    for (std::size_t i = 0; i < st.ring.size(); ++i)
+      v.points.push_back(st.ring[(st.head + i) % st.ring.size()]);
+  }
   return result;
 }
 
@@ -245,10 +227,12 @@ std::string sampler::export_prometheus() const {
   const std::vector<registry::histogram_view> hists = reg_->histogram_views();
   std::set<std::string> hist_names;
   for (const registry::histogram_view& h : hists) hist_names.insert(h.name);
+  // Metrics are walked in name order, so each family's samples arrive
+  // sorted by registry name.
   std::map<std::string, std::vector<prom_sample>> families;
-  for (const shard& sh : shards_) {
-    const std::lock_guard lock(sh.mu);
-    for (const auto& [name, st] : sh.metrics) {
+  {
+    const std::lock_guard lock(mu_);
+    for (const auto& [name, st] : metrics_) {
       if (st.kind == 'n' || st.kind == 's') {
         const std::size_t dot = name.rfind('.');
         if (dot != std::string::npos &&
@@ -263,11 +247,7 @@ std::string sampler::export_prometheus() const {
       families[prometheus_name(name)].push_back(std::move(s));
     }
   }
-  for (auto& [pname, samples] : families) {
-    std::sort(samples.begin(), samples.end(),
-              [](const prom_sample& a, const prom_sample& b) {
-                return a.metric < b.metric;
-              });
+  for (const auto& [pname, samples] : families) {
     // A family whose colliding members disagree on kind has no honest
     // single type; the spec's escape hatch for that is "untyped".
     bool any_gauge = false;
@@ -351,10 +331,8 @@ std::string sampler::export_json() const {
 }
 
 void sampler::clear() {
-  for (shard& sh : shards_) {
-    const std::lock_guard lock(sh.mu);
-    sh.metrics.clear();
-  }
+  const std::lock_guard lock(mu_);
+  metrics_.clear();
   samples_.store(0, std::memory_order_relaxed);
 }
 

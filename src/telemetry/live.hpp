@@ -8,9 +8,8 @@
 // configurable period and appends timestamped points to fixed-capacity
 // per-metric ring buffers — counters and histogram totals as per-period
 // DELTAS (rates), gauges as levels — so memory stays bounded no matter
-// how long the process lives.  Storage is lock-sharded by metric name:
-// the sampling thread and a concurrent scraper contend per shard, not on
-// one global lock.
+// how long the process lives.  Storage is one name-sorted map under one
+// mutex: there is a single sampling thread, and scrapes are rare.
 //
 // Two consumers, two formats:
 //   * export_prometheus(): latest values in Prometheus text exposition
@@ -28,7 +27,6 @@
 // Defining CGP_TELEMETRY_DISABLED compiles sampling down to no-ops.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -67,8 +65,6 @@ struct sample_options {
 
 class sampler {
  public:
-  static constexpr std::size_t kShards = 8;
-
   explicit sampler(sample_options opts = {},
                    registry& reg = registry::global());
   ~sampler();  ///< stops the background thread if running
@@ -84,7 +80,7 @@ class sampler {
 
   /// Manual mode: takes exactly one sample stamped `now_ms`.  Used with an
   /// injected clock by the determinism tests and callable alongside the
-  /// background thread (ticks serialize on the shard locks).
+  /// background thread (ticks serialize on the storage lock).
   void sample_at(std::uint64_t now_ms);
 
   /// Ticks taken so far (background + manual).
@@ -122,20 +118,17 @@ class sampler {
     std::vector<series_point> ring;
     std::size_t head = 0;  // oldest slot once the ring is full
   };
-  struct alignas(64) shard {
-    mutable std::mutex mu;
-    std::map<std::string, series_state> metrics;
-  };
 
   void run_loop();
-  void append(const std::string& name, char kind, std::uint64_t t_ms,
-              std::uint64_t raw, std::int64_t gauge_level);
-  [[nodiscard]] shard& shard_of(const std::string& name);
-  [[nodiscard]] const shard& shard_of(const std::string& name) const;
+  /// Appends one point to `name`'s ring (caller holds `mu_`) and returns
+  /// the series' previous absolute value.
+  std::uint64_t append(const std::string& name, char kind, std::uint64_t t_ms,
+                       std::uint64_t raw, std::int64_t gauge_level);
 
   sample_options opts_;
   registry* reg_;
-  std::array<shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::map<std::string, series_state> metrics_;  ///< name-sorted
 
   mutable std::mutex run_mu_;
   std::condition_variable run_cv_;

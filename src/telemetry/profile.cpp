@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/symbol.hpp"
+
 namespace cgp::telemetry::profile {
 
 namespace {
@@ -26,8 +28,7 @@ constexpr std::uint32_t kNoNode = 0xffff'ffffu;
 
 struct interner {
   std::mutex mu;
-  std::unordered_map<std::string, frame_id> ids;
-  std::deque<std::string> names;  // stable storage, indexed by frame_id
+  core::symbol_table names;
 };
 
 interner& interns() {
@@ -40,12 +41,7 @@ interner& interns() {
 frame_id intern(std::string_view name) {
   auto& in = interns();
   std::lock_guard lock(in.mu);
-  std::string key(name);
-  if (auto it = in.ids.find(key); it != in.ids.end()) return it->second;
-  const auto id = static_cast<frame_id>(in.names.size());
-  in.names.push_back(std::move(key));
-  in.ids.emplace(in.names.back(), id);
-  return id;
+  return in.names.intern(name);
 }
 
 std::string frame_name(frame_id id) {
@@ -53,7 +49,7 @@ std::string frame_name(frame_id id) {
   std::lock_guard lock(in.mu);
   if (id >= in.names.size())
     throw std::out_of_range("profile::frame_name: unknown frame id");
-  return in.names[id];
+  return std::string(in.names.name(id));
 }
 
 // ---------------------------------------------------------------------------

@@ -289,17 +289,17 @@ TEST(ConcurrentMap, PointersAreStableAcrossLaterInserts) {
 }
 
 TEST(ConcurrentMap, InsertIteratorDerefSafeDuringSameShardInserts) {
-  // Regression: operator* used to index the shard's deque, racing with
-  // concurrent emplace_back into the same shard (deque block-map mutation).
-  // The iterator now holds the node pointer captured under the shard lock,
-  // so a held iterator may be dereferenced while its shard keeps growing.
+  // The entry try_emplace returns is a pointer taken under the shard lock,
+  // never an index into the shard's deque (whose block map a concurrent
+  // emplace_back mutates), so it may be dereferenced while its shard keeps
+  // growing.
   par::concurrent_map<int, int> map(8);
   const auto [held, inserted] = map.try_emplace(0, 42);
   ASSERT_TRUE(inserted);
   std::atomic<bool> done{false};
   std::thread writer([&map, &done] {
     // std::hash<int> is identity on mainstream stdlibs, so multiples of
-    // the stripe count (64) all land in the held iterator's shard.
+    // the stripe count (64) all land in the held entry's shard.
     for (int i = 1; i <= 4000; ++i) map.try_emplace(i * 64, i);
     done.store(true, std::memory_order_release);
   });
@@ -408,20 +408,12 @@ TEST(ConcurrentMap, GrowthStormOnOneShardKeepsEveryKeyAndPointer) {
     }
 }
 
-TEST(ConcurrentMap, IterationAndClear) {
+TEST(ConcurrentMap, ClearDropsEveryEntry) {
   par::concurrent_map<int, int> map(64);
-  for (int i = 0; i < 100; ++i) map.insert(i, i * i);
-  std::size_t seen = 0;
-  for (auto it = map.begin(); it != map.end(); ++it) {
-    EXPECT_EQ(it->second, it->first * it->first);
-    ++seen;
-  }
-  EXPECT_EQ(seen, 100u);
-  std::size_t visited = 0;
-  map.for_each([&visited](const auto&) { ++visited; });
-  EXPECT_EQ(visited, 100u);
+  for (int i = 0; i < 100; ++i) map.try_emplace(i, i * i);
+  EXPECT_EQ(map.size(), 100u);
   map.clear();
-  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.find(5), nullptr);
 }
 

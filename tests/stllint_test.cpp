@@ -721,5 +721,36 @@ TEST(Stats, CountsWork) {
   EXPECT_GT(r.stats.loop_passes, 0u);
 }
 
+// Diagnostics accumulate across runs, but deduplication is per program: a
+// second program whose report has the same line, column, message and
+// arguments as one from an earlier run still gets its own diagnostic.
+TEST(Analyzer, EachRunReportsItsOwnProgramsDiagnostics) {
+  constexpr std::string_view first = R"(
+void f(vector<int>& v) {
+  use(*v.end());
+}
+)";
+  constexpr std::string_view second = R"(
+void g(vector<int>& v) {
+  use(*v.end());
+  v.clear();
+}
+)";
+  analyzer a;
+  for (const std::string_view src : {first, second}) {
+    diagnostics parse_diags;
+    const ast_program program = parse(tokenize(src, parse_diags), parse_diags);
+    ASSERT_TRUE(parse_diags.empty());
+    a.run(program, src);
+  }
+  int past_end = 0;
+  for (const diagnostic& d : a.diags())
+    if (d.message.find("past-the-end") != std::string::npos) {
+      EXPECT_EQ(d.line, 3);
+      ++past_end;
+    }
+  EXPECT_EQ(past_end, 2);
+}
+
 }  // namespace
 }  // namespace cgp::stllint
