@@ -1,10 +1,10 @@
 // Observability gates: one program, one subcommand per exported
 // document, each exiting non-zero when its document fails a check.
 //
-//   obs_export registry [--text]
+//   obs_export registry
 //       Drives every instrumented subsystem and prints the telemetry
-//       registry wrapped with the environment block (--text: one line per
-//       metric).  Fails when the printed document does not re-parse.
+//       registry wrapped with the environment block as JSON.  Fails when
+//       the printed document does not re-parse.
 //       Declared complexities are fitted by perf_report, not here.
 //   obs_export trace [--out trace.json]
 //       Grows one causal tree across PageRank on all three Transport
@@ -77,7 +77,7 @@ namespace live = telemetry::live;
 namespace health = telemetry::health;
 
 constexpr const char* kUsage =
-    "usage: obs_export registry|trace|live|health [--out PATH] [--text]\n"
+    "usage: obs_export registry|trace|live|health [--out PATH]\n"
     "                  [--period-ms N] [--no-stall] [--no-anomaly]\n";
 
 // ---------------------------------------------------------------------------
@@ -98,7 +98,6 @@ std::ostream& complain() { return std::cerr << g_tag << ": "; }
 struct options {
   std::string command;
   std::string out;                ///< document path; default <command>.json
-  bool text = false;              ///< registry: line-per-metric form
   std::uint64_t period_ms = 40;   ///< live: sampling period
   bool plant_stall = true;        ///< live: cleared by --no-stall
   bool plant_anomaly = true;      ///< health: cleared by --no-anomaly
@@ -297,22 +296,18 @@ void drive_algorithms() {
   (void)graph::instrumented::kruskal_mst(g);
 }
 
-int run_registry(const options& o) {
+int run_registry(const options&) {
   drive_pagerank(5);
   mixed_load().run();
   drive_algorithms();
 
   auto& reg = telemetry::registry::global();
   const auto env = perf::env_info(perf::utc_timestamp());
-  if (o.text) {
-    std::cout << "# " << env.to_string() << "\n" << reg.export_text() << "\n";
-  } else {
-    const std::string json = "{\"environment\":" +
-                             telemetry::dump_json(env.to_json()) +
-                             ",\"telemetry\":" + reg.export_json() + "}";
-    (void)parse_or_fail(json, 3, "re-parse");
-    std::cout << json << "\n";
-  }
+  const std::string json = "{\"environment\":" +
+                           telemetry::dump_json(env.to_json()) +
+                           ",\"telemetry\":" + reg.export_json() + "}";
+  (void)parse_or_fail(json, 3, "re-parse");
+  std::cout << json << "\n";
   return 0;
 }
 
@@ -401,12 +396,12 @@ int run_live(const options& o) {
                          .capacity = 512,
                          .watch = true,
                          .miss_threshold = kMissThreshold});
-  wd.on_stall([&](const live::stall_event& ev) {
+  wd.on_stall([&](const live::verdict& v) {
     const std::lock_guard lock(det_mu);
     ++detections;
     detected_at_tick = sampler.samples_taken();
-    say() << "watchdog verdict: " << ev.participant << " silent "
-          << ev.silent_ms << "ms\n";
+    say() << "watchdog verdict: " << v.target << " silent " << v.value
+          << "ms\n";
     det_cv.notify_all();
   });
   sampler.start();
@@ -513,12 +508,12 @@ int run_live(const options& o) {
   const auto fv = live::validate_flight_dump(
       parse_or_fail(fr.dump_json(), 10, "flight dump re-parse"));
   say() << "flight ring entries=" << fv.entries << " spans=" << fv.spans
-        << " counters=" << fv.counters << " verdicts=" << fv.watchdog_verdicts
+        << " counters=" << fv.counters << " verdicts=" << fv.verdicts
         << " markers=" << fv.markers << "\n";
   if (!fv.ok)
     throw gate_failure{11, "INVALID flight dump:\n" + fv.error_text()};
   if (fv.spans == 0 || fv.counters == 0 ||
-      (o.plant_stall && fv.watchdog_verdicts == 0))
+      (o.plant_stall && fv.verdicts == 0))
     throw gate_failure{12, "flight ring is missing event kinds "
                            "(spans/counters/verdicts)"};
 
@@ -789,8 +784,6 @@ options parse_args(int argc, char** argv) {
       o.out = argv[++i];
     else if (arg == "--period-ms" && has_value)
       o.period_ms = std::stoull(argv[++i]);
-    else if (arg == "--text")
-      o.text = true;
     else if (arg == "--no-stall")
       o.plant_stall = false;
     else if (arg == "--no-anomaly")

@@ -5,7 +5,6 @@
 //
 //   perf_report [--out FILE]              write report (default BENCH_perf.json)
 //               [--baseline FILE]         compare against a baseline report
-//               [--write-baseline FILE]   also write the report here
 //               [--quick]                 shorter batches, same n-sweeps
 //               [--time-tolerance X]      baseline time-gate ratio (default 4)
 //               [--no-gate-time]          counters-only gate (deterministic)
@@ -20,10 +19,6 @@
 //               [--profile-out FILE]      profile path (default PROF_perf.json;
 //                                         collapsed stacks land next to it
 //                                         with a .folded extension)
-//               [--profile-baseline FILE] when the baseline gate trips, diff
-//                                         the captured profile against this
-//                                         cgp.prof.v1 file and print the
-//                                         top-5 frame deltas
 //               [--self-check-diff]       with --plant-regression: exit 0 only
 //                                         when the clean-vs-planted diff
 //                                         localizes the planted benchmark in
@@ -38,7 +33,6 @@
 // budget; 5 a profile self-check failed (capture not
 // byte-deterministic, structural validation, or --self-check-diff failed
 // to localize the planted regression).
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -416,10 +410,8 @@ perf::bench_registry build_registry(bool quick) {
 struct options {
   std::string out = "BENCH_perf.json";
   std::string baseline;
-  std::string write_baseline;
   std::string plant;
   std::string profile_out = "PROF_perf.json";
-  std::string profile_baseline;
   double time_tolerance = 4.0;
   bool gate_time = true;
   bool quick = false;
@@ -440,10 +432,6 @@ bool parse_args(int argc, char** argv, options& o) {
       const char* v = next();
       if (!v) return false;
       o.baseline = v;
-    } else if (a == "--write-baseline") {
-      const char* v = next();
-      if (!v) return false;
-      o.write_baseline = v;
     } else if (a == "--plant-regression") {
       const char* v = next();
       if (!v) return false;
@@ -458,10 +446,6 @@ bool parse_args(int argc, char** argv, options& o) {
       const char* v = next();
       if (!v) return false;
       o.profile_out = v;
-    } else if (a == "--profile-baseline") {
-      const char* v = next();
-      if (!v) return false;
-      o.profile_baseline = v;
     } else if (a == "--self-check-diff") {
       o.self_check_diff = true;
     } else if (a == "--no-gate-time") {
@@ -480,13 +464,34 @@ bool parse_args(int argc, char** argv, options& o) {
 
 // --- overhead gates ---------------------------------------------------------
 
-// Continuous observation must stay within a 10% tax on the work-stealing
-// pool: the live sampler and the profiler's probes alike.
-constexpr double kSamplerOverheadBudget = 1.10;
-constexpr double kProbeOverheadBudget = 1.10;
-// The health observatory's per-message tallies and per-round shard folds
-// must fit in the same 10% tax on the distributed engine.
-constexpr double kHealthOverheadBudget = 1.10;
+// One row per observer whose cost is gated: its instrumented sweep must
+// stay within a 10% wall-time tax of the bare twin.  The live sampler and
+// the profiler's probes are priced on the work-stealing pool; the health
+// observatory's per-message tallies and per-round shard folds on the
+// distributed engine.  Gate `name` reports as the `<name>_overhead` block,
+// whose points label the two sides `bare_key` and `observed_key`.
+struct overhead_gate {
+  const char* bare;       ///< benchmark without the observer
+  const char* observed;   ///< the same benchmark with the observer live
+  double budget;          ///< max observed / bare wall-time ratio
+  const char* bare_key;
+  const char* observed_key;
+  const char* name;
+  const char* cost;       ///< failure text: "<cost> more than <budget>x"
+  const char* bare_text;  ///< failure text: "... the <bare_text>"
+};
+
+constexpr overhead_gate kOverheadGates[] = {
+    {"parallel.work_stealing", "parallel.work_stealing.sampled", 1.10,
+     "unsampled", "sampled", "sampler",
+     "background sampling costs", "unsampled work-stealing pool"},
+    {"parallel.work_stealing", "parallel.work_stealing.profiled", 1.10,
+     "unsampled", "sampled", "probe",
+     "profiler probes cost", "bare work-stealing pool"},
+    {"distributed.sim_transport", "distributed.sim_transport.health", 1.10,
+     "unobserved", "observed", "health",
+     "the observatory costs", "unobserved sim transport"},
+};
 
 struct overhead_verdict {
   bool present = false;  ///< both sweeps found
@@ -502,20 +507,15 @@ struct overhead_verdict {
 // sample must not manufacture a violation) — and the gate fails only when
 // at least half the sweep points are over.  A genuine blowup (the planted
 // 6x twin) separates the intervals at every point; jitter does not.
-// `a_key`/`b_key` label the two sides in the emitted JSON block
-// ("unsampled"/"sampled" for the pool gates, "unobserved"/"observed" for
-// the health gate); the verdict logic is identical either way.
 overhead_verdict gate_overhead_pair(
     const std::vector<perf::benchmark_result>& results,
-    const std::string& bare_name, const std::string& instrumented_name,
-    double budget, const std::string& a_key = "unsampled",
-    const std::string& b_key = "sampled") {
+    const overhead_gate& gate) {
   overhead_verdict v;
   const perf::benchmark_result* plain = nullptr;
   const perf::benchmark_result* sampled = nullptr;
   for (const auto& r : results) {
-    if (r.name == bare_name) plain = &r;
-    if (r.name == instrumented_name) sampled = &r;
+    if (r.name == gate.bare) plain = &r;
+    if (r.name == gate.observed) sampled = &r;
   }
   if (!plain || !sampled || plain->sweep.size() != sampled->sweep.size())
     return v;
@@ -523,7 +523,9 @@ overhead_verdict gate_overhead_pair(
 
   using telemetry::json_number;
   v.block = telemetry::json_object();
-  v.block.obj["budget_ratio"] = json_number(budget);
+  v.block.obj["budget_ratio"] = json_number(gate.budget);
+  const std::string a_key = gate.bare_key;
+  const std::string b_key = gate.observed_key;
   telemetry::json_value& pts = v.block.obj["points"] = telemetry::json_array();
   std::size_t over = 0;
   for (std::size_t i = 0; i < plain->sweep.size(); ++i) {
@@ -532,7 +534,7 @@ overhead_verdict gate_overhead_pair(
     const double ratio =
         p.time_ns.median > 0.0 ? s.time_ns.median / p.time_ns.median : 0.0;
     const bool tripped = p.time_ns.ci.hi > 0.0 &&
-                         s.time_ns.ci.lo > p.time_ns.ci.hi * budget;
+                         s.time_ns.ci.lo > p.time_ns.ci.hi * gate.budget;
     if (tripped) ++over;
     telemetry::json_value pt = telemetry::json_object();
     pt.obj["n"] = json_number(p.n);
@@ -725,31 +727,20 @@ int main(int argc, char** argv) {
   const auto results = perf::run_all(registry, topts, seed);
   const auto env = perf::env_info(perf::utc_timestamp());
   auto doc = perf::report_json(results, env);
-  const auto overhead =
-      gate_overhead_pair(results, "parallel.work_stealing",
-                         "parallel.work_stealing.sampled",
-                         kSamplerOverheadBudget);
-  if (overhead.present) doc.obj["sampler_overhead"] = overhead.block;
-  const auto probe_overhead =
-      gate_overhead_pair(results, "parallel.work_stealing",
-                         "parallel.work_stealing.profiled",
-                         kProbeOverheadBudget);
-  if (probe_overhead.present) doc.obj["probe_overhead"] = probe_overhead.block;
-  const auto health_overhead = gate_overhead_pair(
-      results, "distributed.sim_transport", "distributed.sim_transport.health",
-      kHealthOverheadBudget, "unobserved", "observed");
-  if (health_overhead.present)
-    doc.obj["health_overhead"] = health_overhead.block;
-  const std::string rendered = telemetry::dump_json(doc);
+  std::vector<overhead_verdict> overheads;
+  for (const overhead_gate& gate : kOverheadGates) {
+    overheads.push_back(gate_overhead_pair(results, gate));
+    if (overheads.back().present)
+      doc.obj[std::string(gate.name) + "_overhead"] = overheads.back().block;
+  }
 
-  for (const std::string& path : {opt.out, opt.write_baseline}) {
-    if (path.empty()) continue;
-    std::ofstream out(path);
+  {
+    std::ofstream out(opt.out);
     if (!out) {
-      std::cerr << "cannot write " << path << "\n";
+      std::cerr << "cannot write " << opt.out << "\n";
       return 3;
     }
-    out << rendered << "\n";
+    out << telemetry::dump_json(doc) << "\n";
   }
 
   bool fit_failed = false;
@@ -804,26 +795,6 @@ int main(int argc, char** argv) {
                 << r.detail << "\n";
     if (!regressions.empty()) rc = 1;
     else std::cout << "baseline gate: ok (" << opt.baseline << ")\n";
-    // Attribution: when the gate trips and a profile baseline is on hand,
-    // name the culprit call paths instead of just the benchmark.
-    if (rc == 1 && want_profile && !opt.profile_baseline.empty()) {
-      std::ifstream pin(opt.profile_baseline);
-      if (!pin) {
-        std::cerr << "cannot read profile baseline " << opt.profile_baseline
-                  << "\n";
-      } else {
-        std::stringstream pbuf;
-        pbuf << pin.rdbuf();
-        try {
-          const auto base_prof = telemetry::parse_json(pbuf.str());
-          const auto diff = perf::profile_diff(base_prof, prof_doc);
-          std::cerr << perf::render_profile_diff(diff, 5);
-        } catch (const telemetry::json_error& e) {
-          std::cerr << "profile baseline is not valid JSON: " << e.what()
-                    << "\n";
-        }
-      }
-    }
   }
 
   if (fit_failed) {
@@ -832,40 +803,16 @@ int main(int argc, char** argv) {
     rc = rc == 0 ? 2 : rc;
   }
 
-  if (overhead.present) {
-    if (overhead.ok) {
-      std::cout << "sampler overhead gate: ok (budget "
-                << kSamplerOverheadBudget << "x)\n";
-    } else {
-      std::cerr << "sampler overhead gate: background sampling costs more "
-                   "than "
-                << kSamplerOverheadBudget
-                << "x the unsampled work-stealing pool at half or more "
-                   "sweep points\n";
-      rc = rc == 0 ? 4 : rc;
-    }
-  }
-  if (probe_overhead.present) {
-    if (probe_overhead.ok) {
-      std::cout << "probe overhead gate: ok (budget " << kProbeOverheadBudget
+  for (std::size_t i = 0; i < overheads.size(); ++i) {
+    const overhead_gate& gate = kOverheadGates[i];
+    if (!overheads[i].present) continue;
+    if (overheads[i].ok) {
+      std::cout << gate.name << " overhead gate: ok (budget " << gate.budget
                 << "x)\n";
     } else {
-      std::cerr << "probe overhead gate: profiler probes cost more than "
-                << kProbeOverheadBudget
-                << "x the bare work-stealing pool at half or more sweep "
-                   "points\n";
-      rc = rc == 0 ? 4 : rc;
-    }
-  }
-  if (health_overhead.present) {
-    if (health_overhead.ok) {
-      std::cout << "health overhead gate: ok (budget "
-                << kHealthOverheadBudget << "x)\n";
-    } else {
-      std::cerr << "health overhead gate: the observatory costs more than "
-                << kHealthOverheadBudget
-                << "x the unobserved sim transport at half or more sweep "
-                   "points\n";
+      std::cerr << gate.name << " overhead gate: " << gate.cost
+                << " more than " << gate.budget << "x the " << gate.bare_text
+                << " at half or more sweep points\n";
       rc = rc == 0 ? 4 : rc;
     }
   }

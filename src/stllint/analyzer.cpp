@@ -1560,6 +1560,7 @@ void analyzer::run(const ast_program& program, source_view source) {
   source_ = std::move(source);
   reported_.clear();  // deduplicate within this program only
   const stats before = stats_;
+  const std::size_t diags_before = diags_.size();
   {
     exec_impl impl(*this, program);
     for (const ast_function& fn : program.functions) impl.run_function(fn);
@@ -1571,9 +1572,11 @@ void analyzer::run(const ast_program& program, source_view source) {
   expressions.add(stats_.expressions - before.expressions);
   loop_passes.add(stats_.loop_passes - before.loop_passes);
   // Level metric for the live sampler: diagnostics found by the most
-  // recent run, so a service loop's per-input severity is visible as a
-  // series rather than only a cumulative count.
-  last_run_diagnostics.set(static_cast<std::int64_t>(diags_.size()));
+  // recent run (diagnostics accumulate across runs), so a service loop's
+  // per-input severity is visible as a series rather than only a
+  // cumulative count.
+  last_run_diagnostics.set(
+      static_cast<std::int64_t>(diags_.size() - diags_before));
 }
 
 }  // namespace cgp::stllint

@@ -1,10 +1,8 @@
 #include "telemetry/health.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "core/mix64.hpp"
-#include "telemetry/recorder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace cgp::telemetry::health {
@@ -50,22 +48,6 @@ using core::mix64;
   out.obj["latency"] = jhist(r.latency_count, r.latency_sum, r.latency_buckets);
   out.obj["depth"] = jhist(r.depth_count, r.depth_sum, r.depth_buckets);
   return out;
-}
-
-void emit_verdict(const slo_verdict& v) {
-  registry::global().get_counter("telemetry.health.verdicts").add(1);
-  registry::global().get_counter("telemetry.health.verdicts." + v.rule).add(1);
-  live::flight_recorder::global().note(
-      live::flight_entry::kind::marker, "health." + v.rule, v.value,
-      v.target + ": " + to_string(v.kind) + " " + std::to_string(v.value) +
-          " over " + std::to_string(v.threshold));
-  // A root instant: the evaluating thread (the sampler, or a post-run
-  // caller) may have no trace context, and the verdict must land anyway.
-  trace::root_instant("health." + v.rule + ": " + v.target, "telemetry.health",
-                      {{"kind", to_string(v.kind)},
-                       {"value", std::to_string(v.value)},
-                       {"threshold", std::to_string(v.threshold)},
-                       {"tick", std::to_string(v.tick)}});
 }
 
 /// Exemplar instants join the run's causal tree: use the barrier thread's
@@ -411,12 +393,17 @@ void observatory::mirror_locked(const std::vector<backend_snapshot>& snaps) {
 
 std::size_t observatory::evaluate_rules_locked(
     std::uint64_t now_ms, const std::vector<backend_snapshot>& snaps) {
-  struct violation {
-    const slo_rule* rule;
-    std::string target;
-    double value;
+  std::vector<slo_verdict> violations;
+  const auto violate = [&](const slo_rule& rule, std::string target,
+                           double value) {
+    violations.push_back({live::verdict{.source = "health",
+                                        .rule = rule.name,
+                                        .target = std::move(target),
+                                        .value = value,
+                                        .threshold = threshold_of(rule),
+                                        .t_ms = now_ms},
+                          rule.kind, ticks_});
   };
-  std::vector<violation> violations;
   registry& reg = registry::global();
   for (const slo_rule& rule : opts_.rules) {
     switch (rule.kind) {
@@ -439,10 +426,10 @@ std::size_t observatory::evaluate_rules_locked(
               static_cast<double>(total) / static_cast<double>(active);
           const double ratio = static_cast<double>(best) / mean;
           if (ratio > rule.threshold)
-            violations.push_back({&rule,
-                                  "distributed." + b.name + ".shard" +
-                                      std::to_string(best_shard),
-                                  ratio});
+            violate(rule,
+                    "distributed." + b.name + ".shard" +
+                        std::to_string(best_shard),
+                    ratio);
         }
         break;
       case rule_kind::stall_budget:
@@ -454,10 +441,9 @@ std::size_t observatory::evaluate_rules_locked(
               continue;
             const std::uint64_t lag = newest - r.last_active_round;
             if (lag > rule.budget)
-              violations.push_back(
-                  {&rule,
-                   "distributed." + b.name + ".shard" + std::to_string(s),
-                   static_cast<double>(lag)});
+              violate(rule,
+                      "distributed." + b.name + ".shard" + std::to_string(s),
+                      static_cast<double>(lag));
           }
         }
         break;
@@ -468,46 +454,32 @@ std::size_t observatory::evaluate_rules_locked(
           const double rate = static_cast<double>(b.rollup.dropped) /
                               static_cast<double>(b.rollup.routed);
           if (rate > rule.threshold)
-            violations.push_back({&rule, "distributed." + b.name, rate});
+            violate(rule, "distributed." + b.name, rate);
         }
         break;
       case rule_kind::convergence_deadline: {
         if (rule.metric.empty() || ticks_ < rule.budget) break;
         const std::int64_t level = reg.get_gauge(rule.metric).value();
         if (level > 0)
-          violations.push_back(
-              {&rule, rule.metric, static_cast<double>(level)});
+          violate(rule, rule.metric, static_cast<double>(level));
         break;
       }
     }
   }
   // Episode bookkeeping (watchdog semantics): one verdict per (rule,
-  // target) episode; the episode re-arms when the condition clears.
-  std::vector<slo_verdict> fresh;
-  std::set<std::pair<std::string, std::string>> current;
-  for (const violation& v : violations) {
-    const auto key = std::make_pair(v.rule->name, v.target);
-    current.insert(key);
-    bool& flagged = episodes_[key];
-    if (flagged) continue;
-    flagged = true;
-    slo_verdict verdict;
-    verdict.rule = v.rule->name;
-    verdict.kind = v.rule->kind;
-    verdict.target = v.target;
-    verdict.value = v.value;
-    verdict.threshold = threshold_of(*v.rule);
-    verdict.tick = ticks_;
-    verdict.now_ms = now_ms;
-    verdicts_.push_back(verdict);
-    fresh.push_back(std::move(verdict));
+  // target) episode; an episode absent from this tick's violations closes,
+  // so its condition re-arms.
+  std::set<std::pair<std::string, std::string>> open;
+  std::size_t fresh = 0;
+  for (slo_verdict& v : violations) {
+    auto key = std::make_pair(v.rule, v.target);
+    if (!open.insert(key).second || episodes_.contains(key)) continue;
+    verdicts_.push_back(std::move(v));
+    live::raise(verdicts_.back());
+    ++fresh;
   }
-  for (auto& [key, flagged] : episodes_)
-    if (flagged && current.find(key) == current.end()) flagged = false;
-  // Side effects outside our own data structures; the registry, the
-  // flight recorder, and the trace sink carry their own locks.
-  for (const slo_verdict& v : fresh) emit_verdict(v);
-  return fresh.size();
+  episodes_ = std::move(open);
+  return fresh;
 }
 
 std::string observatory::export_json() const {
@@ -570,7 +542,7 @@ std::string observatory::export_json() const {
     jv.obj["value"] = json_number(v.value);
     jv.obj["threshold"] = json_number(v.threshold);
     jv.obj["tick"] = json_number(v.tick);
-    jv.obj["now_ms"] = json_number(v.now_ms);
+    jv.obj["now_ms"] = json_number(v.t_ms);
     verdicts.arr.push_back(std::move(jv));
   }
   return dump_json(doc);

@@ -24,9 +24,9 @@
 //   * SLO rules — declarative rules (max-shard/mean skew ratio, stall
 //     budget in rounds, drop-rate ceiling, convergence deadline over a
 //     registry gauge) evaluated at every tick.  Each violation opens an
-//     EPISODE keyed by (rule, target) and emits exactly one verdict —
-//     counter + flight-recorder note + trace instant — mirroring the
-//     watchdog's semantics; the episode re-arms when the condition clears.
+//     EPISODE keyed by (rule, target) and raises exactly one verdict
+//     through the path the stall watchdog uses too (`live::raise`,
+//     recorder.hpp); the episode re-arms when the condition clears.
 //   * export — `export_json()` emits a `cgp.health.v1` document through
 //     dump_json (sorted keys, shortest number round-trip), so under
 //     health_options::manual_clock two identical runs export
@@ -49,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,6 +57,7 @@
 #include <vector>
 
 #include "telemetry/export.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgp::telemetry::health {
@@ -152,15 +154,12 @@ struct backend_snapshot {
   std::uint64_t reservoir_seen = 0; ///< offers across all shards
 };
 
-/// One emitted SLO violation.
-struct slo_verdict {
-  std::string rule;
+/// One raised SLO violation: the shared verdict record (source "health",
+/// rule = the rule's name, target e.g. "distributed.inproc.shard3", t_ms =
+/// the tick's timestamp) plus what the cgp.health.v1 document adds.
+struct slo_verdict : live::verdict {
   rule_kind kind = rule_kind::skew_ratio;
-  std::string target;  ///< e.g. "distributed.inproc.shard3"
-  double value = 0.0;
-  double threshold = 0.0;
-  std::uint64_t tick = 0;    ///< 1-based observatory tick that caught it
-  std::uint64_t now_ms = 0;  ///< the tick's timestamp
+  std::uint64_t tick = 0;  ///< 1-based observatory tick that caught it
 };
 
 // ---------------------------------------------------------------------------
@@ -312,9 +311,9 @@ class observatory {
   std::map<std::string, std::unique_ptr<backend_track>> tracks_;
   std::vector<slo_verdict> verdicts_;
   std::uint64_t ticks_ = 0;
-  /// (rule, target) -> currently flagged: one verdict per episode, armed
-  /// again when the condition clears (watchdog semantics).
-  std::map<std::pair<std::string, std::string>, bool> episodes_;
+  /// Open (rule, target) episodes: one verdict per episode, armed again
+  /// when the condition clears (watchdog semantics).
+  std::set<std::pair<std::string, std::string>> episodes_;
   /// Mirror baselines: last absolute value pushed per registry metric.
   std::map<std::string, std::uint64_t> mirrored_;
 };

@@ -318,12 +318,12 @@ std::string sampler::export_json() const {
   if (opts_.watch) {
     json_value& wd = doc.obj["watchdog"] = json_object();
     json_value& stalls = wd.obj["stalls"] = json_array();
-    for (const stall_event& ev : watchdog::global().stalls()) {
+    for (const verdict& v : watchdog::global().stalls()) {
       json_value s = json_object();
-      s.obj["participant"] = json_string(ev.participant);
-      s.obj["last_beat_ms"] = json_number(ev.last_beat_ms);
-      s.obj["detected_at_ms"] = json_number(ev.detected_at_ms);
-      s.obj["silent_ms"] = json_number(ev.silent_ms);
+      s.obj["participant"] = json_string(v.target);
+      s.obj["last_beat_ms"] = json_number(v.t_ms - v.value);
+      s.obj["detected_at_ms"] = json_number(v.t_ms);
+      s.obj["silent_ms"] = json_number(v.value);
       stalls.arr.push_back(std::move(s));
     }
   }

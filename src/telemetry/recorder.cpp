@@ -1,5 +1,7 @@
 #include "telemetry/recorder.hpp"
 
+#include "telemetry/trace.hpp"
+
 namespace cgp::telemetry::live {
 
 const char* to_string(flight_entry::kind k) noexcept {
@@ -8,8 +10,8 @@ const char* to_string(flight_entry::kind k) noexcept {
       return "span";
     case flight_entry::kind::counter:
       return "counter";
-    case flight_entry::kind::watchdog:
-      return "watchdog";
+    case flight_entry::kind::verdict:
+      return "verdict";
     case flight_entry::kind::marker:
       return "marker";
   }
@@ -157,14 +159,31 @@ flight_validation validate_flight_dump(const json_value& doc) {
       ++r.spans;
     else if (k == "counter")
       ++r.counters;
-    else if (k == "watchdog")
-      ++r.watchdog_verdicts;
+    else if (k == "verdict")
+      ++r.verdicts;
     else if (k == "marker")
       ++r.markers;
     else
       r.fail(where + " has unknown kind '" + k + "'");
   }
   return r;
+}
+
+void raise(const verdict& v) {
+  const std::string id = v.source + "." + v.rule;
+  registry& reg = registry::global();
+  reg.get_counter("telemetry.verdicts").add(1);
+  reg.get_counter("telemetry.verdicts." + id).add(1);
+  const std::string value = json_number_text(v.value);
+  const std::string threshold = json_number_text(v.threshold);
+  flight_recorder::global().note(
+      flight_entry::kind::verdict, id, v.value,
+      v.target + ": " + value + " over " + threshold);
+  // A root instant: the checking thread (the sampler, or a post-run
+  // caller) has no trace context, and the verdict must reach the trace
+  // anyway.
+  trace::root_instant(id + ": " + v.target, "telemetry." + v.source,
+                      {{"value", value}, {"threshold", threshold}});
 }
 
 }  // namespace cgp::telemetry::live

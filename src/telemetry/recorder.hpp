@@ -1,6 +1,8 @@
 // Flight recorder: a bounded, always-on ring of recent runtime events —
-// finished metrics scopes, counter movements, watchdog verdicts, markers
-// — that can be dumped on demand or from a fault path.
+// finished metrics scopes, counter movements, verdicts, markers — that
+// can be dumped on demand or from a fault path.  Beside it sits the one
+// verdict path: `raise` counts, notes and traces every verdict, whether
+// the stall watchdog or a health SLO rule caught it.
 //
 // The trace sink (trace.hpp) keeps a *truncated head*: once max_events is
 // reached, new events are dropped, which is the honest policy for an
@@ -9,7 +11,7 @@
 // The flight recorder is the complementary policy: a fixed-capacity ring
 // that OVERWRITES the oldest entry, so whatever happened just before a
 // fault is always on hand.  DESIGN.md §10 covers how the live sampler and
-// the stall watchdog feed it.
+// the verdict path feed it.
 //
 // Cost discipline: one mutex, one clock read and two string assignments
 // per note; after the first lap the ring reuses its entries' buffers.
@@ -39,7 +41,7 @@ struct flight_entry {
   enum class kind : char {
     span = 's',      ///< a metrics scope finished (value = duration us)
     counter = 'c',   ///< a registry counter moved (value = sampled delta)
-    watchdog = 'w',  ///< a stall verdict (detail = participant, silent ms)
+    verdict = 'v',   ///< a raised verdict (value = observed level)
     marker = 'm',    ///< free-form driver annotation
   };
 
@@ -109,10 +111,29 @@ struct flight_validation : validation {
   std::size_t entries = 0;
   std::size_t spans = 0;
   std::size_t counters = 0;
-  std::size_t watchdog_verdicts = 0;
+  std::size_t verdicts = 0;
   std::size_t markers = 0;
 };
 
 [[nodiscard]] flight_validation validate_flight_dump(const json_value& doc);
+
+/// One verdict, whichever check caught it.  `source` and `rule` together
+/// are the rule id: `watchdog.stall` for a busy participant silent past
+/// its budget, `health.<rule name>` for a violated SLO rule.
+struct verdict {
+  std::string source;      ///< the checking layer: "watchdog" or "health"
+  std::string rule;        ///< the rule within it: "stall", "shard_skew"
+  std::string target;      ///< what it names: a participant, shard or gauge
+  double value = 0.0;      ///< the observed level (silent ms, skew ratio)
+  double threshold = 0.0;  ///< the level it crossed (budget ms, ceiling)
+  std::uint64_t t_ms = 0;  ///< when the check caught it
+};
+
+/// The only emission path for a verdict: adds 1 to the registry counters
+/// `telemetry.verdicts` and `telemetry.verdicts.<source>.<rule>`, notes a
+/// `verdict` flight entry named `<source>.<rule>`, and records the root
+/// trace instant `<source>.<rule>: <target>`.  Callers keep their own
+/// verdict log and episode state; this is only the side effects.
+void raise(const verdict& v);
 
 }  // namespace cgp::telemetry::live

@@ -119,29 +119,6 @@ void registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-std::string registry::export_text() const {
-  const std::lock_guard lock(mu_);
-  std::ostringstream os;
-  for (const auto& [name, c] : counters_)
-    os << "counter " << name << " " << c->value() << "\n";
-  for (const auto& [name, g] : gauges_)
-    os << "gauge " << name << " " << g->value() << "\n";
-  for (const auto& [name, h] : histograms_) {
-    os << "histogram " << name << " count=" << h->count()
-       << " sum=" << h->sum() << " mean=" << h->mean();
-    // Percentiles of zero samples do not exist; printing 0 would read as
-    // "measured and instantaneous", so say null explicitly.
-    if (h->count() == 0) {
-      os << " p50=null p95=null p99=null";
-    } else {
-      os << " p50=" << h->percentile(50) << " p95=" << h->percentile(95)
-         << " p99=" << h->percentile(99);
-    }
-    os << " max=" << h->max() << "\n";
-  }
-  return os.str();
-}
-
 std::string registry::export_json() const {
   const std::lock_guard lock(mu_);
   std::ostringstream os;

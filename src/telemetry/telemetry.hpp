@@ -264,8 +264,6 @@ class registry {
   /// "did subsystem X report anything?").
   [[nodiscard]] std::uint64_t counter_sum(const std::string& prefix) const;
 
-  /// One line per metric, human-readable.
-  [[nodiscard]] std::string export_text() const;
   /// One JSON object with "counters", "gauges", "histograms".
   [[nodiscard]] std::string export_json() const;
 

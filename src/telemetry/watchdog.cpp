@@ -1,21 +1,8 @@
 #include "telemetry/watchdog.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "telemetry/recorder.hpp"
-#include "telemetry/trace.hpp"
-
 namespace cgp::telemetry::live {
-namespace {
-
-counter& stalls_counter() {
-  static counter& c =
-      registry::global().get_counter("telemetry.watchdog.stalls_detected");
-  return c;
-}
-
-}  // namespace
 
 heartbeat::heartbeat(std::string name) : name_(std::move(name)) {
   last_beat_ms_.store(steady_now_ms(), std::memory_order_relaxed);
@@ -60,7 +47,7 @@ std::shared_ptr<heartbeat> watchdog::register_heartbeat(std::string name) {
   return hb;
 }
 
-void watchdog::on_stall(std::function<void(const stall_event&)> cb) {
+void watchdog::on_stall(std::function<void(const verdict&)> cb) {
   const std::lock_guard lock(mu_);
   cb_ = std::move(cb);
 }
@@ -70,16 +57,11 @@ std::size_t watchdog::check(std::uint64_t now_ms, std::uint64_t period_ms,
   if constexpr (!kEnabled) return 0;
   const std::uint64_t budget_ms =
       period_ms * static_cast<std::uint64_t>(miss_threshold);
-  std::vector<stall_event> fresh;
-  std::function<void(const stall_event&)> cb;
+  std::vector<verdict> fresh;
+  std::function<void(const verdict&)> cb;
   {
     const std::lock_guard lock(mu_);
-    // Prune registrations whose owner dropped the shared_ptr.
-    beats_.erase(std::remove_if(beats_.begin(), beats_.end(),
-                                [](const std::weak_ptr<heartbeat>& w) {
-                                  return w.expired();
-                                }),
-                 beats_.end());
+    prune_locked();
     for (const std::weak_ptr<heartbeat>& w : beats_) {
       const std::shared_ptr<heartbeat> hb = w.lock();
       if (!hb) continue;
@@ -89,33 +71,24 @@ std::size_t watchdog::check(std::uint64_t now_ms, std::uint64_t period_ms,
       // One verdict per stall episode: flagged_ clears when the
       // participant completes the unit of work (end_work).
       if (hb->flagged_.exchange(true, std::memory_order_relaxed)) continue;
-      stall_event ev;
-      ev.participant = hb->name();
-      ev.last_beat_ms = last;
-      ev.detected_at_ms = now_ms;
-      ev.silent_ms = now_ms - last;
-      fresh.push_back(ev);
-      stalls_.push_back(std::move(ev));
+      fresh.push_back({.source = "watchdog",
+                       .rule = "stall",
+                       .target = hb->name(),
+                       .value = static_cast<double>(now_ms - last),
+                       .threshold = static_cast<double>(budget_ms),
+                       .t_ms = now_ms});
+      stalls_.push_back(fresh.back());
     }
     cb = cb_;
   }
-  for (const stall_event& ev : fresh) {
-    stalls_counter().add(1);
-    flight_recorder::global().note(
-        flight_entry::kind::watchdog, ev.participant,
-        static_cast<double>(ev.silent_ms),
-        "stall: silent " + std::to_string(ev.silent_ms) + "ms while busy");
-    // A root instant: the sampler thread checking here has no trace
-    // context, and the verdict must reach the trace anyway.
-    trace::root_instant("watchdog.stall: " + ev.participant,
-                        "telemetry.watchdog",
-                        {{"silent_ms", std::to_string(ev.silent_ms)}});
-    if (cb) cb(ev);
+  for (const verdict& v : fresh) {
+    raise(v);
+    if (cb) cb(v);
   }
   return fresh.size();
 }
 
-std::vector<stall_event> watchdog::stalls() const {
+std::vector<verdict> watchdog::stalls() const {
   const std::lock_guard lock(mu_);
   return stalls_;
 }
@@ -135,24 +108,20 @@ std::size_t watchdog::heartbeat_count() const {
 
 std::size_t watchdog::prune_expired() {
   const std::lock_guard lock(mu_);
-  const std::size_t before = beats_.size();
-  beats_.erase(std::remove_if(beats_.begin(), beats_.end(),
-                              [](const std::weak_ptr<heartbeat>& w) {
-                                return w.expired();
-                              }),
-               beats_.end());
-  return before - beats_.size();
+  return prune_locked();
+}
+
+std::size_t watchdog::prune_locked() {
+  return std::erase_if(beats_, [](const std::weak_ptr<heartbeat>& w) {
+    return w.expired();
+  });
 }
 
 void watchdog::reset() {
   const std::lock_guard lock(mu_);
   stalls_.clear();
   cb_ = nullptr;
-  beats_.erase(std::remove_if(beats_.begin(), beats_.end(),
-                              [](const std::weak_ptr<heartbeat>& w) {
-                                return w.expired();
-                              }),
-               beats_.end());
+  prune_locked();
 }
 
 }  // namespace cgp::telemetry::live

@@ -8,10 +8,11 @@
 // while they make progress, and mark themselves busy/idle around units of
 // work.  The live sampler (live.hpp) calls `check()` once per sample
 // period; any participant that is BUSY and has been silent for more than
-// `miss_threshold` periods is flagged exactly once per stall episode —
-// a registry counter ticks, a trace instant is recorded, a flight-recorder
-// verdict is noted, and an optional callback fires so drivers and tests
-// can react (`obs_export live` plants a stall and gates on detection).
+// `miss_threshold` periods is flagged exactly once per stall episode: a
+// `watchdog.stall` verdict goes through the one verdict path
+// (`live::raise`, recorder.hpp), and an optional callback fires so drivers
+// and tests can react (`obs_export live` plants a stall and gates on
+// detection).
 //
 // Idle participants are never flagged: a worker parked on its condition
 // variable is healthy, not stalled — silence only indicts a participant
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgp::telemetry::live {
@@ -70,14 +72,6 @@ class heartbeat {
   std::atomic<bool> flagged_{false};  ///< one verdict per stall episode
 };
 
-/// One stall verdict.
-struct stall_event {
-  std::string participant;
-  std::uint64_t last_beat_ms = 0;    ///< the participant's last sign of life
-  std::uint64_t detected_at_ms = 0;  ///< the check() that flagged it
-  std::uint64_t silent_ms = 0;       ///< detected_at - last_beat
-};
-
 class watchdog {
  public:
   watchdog() = default;
@@ -94,7 +88,7 @@ class watchdog {
 
   /// Installs the stall callback (invoked outside the watchdog lock, once
   /// per verdict).  Pass nullptr to remove.
-  void on_stall(std::function<void(const stall_event&)> cb);
+  void on_stall(std::function<void(const verdict&)> cb);
 
   /// One liveness sweep at `now_ms`: flags every busy participant silent
   /// for longer than `miss_threshold * period_ms`, prunes dropped
@@ -103,8 +97,11 @@ class watchdog {
   std::size_t check(std::uint64_t now_ms, std::uint64_t period_ms,
                     std::size_t miss_threshold);
 
-  /// All verdicts so far, in detection order.
-  [[nodiscard]] std::vector<stall_event> stalls() const;
+  /// All verdicts so far, in detection order.  Each is rule
+  /// `watchdog.stall`: the target is the participant, the value its
+  /// silent ms, the threshold the budget, and its last beat was at
+  /// `t_ms - value`.
+  [[nodiscard]] std::vector<verdict> stalls() const;
   [[nodiscard]] std::size_t stall_count() const;
 
   /// Currently registered (live, non-expired) participants.
@@ -122,10 +119,13 @@ class watchdog {
   void reset();
 
  private:
+  /// Drops registrations whose owner released the shared_ptr (mu_ held).
+  std::size_t prune_locked();
+
   mutable std::mutex mu_;
   std::vector<std::weak_ptr<heartbeat>> beats_;
-  std::vector<stall_event> stalls_;
-  std::function<void(const stall_event&)> cb_;
+  std::vector<verdict> stalls_;
+  std::function<void(const verdict&)> cb_;
 };
 
 }  // namespace cgp::telemetry::live

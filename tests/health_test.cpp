@@ -30,6 +30,7 @@
 #include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "telemetry/watchdog.hpp"
 
 namespace dist = cgp::distributed;
 namespace health = cgp::telemetry::health;
@@ -275,7 +276,7 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
       {.shards = 4, .manual_clock = true, .rules = {stall}});
   auto& obs = health::observatory::global();
   auto& verdict_counter =
-      telemetry::registry::global().get_counter("telemetry.health.verdicts");
+      telemetry::registry::global().get_counter("telemetry.verdicts");
   const std::uint64_t counted_before = verdict_counter.value();
   health::backend_track* t = obs.begin_run("sim", 8);
   round_tally tally(t);
@@ -297,7 +298,7 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
     EXPECT_EQ(verdicts[0].target, "distributed.sim.shard1");
     EXPECT_EQ(verdicts[0].kind, health::rule_kind::stall_budget);
     EXPECT_EQ(verdicts[0].tick, 1u);
-    EXPECT_EQ(verdicts[0].now_ms, 1000u);
+    EXPECT_EQ(verdicts[0].t_ms, 1000u);
   }
   // Side effects of the one verdict: registry counter, flight note, and
   // a trace instant naming the rule and target.
@@ -323,6 +324,73 @@ TEST(HealthRulesTest, OneVerdictPerEpisodeWithSideEffects) {
   EXPECT_EQ(obs.tick(4000), 1u);
   EXPECT_EQ(obs.verdicts().size(), 2u);
   EXPECT_EQ(verdict_counter.value(), counted_before + 2);
+}
+
+// The stall watchdog and the health observatory raise through one path:
+// each verdict is one `verdict` flight entry, one root trace instant and
+// one count, and neither leaves a marker in the flight ring.
+TEST(HealthRulesTest, WatchdogStallAndSloViolationShareOneVerdictPath) {
+  auto& reg = telemetry::registry::global();
+  auto& recorder = telemetry::live::flight_recorder::global();
+  auto& sink = telemetry::trace::sink::global();
+  recorder.clear();
+  sink.clear();
+  auto& all = reg.get_counter("telemetry.verdicts");
+  auto& stalls = reg.get_counter("telemetry.verdicts.watchdog.stall");
+  auto& slo = reg.get_counter("telemetry.verdicts.health.shard_stall");
+  const std::array before = {all.value(), stalls.value(), slo.value()};
+
+  // A manual-clock stall: busy since t=100, silent past its 20 ms budget.
+  telemetry::live::watchdog wd;
+  auto hb = wd.register_heartbeat("verdict_test.worker");
+  hb->begin_work();
+  hb->beat_at(100);
+  ASSERT_EQ(wd.check(125, 10, 2), 1u);
+
+  // An SLO violation: shard 1 stops routing past a one-round budget.
+  health::slo_rule stall;
+  stall.kind = health::rule_kind::stall_budget;
+  stall.name = "shard_stall";
+  stall.budget = 1;
+  observatory_session session(
+      {.shards = 4, .manual_clock = true, .rules = {stall}});
+  health::backend_track* t =
+      health::observatory::global().begin_run("sim", 8);
+  round_tally tally(t);
+  for (std::size_t r = 0; r <= 5; ++r) {
+    tally.fold(t->shard_of(0), 1, 0, 0, 0);
+    if (r == 0) tally.fold(t->shard_of(2), 1, 0, 0, 0);
+    tally.end_round(r, 0);
+  }
+  ASSERT_EQ(health::observatory::global().tick(1000), 1u);
+
+  EXPECT_EQ(all.value(), before[0] + 2);
+  EXPECT_EQ(stalls.value(), before[1] + 1);
+  EXPECT_EQ(slo.value(), before[2] + 1);
+
+  const auto flight = telemetry::live::validate_flight_dump(
+      telemetry::parse_json(recorder.dump_json()));
+  EXPECT_TRUE(flight.ok) << flight.error_text();
+  EXPECT_EQ(flight.verdicts, 2u);
+  EXPECT_EQ(flight.markers, 0u);
+  std::vector<std::string> noted;
+  for (const auto& e : recorder.snapshot())
+    if (e.k == telemetry::live::flight_entry::kind::verdict)
+      noted.push_back(e.name);
+  EXPECT_EQ(noted, (std::vector<std::string>{"watchdog.stall",
+                                             "health.shard_stall"}));
+
+  std::size_t stall_instants = 0, slo_instants = 0;
+  const auto trace_doc =
+      telemetry::parse_json(sink.export_chrome_trace());
+  for (const auto& ev : trace_doc.at("traceEvents").arr) {
+    if (!ev.has("name")) continue;
+    const std::string& name = ev.at("name").str;
+    if (name == "watchdog.stall: verdict_test.worker") ++stall_instants;
+    if (name == "health.shard_stall: distributed.sim.shard1") ++slo_instants;
+  }
+  EXPECT_EQ(stall_instants, 1u);
+  EXPECT_EQ(slo_instants, 1u);
 }
 
 // ---------------------------------------------------------------------------

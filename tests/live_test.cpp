@@ -55,7 +55,7 @@ TEST(FlightRecorderTest, DumpRoundTripsAndValidates) {
   live::flight_recorder fr(16);
   fr.note(live::flight_entry::kind::span, "a.span", 12.0);
   fr.note(live::flight_entry::kind::counter, "a.counter", 3.0);
-  fr.note(live::flight_entry::kind::watchdog, "a.worker", 99.0, "stall");
+  fr.note(live::flight_entry::kind::verdict, "a.worker", 99.0, "stall");
   fr.note(live::flight_entry::kind::marker, "note");
   const auto doc = telemetry::parse_json(fr.dump_json());
   const auto v = live::validate_flight_dump(doc);
@@ -63,7 +63,7 @@ TEST(FlightRecorderTest, DumpRoundTripsAndValidates) {
   EXPECT_EQ(v.entries, 4u);
   EXPECT_EQ(v.spans, 1u);
   EXPECT_EQ(v.counters, 1u);
-  EXPECT_EQ(v.watchdog_verdicts, 1u);
+  EXPECT_EQ(v.verdicts, 1u);
   EXPECT_EQ(v.markers, 1u);
   // dump -> parse -> dump is a fixed point through the bundled JSON layer.
   const std::string dumped = telemetry::dump_json(doc);
@@ -171,10 +171,10 @@ TEST(WatchdogTest, FlagsBusySilentParticipantOncePerEpisode) {
   EXPECT_EQ(wd.check(200, 10, 2), 0u);  // same episode: no second verdict
   const auto stalls = wd.stalls();
   ASSERT_EQ(stalls.size(), 1u);
-  EXPECT_EQ(stalls[0].participant, "test.worker");
-  EXPECT_EQ(stalls[0].last_beat_ms, 100u);
-  EXPECT_EQ(stalls[0].detected_at_ms, 125u);
-  EXPECT_EQ(stalls[0].silent_ms, 25u);
+  EXPECT_EQ(stalls[0].target, "test.worker");
+  EXPECT_EQ(stalls[0].t_ms - stalls[0].value, 100u);
+  EXPECT_EQ(stalls[0].t_ms, 125u);
+  EXPECT_EQ(stalls[0].value, 25u);
   // Completing the unit of work ends the episode; a fresh silent busy
   // stretch earns a fresh verdict.
   hb->end_work();
@@ -203,15 +203,15 @@ TEST(WatchdogTest, DroppedRegistrationsPrune) {
 
 TEST(WatchdogTest, CallbackFiresPerVerdict) {
   live::watchdog wd;
-  std::vector<live::stall_event> seen;
-  wd.on_stall([&seen](const live::stall_event& ev) { seen.push_back(ev); });
+  std::vector<live::verdict> seen;
+  wd.on_stall([&seen](const live::verdict& ev) { seen.push_back(ev); });
   auto hb = wd.register_heartbeat("test.cb");
   hb->begin_work();
   hb->beat_at(50);
   (void)wd.check(100, 10, 2);
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].participant, "test.cb");
-  EXPECT_EQ(seen[0].silent_ms, 50u);
+  EXPECT_EQ(seen[0].target, "test.cb");
+  EXPECT_EQ(seen[0].value, 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -617,8 +617,8 @@ TEST(WatchdogTest, InprocChurnStallProducesOneEpisodeVerdict) {
   auto& wd = live::watchdog::global();
   wd.reset();
   std::mutex mu;
-  std::vector<live::stall_event> events;
-  wd.on_stall([&](const live::stall_event& ev) {
+  std::vector<live::verdict> events;
+  wd.on_stall([&](const live::verdict& ev) {
     const std::lock_guard lock(mu);
     events.push_back(ev);
   });
@@ -656,10 +656,10 @@ TEST(WatchdogTest, InprocChurnStallProducesOneEpisodeVerdict) {
           .count()));
   const std::lock_guard lock(mu);
   std::size_t inproc_verdicts = 0;
-  for (const live::stall_event& ev : events) {
-    EXPECT_EQ(ev.participant, "distributed.inproc.run") << ev.participant;
-    EXPECT_GE(ev.silent_ms, 2 * kPeriodMs);
-    if (ev.participant.find("distributed.inproc") != std::string::npos)
+  for (const live::verdict& ev : events) {
+    EXPECT_EQ(ev.target, "distributed.inproc.run") << ev.target;
+    EXPECT_GE(ev.value, 2 * kPeriodMs);
+    if (ev.target.find("distributed.inproc") != std::string::npos)
       ++inproc_verdicts;
   }
   EXPECT_EQ(inproc_verdicts, 1u);

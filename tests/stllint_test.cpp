@@ -5,6 +5,7 @@
 #include "stllint/lexer.hpp"
 #include "stllint/parser.hpp"
 #include "stllint/stllint.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cgp::stllint {
 namespace {
@@ -750,6 +751,28 @@ void g(vector<int>& v) {
       ++past_end;
     }
   EXPECT_EQ(past_end, 2);
+}
+
+// The gauge reads what the latest run found, not the analyzer's running
+// total: three runs of a one-diagnostic program read 1 each time.
+TEST(Analyzer, LastRunGaugeCountsOnlyTheLatestRun) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  constexpr std::string_view src = R"(
+void f(vector<int>& v) {
+  use(*v.end());
+}
+)";
+  diagnostics parse_diags;
+  const ast_program program = parse(tokenize(src, parse_diags), parse_diags);
+  ASSERT_TRUE(parse_diags.empty());
+  const telemetry::gauge& gauge = telemetry::registry::global().get_gauge(
+      "stllint.analyzer.last_run_diagnostics");
+  analyzer a;
+  for (std::size_t run = 1; run <= 3; ++run) {
+    a.run(program, src);
+    ASSERT_EQ(a.diags().size(), run);
+    EXPECT_EQ(gauge.value(), 1) << "after run " << run;
+  }
 }
 
 }  // namespace

@@ -216,31 +216,13 @@ TEST(TelemetryExport, JsonRoundTripsThroughParse) {
             500001.5);
 }
 
-TEST(TelemetryExport, TextIsOneLinePerMetric) {
-  telemetry::registry reg;
-  reg.get_counter("a.b.c").add(9);
-  reg.get_gauge("a.b.depth").set(4);
-  reg.get_histogram("a.b.lat").record(10);
-  const std::string text = reg.export_text();
-  EXPECT_NE(text.find("counter a.b.c 9\n"), std::string::npos);
-  EXPECT_NE(text.find("gauge a.b.depth 4\n"), std::string::npos);
-  EXPECT_NE(text.find("histogram a.b.lat count=1"), std::string::npos);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
-}
-
 TEST(TelemetryExport, ExportsCarryHistogramPercentiles) {
   telemetry::registry reg;
   telemetry::histogram& h = reg.get_histogram("pctl.hist");
   for (int i = 0; i < 95; ++i) h.record(10);
   for (int i = 0; i < 5; ++i) h.record(10'000);
 
-  // Text: still one line, now with the interpolated percentile summary.
-  const std::string text = reg.export_text();
-  for (const char* key : {" p50=", " p95=", " p99="})
-    EXPECT_NE(text.find(key), std::string::npos) << key;
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
-
-  // JSON: the histogram object exposes the same three percentiles.
+  // The histogram object exposes the interpolated percentiles.
   const auto doc = telemetry::parse_json(reg.export_json());
   const auto& hist = doc.at("histograms").at("pctl.hist");
   // The JSON writer renders at stream precision; compare relatively.
@@ -255,14 +237,10 @@ TEST(TelemetryExport, ExportsCarryHistogramPercentiles) {
 
 TEST(TelemetryExport, EmptyHistogramPercentilesAreExplicitNulls) {
   // Percentiles of zero samples do not exist; a 0 would read as "measured
-  // and instantaneous".  Both exporters must say null, and flip to numbers
+  // and instantaneous".  The exporter must say null, and flip to numbers
   // as soon as one sample lands.
   telemetry::registry reg;
   (void)reg.get_histogram("empty.hist");
-
-  const std::string text = reg.export_text();
-  EXPECT_NE(text.find("p50=null p95=null p99=null"), std::string::npos)
-      << text;
 
   const auto doc = telemetry::parse_json(reg.export_json());
   const auto& hist = doc.at("histograms").at("empty.hist");
@@ -275,7 +253,6 @@ TEST(TelemetryExport, EmptyHistogramPercentilesAreExplicitNulls) {
   const auto& hist2 = doc2.at("histograms").at("empty.hist");
   for (const char* key : {"p50", "p95", "p99"})
     EXPECT_TRUE(hist2.at(key).is(telemetry::json_value::kind::number)) << key;
-  EXPECT_EQ(reg.export_text().find("p50=null"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
