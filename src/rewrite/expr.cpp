@@ -26,9 +26,14 @@ std::string value_to_string(const value& v) {
           return "matrix[" + std::to_string(x ? x->rows : 0) + "x" +
                  std::to_string(x ? x->cols : 0) + "]";
         } else if constexpr (std::is_same_v<X, double>) {
-          char buf[32];  // %g at precision 6, as a default std::ostream
-          return {buf, std::to_chars(buf, buf + 32, x,
-                                     std::chars_format::general, 6).ptr};
+          // The shortest spelling that reads back as the same double, with
+          // `.0` when it has no point or exponent, so it reparses as a
+          // double and not as an int.
+          char buf[32];
+          std::string out(buf, std::to_chars(buf, buf + 32, x).ptr);
+          if (std::isfinite(x) && out.find_first_of(".e") == std::string::npos)
+            out += ".0";
+          return out;
         } else {
           char buf[32];
           return {buf, std::to_chars(buf, buf + 32, x).ptr};

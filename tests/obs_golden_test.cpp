@@ -167,7 +167,7 @@ TEST(ObsGolden, ChromeTraceEventMultiset) {
   std::string listing;
   for (const std::string& k : c.events) listing += k + "\n";
   EXPECT_EQ(c.events.size(), 480u);
-  EXPECT_EQ(h, 0x0cff6f1521a6138bull) << "recorded 0x" << std::hex << h << "\n" << listing;
+  EXPECT_EQ(h, 0xcd0141c15aed094full) << "recorded 0x" << std::hex << h << "\n" << listing;
 }
 
 TEST(ObsGolden, RepeatedCaptureIsIdentical) {

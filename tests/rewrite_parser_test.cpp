@@ -92,6 +92,23 @@ TEST(Parser, NumbersAreReadWholeOrRejected) {
     EXPECT_THROW((void)parse_expr(bad, kIntEnv), parse_error) << bad;
 }
 
+// A double literal prints in a form that reads back as the same double:
+// `x + 0.0` prints as `(x + 0.0)`, not as `(x + 0)` with an int literal,
+// and no digit is cut.
+TEST(Parser, DoubleSpellingsReparseAsTheSameDouble) {
+  for (const double d : {0.0, 1.0, 0.1, 123456.789, 1e21, 5e-324,
+                         9007199254740994.0 /* 2^53 + 2 */}) {
+    const expr l = E::double_lit(d);
+    EXPECT_EQ(parse_expr(l.to_string(), {}), l) << l.to_string();
+    const expr sum = E::binary_op("+", E::var("x", "double"), l);
+    EXPECT_EQ(parse_expr(sum.to_string(), {{"x", "double"}}), sum)
+        << sum.to_string();
+  }
+  EXPECT_EQ(E::binary_op("+", E::var("x", "double"), E::double_lit(0.0))
+                .to_string(),
+            "(x + 0.0)");
+}
+
 std::string nested(int depth, const std::string& open,
                    const std::string& close) {
   std::string out;
