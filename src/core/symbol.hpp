@@ -3,8 +3,9 @@
 //
 // A table belongs to what it interns for (STLlint: one per parsed program),
 // so concurrent workers take no lock and a long-lived service does not
-// accumulate every name it has ever seen.  The one process-wide table, the
-// profiler's frame names (a fixed set of call sites), sits behind a mutex.
+// accumulate every name it has ever seen.  The two process-wide tables sit
+// behind a mutex: the profiler's frame names (a fixed set of call sites)
+// and the rewrite IR's names and types (rewrite/expr.cpp).
 #pragma once
 
 #include <algorithm>

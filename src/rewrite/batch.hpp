@@ -1,7 +1,7 @@
 // Data-parallel batch rewriting: simplify a workload of expressions over
 // any Executor, sharing ONE simplifier — and therefore one instantiation
 // memo.  Each (type, operator) shape is instantiated once by whichever
-// worker gets there first and read by everyone else with one shard mutex.
+// worker gets there first and read by everyone else with no lock.
 // `simplify` is const and the memo is insert-only, so the fan-out needs no
 // coordination beyond the barrier `parallel_for` already provides.  Rule
 // registration (add_concept_rule) clears the memo and must happen before

@@ -1,6 +1,10 @@
 #include "rewrite/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <deque>
+#include <mutex>
 #include <string_view>
 
 #include "core/mix64.hpp"
@@ -79,14 +83,112 @@ expr pattern_from_term(const core::term& t, const std::string& type) {
   return expr::constant("<bad-term>", type);
 }
 
+/// Instantiations by (type id, operator id) shape.  A reader takes no lock:
+/// one acquire load of the current table, then a probe whose slot keys it
+/// loads with acquire.  A miss, or a table of an older registry
+/// generation, adds the shape under the mutex: its slot's instantiations
+/// are stored first and its key is published by a release store, so a
+/// slot never changes once a reader can see it.  A table is replaced by a
+/// copy twice its size when it would pass half full, and by an empty one
+/// when the generation moves.  Replaced tables stay allocated, because a
+/// reader may still be probing one, until the memo is destroyed; doubling
+/// keeps those of one generation smaller, together, than its last one.
+class simplifier::shape_memo {
+ public:
+  /// The shape's instantiations at `generation`, or nullptr.
+  [[nodiscard]] const instantiations* find(std::uint64_t key,
+                                           std::uint64_t generation) const {
+    const table* t = live_.load(std::memory_order_acquire);
+    return t != nullptr && t->generation == generation ? t->find(key)
+                                                       : nullptr;
+  }
+
+  /// The shape's instantiations at `generation`, made by `make` if no
+  /// thread has added them yet; true when this call made them.
+  template <class Make>
+  std::pair<const instantiations*, bool> add(std::uint64_t key,
+                                             std::uint64_t generation,
+                                             Make make) {
+    const std::lock_guard lock(m_);
+    table* t = tables_.empty() ? nullptr : tables_.back().get();
+    if (t == nullptr || t->generation != generation) {
+      t = publish(std::make_unique<table>(generation, 64));
+    } else if (const instantiations* raced = t->find(key)) {
+      return {raced, false};
+    }
+    if (2 * (t->used + 1) > t->mask + 1) {
+      auto bigger = std::make_unique<table>(generation, 2 * (t->mask + 1));
+      for (std::size_t i = 0; i <= t->mask; ++i) {
+        const std::uint64_t k = t->slots[i].key.load(std::memory_order_relaxed);
+        if (k != kEmpty) bigger->insert(k, t->slots[i].insts);
+      }
+      t = publish(std::move(bigger));
+    }
+    const instantiations* insts = &owned_.emplace_back(make());
+    t->insert(key, insts);
+    return {insts, true};
+  }
+
+ private:
+  /// No shape has this key: operator nodes never have a `no_symbol` id.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  struct slot {
+    std::atomic<std::uint64_t> key{kEmpty};
+    const instantiations* insts = nullptr;  ///< written before key
+  };
+
+  struct table {
+    table(std::uint64_t gen, std::size_t size)
+        : generation(gen),
+          mask(size - 1),
+          slots(std::make_unique<slot[]>(size)) {}
+
+    [[nodiscard]] const instantiations* find(std::uint64_t key) const {
+      for (std::size_t i = core::mix64(key) & mask;; i = (i + 1) & mask) {
+        const std::uint64_t k = slots[i].key.load(std::memory_order_acquire);
+        if (k == key) return slots[i].insts;
+        if (k == kEmpty) return nullptr;
+      }
+    }
+    /// Under the memo's mutex, with fewer than half the slots used.
+    void insert(std::uint64_t key, const instantiations* insts) {
+      std::size_t i = core::mix64(key) & mask;
+      while (slots[i].key.load(std::memory_order_relaxed) != kEmpty)
+        i = (i + 1) & mask;
+      slots[i].insts = insts;
+      slots[i].key.store(key, std::memory_order_release);
+      ++used;
+    }
+
+    const std::uint64_t generation;
+    const std::size_t mask;
+    const std::unique_ptr<slot[]> slots;
+    std::size_t used = 0;  ///< guarded by the memo's mutex
+  };
+
+  table* publish(std::unique_ptr<table> t) {
+    table* live = tables_.emplace_back(std::move(t)).get();
+    live_.store(live, std::memory_order_release);
+    return live;
+  }
+
+  std::atomic<const table*> live_{nullptr};
+  std::mutex m_;
+  std::vector<std::unique_ptr<table>> tables_;  ///< guarded by m_; live last
+  std::deque<instantiations> owned_;            ///< guarded by m_; stable
+};
+
+simplifier::simplifier(const core::concept_registry& reg) : registry_(&reg) {}
+simplifier::simplifier(simplifier&&) noexcept = default;
+simplifier& simplifier::operator=(simplifier&&) noexcept = default;
+simplifier::~simplifier() = default;
+
 void simplifier::add_concept_rule(concept_rule r) {
   std::string name = r.concept_name + "::" + r.axiom_name;
   concept_rules_.emplace_back(std::move(r),
                               make_site(std::move(name), r.concept_name));
-  if (instantiation_cache_)
-    instantiation_cache_->clear();
-  else  // moved from
-    instantiation_cache_ = std::make_unique<memo>();
+  memo_ = std::make_unique<shape_memo>();
 }
 
 void simplifier::add_expr_rule(expr_rule r) {
@@ -102,24 +204,26 @@ void simplifier::add_default_concept_rules() {
   add_concept_rule({.concept_name = "Group", .axiom_name = "left_inverse"});
 }
 
-std::size_t simplifier::shape_hash::operator()(
-    const shape_key& k) const noexcept {
-  const std::hash<std::string> h;
-  const auto& [type, op, generation] = k;
-  return core::mix64(h(type) ^ core::mix64(h(op) ^ generation));
-}
-
 const simplifier::instantiations& simplifier::instantiate(
     const expr& e) const {
   static telemetry::counter& hits = engine_counter("instantiation_cache_hits");
   static telemetry::counter& misses =
       engine_counter("instantiation_cache_misses");
-  shape_key key{e.type(), e.symbol(), registry_->generation()};
-  if (const instantiations* hit = instantiation_cache_->find(key)) {
+  const std::uint64_t key =
+      std::uint64_t{e.type_id()} << 32 | std::uint64_t{e.symbol_id()};
+  const std::uint64_t generation = registry_->generation();
+  if (const instantiations* hit = memo_->find(key, generation)) {
     hits.add();
     return *hit;
   }
-  misses.add();
+  const auto [insts, made] =
+      memo_->add(key, generation, [&] { return instantiate_shape(e); });
+  (made ? misses : hits).add();
+  return *insts;
+}
+
+simplifier::instantiations simplifier::instantiate_shape(
+    const expr& e) const {
   instantiations insts;
   for (const auto& [r, site] : concept_rules_) {
     std::optional<std::pair<expr, expr>>& inst = insts.emplace_back();
@@ -137,22 +241,26 @@ const simplifier::instantiations& simplifier::instantiate(
     if (!r.require_shrink || replacement.size() < pattern.size())
       inst = std::pair{std::move(pattern), std::move(replacement)};
   }
-  // Racing simplify() calls may both instantiate the shape; the insert-only
-  // map keeps the winner and everyone shares its stable address (losers
-  // computed equal values — instantiation is pure).
-  return instantiation_cache_->try_emplace(std::move(key), std::move(insts))
-      .first->second;
+  return insts;
 }
 
 std::optional<expr> simplifier::rewrite_at_root(
     const expr& e, std::vector<rewrite_step>* trace) const {
+  // One binding per thread, reused by every match, so a match allocates
+  // only while the binding grows to the most metavariables a rule has.
+  thread_local flat_binding binding;
   // Library-specific expression rules take priority (Section 3.2: user
   // extensions often specialize general expressions to faster calls).
   for (const auto& [r, site] : expr_rules_) {
-    auto binding = e.match(r.pattern);
-    if (!binding) continue;
-    if (r.guard && !r.guard(*binding)) continue;
-    return fire(site, e, [&] { return r.replacement.substitute(*binding); },
+    if (r.guard) {
+      // The guard takes a map, and may itself simplify on this thread.
+      const auto named = e.match(r.pattern);
+      if (!named || !r.guard(*named)) continue;
+      return fire(site, e, [&] { return r.replacement.substitute(*named); },
+                  trace);
+    }
+    if (!e.match(r.pattern, binding)) continue;
+    return fire(site, e, [&] { return r.replacement.substitute(binding); },
                 trace);
   }
 
@@ -164,10 +272,9 @@ std::optional<expr> simplifier::rewrite_at_root(
     for (std::size_t ri = 0; ri < insts.size(); ++ri) {
       if (!insts[ri]) continue;
       const auto& [pattern, replacement] = *insts[ri];
-      auto binding = e.match(pattern);
-      if (!binding) continue;
+      if (!e.match(pattern, binding)) continue;
       return fire(concept_rules_[ri].second, e,
-                  [&] { return replacement.substitute(*binding); }, trace);
+                  [&] { return replacement.substitute(binding); }, trace);
     }
   }
 
@@ -176,7 +283,7 @@ std::optional<expr> simplifier::rewrite_at_root(
       std::all_of(e.children().begin(), e.children().end(),
                   [](const expr& c) { return c.is(expr::kind::literal); })) {
     try {
-      expr out = expr::lit(evaluate(e, {}), e.type());
+      expr out = e.with_value(evaluate(e, {}));
       static const rule_site kFold = make_site("constant-fold", "evaluator");
       return fire(kFold, e, [&] { return std::move(out); }, trace);
     } catch (const eval_error&) {

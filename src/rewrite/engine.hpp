@@ -8,16 +8,13 @@
 // a library can override the generic algebra with a faster call.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
-#include "parallel/concurrent_map.hpp"
 #include "rewrite/rules.hpp"
 #include "telemetry/scope.hpp"
 #include "telemetry/telemetry.hpp"
@@ -28,8 +25,10 @@ class simplifier {
  public:
   /// Uses the given registry for model lookups (defaults to the global one).
   explicit simplifier(const core::concept_registry& reg =
-                          core::concept_registry::global())
-      : registry_(&reg) {}
+                          core::concept_registry::global());
+  simplifier(simplifier&&) noexcept;
+  simplifier& operator=(simplifier&&) noexcept;
+  ~simplifier();
 
   /// Registers a generic concept-guarded rule.
   void add_concept_rule(concept_rule r);
@@ -75,32 +74,29 @@ class simplifier {
   /// Every concept rule instantiated for one shape, in rule order; nullopt
   /// where the shape has no model or the rule would not shrink it.
   using instantiations = std::vector<std::optional<std::pair<expr, expr>>>;
-  /// (type, operator, registry generation when instantiated).
-  using shape_key = std::tuple<std::string, std::string, std::uint64_t>;
-  struct shape_hash {
-    std::size_t operator()(const shape_key& k) const noexcept;
-  };
+  class shape_memo;
 
   /// The root of `e` rewritten, or `e` with rewritten children; nullopt
   /// when no rule fired anywhere in `e`, which then stays shared.
   [[nodiscard]] std::optional<expr> simplify_once(
       const expr& e, std::vector<rewrite_step>* trace) const;
   [[nodiscard]] const instantiations& instantiate(const expr& e) const;
+  [[nodiscard]] instantiations instantiate_shape(const expr& e) const;
 
   const core::concept_registry* registry_;
   std::vector<std::pair<concept_rule, rule_site>> concept_rules_;
   std::vector<std::pair<expr_rule, rule_site>> expr_rules_;
   bool fold_constants_ = false;
-  /// Memoizes axiom instantiation per (type, operator) shape, modelled or
-  /// not: one lookup per operator node, and the key's registry generation
-  /// makes a later model take effect.  A striped insert-only concurrent
-  /// map, so `simplify` (const) is safe to call from many threads at once
-  /// and `simplify_batch` (batch.hpp) workers share one memo.  Mutation of
-  /// the rule set (add_concept_rule) clears it and must be quiescent.  It
-  /// pins its shards in place, so it sits behind a pointer: the simplifier
-  /// moves (factory functions return it by value) and keeps its memo.
-  using memo = parallel::concurrent_map<shape_key, instantiations, shape_hash>;
-  std::unique_ptr<memo> instantiation_cache_ = std::make_unique<memo>();
+  /// Memoizes axiom instantiation per (type id, operator id) shape,
+  /// modelled or not: one lookup per operator node, read with no lock, so
+  /// `simplify` (const) is safe to call from many threads at once and
+  /// `simplify_batch` (batch.hpp) workers share one memo.  A shape seen at
+  /// an older registry generation is instantiated again, so a later model
+  /// takes effect.  Made by the first add_concept_rule and replaced by
+  /// every later one, which must be quiescent.  It sits behind a pointer:
+  /// the simplifier moves (factory functions return it by value) and keeps
+  /// its memo.
+  std::unique_ptr<shape_memo> memo_;
 };
 
 /// Rules licensed by machine-checked theorems rather than raw axioms

@@ -1,9 +1,67 @@
 #include "rewrite/expr.hpp"
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <mutex>
+#include <string_view>
 
 namespace cgp::rewrite {
+namespace {
+
+/// The process-wide intern table of node names and types.  Ids come from
+/// a `core::symbol_table` under one mutex, and each name is stored once in
+/// chunks that never move, so `name` reads it with no lock: an id reaches
+/// a reader only through a node built after its name was stored.
+class name_table {
+ public:
+  static constexpr core::symbol kUntyped = 0;  ///< the id of ""
+
+  name_table() { (void)intern(""); }
+
+  core::symbol intern(std::string_view s) {
+    const std::lock_guard lock(m_);
+    const std::size_t known = ids_.size();
+    const core::symbol id = ids_.intern(s);
+    if (ids_.size() == known) return id;
+    const auto [c, i] = locate(id);
+    std::string* chunk = chunks_[c].load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = new std::string[std::size_t{64} << c];
+      chunks_[c].store(chunk, std::memory_order_release);
+    }
+    chunk[i] = s;
+    return id;
+  }
+
+  [[nodiscard]] const std::string& name(core::symbol id) const noexcept {
+    const auto [c, i] = locate(id);
+    return chunks_[c].load(std::memory_order_acquire)[i];
+  }
+
+ private:
+  /// Chunk c holds 64 * 2^c names: ids 64 * (2^c - 1) up to, not
+  /// including, 64 * (2^(c+1) - 1).
+  static std::pair<std::size_t, std::size_t> locate(core::symbol id) noexcept {
+    const std::uint64_t n = std::uint64_t{id} + 64;
+    const std::size_t c = static_cast<std::size_t>(std::bit_width(n)) - 7;
+    return {c, static_cast<std::size_t>(n - (std::uint64_t{64} << c))};
+  }
+
+  std::mutex m_;
+  core::symbol_table ids_;  ///< guarded by m_
+  std::array<std::atomic<std::string*>, 27> chunks_{};  ///< 2^32 ids
+};
+
+/// Never destroyed, so a name stays readable while any node exists.
+name_table& names() {
+  static name_table* const table = new name_table;
+  return *table;
+}
+
+}  // namespace
 
 matrix_value matrix_value::identity(std::size_t n) {
   matrix_value m{n, n, std::vector<double>(n * n, 0.0)};
@@ -54,31 +112,41 @@ bool value_equal(const value& a, const value& b) {
 }
 
 expr expr::var(std::string name, std::string type) {
-  return make({kind::variable, std::move(name), std::move(type), {}, {}});
+  return make({kind::variable, names().intern(name), names().intern(type),
+               {}, {}, {}});
 }
 expr expr::meta(std::string name, std::string type) {
-  return make({kind::metavariable, std::move(name), std::move(type), {}, {}});
+  return make({kind::metavariable, names().intern(name), names().intern(type),
+               {}, {}, {}});
 }
 expr expr::lit(value v, std::string type) {
-  return make({kind::literal, value_to_string(v), std::move(type),
-               std::move(v), {}});
+  return make({kind::literal, core::no_symbol, names().intern(type),
+               value_to_string(v), std::move(v), {}});
 }
 expr expr::constant(std::string name, std::string type) {
-  return make({kind::named_const, std::move(name), std::move(type), {}, {}});
+  return make({kind::named_const, names().intern(name), names().intern(type),
+               {}, {}, {}});
 }
 expr expr::unary_op(std::string op, expr operand, std::string type) {
-  std::string t = type.empty() ? operand.type() : std::move(type);
-  return make({kind::unary, std::move(op), std::move(t), {},
+  const core::symbol t = type.empty() ? operand.type_id() : names().intern(type);
+  return make({kind::unary, names().intern(op), t, {}, {},
                {std::move(operand)}});
 }
 expr expr::binary_op(std::string op, expr lhs, expr rhs, std::string type) {
-  std::string t = type.empty() ? lhs.type() : std::move(type);
-  return make({kind::binary, std::move(op), std::move(t), {},
+  const core::symbol t = type.empty() ? lhs.type_id() : names().intern(type);
+  return make({kind::binary, names().intern(op), t, {}, {},
                {std::move(lhs), std::move(rhs)}});
 }
 expr expr::call_fn(std::string fn, std::vector<expr> args, std::string type) {
-  return make({kind::call, std::move(fn), std::move(type), {},
+  return make({kind::call, names().intern(fn), names().intern(type), {}, {},
                std::move(args)});
+}
+
+const std::string& expr::symbol() const noexcept {
+  return node_->k == kind::literal ? node_->spelling : names().name(node_->sym);
+}
+const std::string& expr::type() const noexcept {
+  return names().name(node_->ty);
 }
 
 std::size_t expr::size() const noexcept {
@@ -87,17 +155,27 @@ std::size_t expr::size() const noexcept {
   return n;
 }
 
+namespace {
+
+/// Literal spellings are not interned, so two literals compare by value
+/// and then by spelling, which tells 0.0 from -0.0.
+bool same_literal(const expr& a, const expr& b) {
+  return value_equal(a.literal_value(), b.literal_value()) &&
+         a.symbol() == b.symbol();
+}
+
+}  // namespace
+
 bool operator==(const expr& a, const expr& b) {
   if (a.node_ == b.node_) return true;
-  if (a.node_->k != b.node_->k || a.node_->symbol != b.node_->symbol ||
-      a.node_->type != b.node_->type ||
-      a.node_->children.size() != b.node_->children.size())
+  const expr::node& x = *a.node_;
+  const expr::node& y = *b.node_;
+  if (x.k != y.k || x.sym != y.sym || x.ty != y.ty ||
+      x.children.size() != y.children.size())
     return false;
-  if (a.node_->k == expr::kind::literal &&
-      !value_equal(a.node_->val, b.node_->val))
-    return false;
-  for (std::size_t i = 0; i < a.node_->children.size(); ++i)
-    if (!(a.node_->children[i] == b.node_->children[i])) return false;
+  if (x.k == expr::kind::literal && !same_literal(a, b)) return false;
+  for (std::size_t i = 0; i < x.children.size(); ++i)
+    if (!(x.children[i] == y.children[i])) return false;
   return true;
 }
 
@@ -129,27 +207,24 @@ std::string expr::to_string() const {
 
 namespace {
 
-/// Metavariable bindings of one match attempt, in binding order.
-using flat_binding = std::vector<std::pair<const std::string*, const expr*>>;
-
 bool match_impl(const expr& subject, const expr& pattern,
                 flat_binding& binding) {
+  const core::symbol untyped = name_table::kUntyped;
   if (pattern.is(expr::kind::metavariable)) {
-    if (!pattern.type().empty() && pattern.type() != subject.type())
+    if (pattern.type_id() != untyped && pattern.type_id() != subject.type_id())
       return false;
-    for (const auto& [name, bound] : binding)
-      if (*name == pattern.symbol()) return *bound == subject;
-    binding.emplace_back(&pattern.symbol(), &subject);
+    for (const auto& [id, bound] : binding)
+      if (id == pattern.symbol_id()) return *bound == subject;
+    binding.emplace_back(pattern.symbol_id(), &subject);
     return true;
   }
   if (pattern.node_kind() != subject.node_kind() ||
-      pattern.symbol() != subject.symbol() ||
+      pattern.symbol_id() != subject.symbol_id() ||
       pattern.children().size() != subject.children().size())
     return false;
-  if (!pattern.type().empty() && pattern.type() != subject.type())
+  if (pattern.type_id() != untyped && pattern.type_id() != subject.type_id())
     return false;
-  if (pattern.is(expr::kind::literal) &&
-      !value_equal(pattern.literal_value(), subject.literal_value()))
+  if (pattern.is(expr::kind::literal) && !same_literal(pattern, subject))
     return false;
   for (std::size_t i = 0; i < pattern.children().size(); ++i)
     if (!match_impl(subject.children()[i], pattern.children()[i], binding))
@@ -159,22 +234,25 @@ bool match_impl(const expr& subject, const expr& pattern,
 
 }  // namespace
 
+bool expr::match(const expr& pattern, flat_binding& binding) const {
+  binding.clear();
+  return match_impl(*this, pattern, binding);
+}
+
 std::optional<std::map<std::string, expr>> expr::match(
     const expr& pattern) const {
-  // A per-thread buffer that keeps its capacity, so a failed match
-  // allocates nothing; the public map is built only on success.
-  thread_local flat_binding flat;
-  flat.clear();
-  if (!match_impl(*this, pattern, flat)) return std::nullopt;
+  flat_binding flat;
+  if (!match(pattern, flat)) return std::nullopt;
   std::map<std::string, expr> binding;
-  for (const auto& [name, bound] : flat) binding.emplace(*name, *bound);
+  for (const auto& [id, bound] : flat) binding.emplace(names().name(id), *bound);
   return binding;
 }
 
-expr expr::substitute(const std::map<std::string, expr>& b) const {
+expr expr::substitute(const flat_binding& b) const {
   if (is(kind::metavariable)) {
-    auto it = b.find(symbol());
-    return it == b.end() ? *this : it->second;
+    for (const auto& [id, bound] : b)
+      if (id == node_->sym) return *bound;
+    return *this;
   }
   if (children().empty()) return *this;
   std::vector<expr> args;
@@ -183,12 +261,26 @@ expr expr::substitute(const std::map<std::string, expr>& b) const {
   return with_children(std::move(args));
 }
 
+expr expr::substitute(const std::map<std::string, expr>& b) const {
+  flat_binding flat;
+  flat.reserve(b.size());
+  for (const auto& [name, bound] : b)
+    flat.emplace_back(names().intern(name), &bound);
+  return substitute(flat);
+}
+
 expr expr::with_children(std::vector<expr> children) const {
-  std::string t = type().empty() && !children.empty() && !is(kind::call)
-                      ? children[0].type()
-                      : type();
-  return make({node_kind(), symbol(), std::move(t), literal_value(),
+  const core::symbol t = node_->ty == name_table::kUntyped &&
+                                 !children.empty() && !is(kind::call)
+                             ? children[0].type_id()
+                             : node_->ty;
+  return make({node_kind(), node_->sym, t, node_->spelling, literal_value(),
                std::move(children)});
+}
+
+expr expr::with_value(value v) const {
+  return make({kind::literal, core::no_symbol, node_->ty, value_to_string(v),
+               std::move(v), {}});
 }
 
 std::optional<expr> parse_literal(const std::string& s,

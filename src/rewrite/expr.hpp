@@ -5,6 +5,10 @@
 // types*; this IR therefore carries a type name on every node so the engine
 // can ask the concept registry whether (type, operation) models Monoid,
 // Group, etc. before firing a rule.
+//
+// Names and types are interned in one process-wide, append-only table, so
+// nodes compare and key by integer ids.  Literal spellings are not
+// interned: that set is unbounded.
 #pragma once
 
 #include <cstdint>
@@ -12,10 +16,20 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "core/symbol.hpp"
+
 namespace cgp::rewrite {
+
+class expr;
+
+/// Metavariable bindings of one match, in binding order: a metavariable's
+/// interned name and the subexpression it matched, which the pointer
+/// refers to inside the matched subject.
+using flat_binding = std::vector<std::pair<core::symbol, const expr*>>;
 
 /// Dense double matrix literal for evaluating Fig. 5's `A . I -> A` and
 /// `A . A^-1 -> I` instances with real arithmetic.
@@ -82,12 +96,13 @@ class expr {
 
   // -- observers ------------------------------------------------------------
   [[nodiscard]] kind node_kind() const noexcept { return node_->k; }
-  [[nodiscard]] const std::string& symbol() const noexcept {
-    return node_->symbol;
-  }
-  [[nodiscard]] const std::string& type() const noexcept {
-    return node_->type;
-  }
+  /// The name, operator or function name; a literal's spelling.
+  [[nodiscard]] const std::string& symbol() const noexcept;
+  [[nodiscard]] const std::string& type() const noexcept;
+  /// The interned id of `symbol()`; `core::no_symbol` for a literal.
+  [[nodiscard]] core::symbol symbol_id() const noexcept { return node_->sym; }
+  /// The interned id of `type()`.
+  [[nodiscard]] core::symbol type_id() const noexcept { return node_->ty; }
   [[nodiscard]] const value& literal_value() const noexcept {
     return node_->val;
   }
@@ -108,19 +123,27 @@ class expr {
   /// type.  Repeated metavariables must bind structurally equal expressions.
   [[nodiscard]] std::optional<std::map<std::string, expr>> match(
       const expr& pattern) const;
+  /// The same match into `binding`, which is cleared first and keeps its
+  /// capacity, so a match allocates only when the binding grows.
+  [[nodiscard]] bool match(const expr& pattern, flat_binding& binding) const;
 
   /// Replaces metavariables by their bindings.
   [[nodiscard]] expr substitute(const std::map<std::string, expr>& b) const;
+  [[nodiscard]] expr substitute(const flat_binding& b) const;
   /// The same operator node over new operands.  An untyped unary or binary
   /// node takes its first operand's type, as `unary_op` and `binary_op` do.
   [[nodiscard]] expr with_children(std::vector<expr> children) const;
+  /// The literal `v` with this node's type: what constant folding replaces
+  /// the node with.
+  [[nodiscard]] expr with_value(value v) const;
 
  private:
   struct node {
     kind k;
-    std::string symbol;  ///< var/meta/const name, operator, or function name
-    std::string type;    ///< type name, e.g. "int", "matrix", "bigfloat"
-    value val;           ///< only for kind::literal
+    core::symbol sym;  ///< var/meta/const name, operator or function name
+    core::symbol ty;   ///< type name, e.g. "int", "matrix", "bigfloat"
+    std::string spelling;  ///< only for kind::literal: value_to_string(val)
+    value val;             ///< only for kind::literal
     std::vector<expr> children;
   };
 

@@ -486,6 +486,44 @@ TEST(CallSites, ColdMemoBatchRacesModelledAndUnmodelledShapes) {
   }
 }
 
+TEST(CallSites, BatchAfterAModelIsDeclaredRewritesTheNewShape) {
+  // The batch twin of Guard.RegistryExtensionEnablesRewrite: workers first
+  // memoize that (quaternion, +) has no model, then a model is declared
+  // quiescently, and the next batch must instantiate the shape again at
+  // the registry's new generation.
+  using E = cgp::rewrite::expr;
+  cgp::core::concept_registry reg;
+  cgp::core::register_builtin_concepts(reg);
+  cgp::rewrite::simplifier s(reg);
+  s.add_default_concept_rules();
+  const E q = E::var("q", "quaternion");
+  const E x = E::var("x", "int");
+  std::vector<E> batch;
+  for (int rep = 0; rep < 64; ++rep) {
+    batch.push_back(E::binary_op(
+        "+", q, cgp::rewrite::parse_literal("0", "quaternion").value()));
+    batch.push_back(E::binary_op("+", x, E::int_lit(0), "int"));
+  }
+
+  par::work_stealing_pool pool({.workers = 3});
+  const std::vector<E> before =
+      cgp::rewrite::simplify_batch(s, batch, pool, /*grain=*/1);
+  ASSERT_EQ(before.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); i += 2) {
+    EXPECT_EQ(before[i], batch[i]) << "batch index " << i;
+    EXPECT_EQ(before[i + 1], x) << "batch index " << i + 1;
+  }
+
+  reg.declare_model({"Monoid", {"quaternion", "+"}, {{"op", "+"}, {"e", "0"}}});
+  const std::vector<E> after =
+      cgp::rewrite::simplify_batch(s, batch, pool, /*grain=*/1);
+  ASSERT_EQ(after.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); i += 2) {
+    EXPECT_EQ(after[i], q) << "batch index " << i;
+    EXPECT_EQ(after[i + 1], x) << "batch index " << i + 1;
+  }
+}
+
 TEST(CallSites, LintServiceCachesByContent) {
   const std::uint64_t hits_before = counter_value("stllint.service.cache_hits");
   const std::uint64_t misses_before =

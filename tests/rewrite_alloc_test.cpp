@@ -49,10 +49,10 @@ TEST(RewriteAlloc, WarmedSimplifierSharesAnIrreducibleTree) {
 
 TEST(RewriteAlloc, ReducibleTreeAllocatesOnlyForRebuiltNodes) {
   const simplifier s = batch_simplifier();
-  // ((x + 0) * 1) + (y + -y) -> x: four rule fires in one pass.  Each fire
-  // allocates its one-entry binding map, and the two rebuilt parents
-  // (`x * 1` and `x + 0`) a node and its child vector each.  Nothing else
-  // allocates: x, y, -y and the literals are shared.
+  // ((x + 0) * 1) + (y + -y) -> x: four rule fires in one pass.  Only the
+  // two rebuilt parents (`x * 1` and `x + 0`) allocate, a node and its
+  // child vector each.  A fire matches into a reused binding, and x, y,
+  // -y and the literals are shared.
   const expr e = parse_expr("((x + 0) * 1) + (y + -y)", kTypes);
   expr out = e;
   (void)allocations(s, e, out);
@@ -60,8 +60,19 @@ TEST(RewriteAlloc, ReducibleTreeAllocatesOnlyForRebuiltNodes) {
   const std::size_t warm = allocations(s, e, out);
   EXPECT_EQ(out.to_string(), "x");
   EXPECT_GT(warm, 0u);  // the hook really counts
-  EXPECT_EQ(warm, 8u);
+  EXPECT_EQ(warm, 4u);
   EXPECT_EQ(allocations(s, e, out), warm);
+}
+
+TEST(RewriteAlloc, RuleFireOnAVariableAllocatesNothing) {
+  const simplifier s = batch_simplifier();
+  // x + 0 -> x rebuilds nothing: the result is the shared variable.
+  const expr e = parse_expr("x + 0", kTypes);
+  expr out = e;
+  (void)allocations(s, e, out);
+
+  EXPECT_EQ(allocations(s, e, out), 0u);
+  EXPECT_EQ(out, parse_expr("x", kTypes));
 }
 
 }  // namespace
