@@ -13,9 +13,8 @@
 //     live in per-shard deques);
 //   - losers of a racing try_emplace get the winner's entry and `false`.
 //
-// There is no traversal: its two users, the simplifier's instantiation
-// cache (parallel batch rewriting) and the STLlint service's summary
-// cache, only look up and insert.
+// There is no traversal: its one user, the STLlint service's summary
+// cache, only looks up and inserts.
 #pragma once
 
 #include <array>

@@ -4,10 +4,10 @@
 // Editors and build daemons re-lint the same headers over and over; the
 // analysis is pure in (source, options), so its result can be memoized by
 // content hash.  The cache is the parallel layer's insert-only
-// `concurrent_map` — the second shipped consumer beside the simplifier's
-// instantiation memo: lookups contend only within one of 64 stripes, hits
-// return a pointer to a never-moving cached summary, and a batch fan-out
-// over any Executor shares one cache with no extra coordination.
+// `concurrent_map`, whose one user it is: lookups contend only within one
+// of 64 stripes, hits return a pointer to a never-moving cached summary,
+// and a batch fan-out over any Executor shares one cache with no extra
+// coordination.
 #pragma once
 
 #include <cstddef>
